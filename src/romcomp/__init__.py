@@ -34,8 +34,6 @@ from .program import (
     RomProgram,
     RomSpace,
     UnitaryGate,
-    assignment_bit,
-    assignment_bits,
     concat,
     inverse,
     rom_call_count,
@@ -48,7 +46,7 @@ from .search import (
     minimal_program,
 )
 from .serialize import ProgramFormatError, dumps, loads, program_from_dict, program_to_dict
-from .sim_classical import evaluate, extract_function, iter_final_states, permutation_of
+from .sim_classical import evaluate, extract_function, permutation_of
 from .sim_quantum import (
     NonClassicalOutput,
     Unitary2,

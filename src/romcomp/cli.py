@@ -103,9 +103,10 @@ def _cmd_compile(args: argparse.Namespace) -> int:
             j = _infer_rom_bits(args, args.and_of)
             program, _ = and_sequence(args.and_of, j)
         else:
-            if args.f1 is None and args.f2 is None and (args.monomials or args.table):
-                args.f1 = args.monomials if args.monomials is not None else "t:" + args.table
-            f1 = _parse_component(args.f1, args.num_vars)
+            f1_spec = args.f1
+            if f1_spec is None and args.f2 is None and (args.monomials or args.table):
+                f1_spec = args.monomials if args.monomials is not None else "t:" + args.table
+            f1 = _parse_component(f1_spec, args.num_vars)
             f2 = _parse_component(args.f2, args.num_vars)
             j = _infer_rom_bits(args, max(f1.num_vars if f1 else 1, f2.num_vars if f2 else 1))
             f1 = Anf(j, f1.monomials if f1 else frozenset())
@@ -163,16 +164,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if specs[0] is not None:
             raise CliError("--monomials/--table conflict with --f1")
         specs[0] = args.monomials if args.monomials is not None else "t:" + args.table
-    expected = []
-    for spec in specs:
-        anf = _parse_component(spec, j)
-        if anf is None:
-            expected.append(TruthTable.constant(j, 0))
-        else:
-            if anf.num_vars > j:
-                raise CliError(f"expected function uses more than {j} variables")
-            expected.append(truth_table_of(Anf(j, anf.monomials)))
-
+    anfs = [_parse_component(spec, j) for spec in specs]
+    # Simulate first: the sweep's width limit must fire before any table is built.
     if program.space.kind == QUANTUM:
         try:
             actual = [extract_boolean(program)]
@@ -181,6 +174,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             return EXIT_NONCLASSICAL
     else:
         actual = list(extract_function(program).components)
+    expected = [TruthTable.constant(j, 0) if anf is None else truth_table_of(anf) for anf in anfs]
 
     for u in range(1 << j):
         for comp, (got, want) in enumerate(zip(actual, expected), start=1):

@@ -261,6 +261,11 @@ class RomProgram:
         return len(self.instructions)
 
 
+def require_kind(program: RomProgram, kind: str) -> None:
+    if program.space.kind != kind:
+        raise KindMismatchError(f"expected a {kind} program")
+
+
 def rom_call_count(program: RomProgram) -> int:
     """Number of controlled instructions; uncontrolled gates are free."""
     return sum(1 for inst in program.instructions if inst.control is not None)
@@ -279,12 +284,3 @@ def inverse(program: RomProgram) -> RomProgram:
         tuple(inst.inverse() for inst in reversed(program.instructions)),
     )
 
-
-def assignment_bit(assignment: int, index: int) -> int:
-    """Value of ROM bit u_index (1-based) in an assignment mask."""
-    return (assignment >> (index - 1)) & 1
-
-
-def assignment_bits(assignment: int, num_rom_bits: int) -> tuple[int, ...]:
-    """An assignment mask unpacked as (u_1, ..., u_j)."""
-    return tuple((assignment >> i) & 1 for i in range(num_rom_bits))

@@ -305,15 +305,14 @@ class _TablePipeline:
         return best
 
 
-_PIPELINES: dict[tuple[int, int], _TablePipeline] = {}
+_PIPELINES: dict[tuple[int, bool], _TablePipeline] = {}
 
 
-def _pipeline_for(
-    length: int, gathers: list[tuple[int, ...]], moves: list[tuple[int, tuple[int, ...]]]
-) -> _TablePipeline:
-    key = (length, len(gathers))
+def _pipeline_for(num_rom_bits: int, use_symmetry: bool) -> _TablePipeline:
+    key = (num_rom_bits, use_symmetry)
     if key not in _PIPELINES:
-        _PIPELINES[key] = _TablePipeline(length, gathers, moves)
+        gathers = _gather_tables(num_rom_bits, use_symmetry)
+        _PIPELINES[key] = _TablePipeline(1 << num_rom_bits, gathers, _moves(num_rom_bits))
     return _PIPELINES[key]
 
 
@@ -371,7 +370,7 @@ def minimal_program(
         witness = _reconstruct(target, [], gathers)
         return SearchResult(0, witness, 0)
 
-    pipeline = _pipeline_for(length, gathers, moves)
+    pipeline = _pipeline_for(j, use_symmetry)
     visited = np.array([start_enc], dtype=np.uint32)
     level_sets = [visited]
     frontier = visited

@@ -7,79 +7,42 @@ function the program computes.
 
 from __future__ import annotations
 
-from typing import Iterator
+import numpy as np
 
 from .boolfunc import TruthTable, VectorFunction
-from .program import CLASSICAL, KindMismatchError, Permutation, RomProgram
-
-# Above this ROM width extract_function would materialize >1M-entry tables;
-# callers must switch to the streaming sweep.
-EAGER_SWEEP_LIMIT = 20
-
-
-def _require_classical(program: RomProgram) -> None:
-    if program.space.kind != CLASSICAL:
-        raise KindMismatchError("expected a classical program")
+from .program import CLASSICAL, Permutation, RomProgram, require_kind
+from .sweep import active_gates, sweep
 
 
 def permutation_of(program: RomProgram, assignment: int) -> Permutation:
     """The writable-state permutation induced under one ROM assignment."""
-    _require_classical(program)
-    _check_assignment(program, assignment)
+    require_kind(program, CLASSICAL)
     images = list(range(program.space.num_states))
-    for inst in program.instructions:
-        if inst.control is None or assignment >> (inst.control - 1) & 1:
-            perm = inst.gate.perm.images
-            images = [perm[s] for s in images]
+    for gate in active_gates(program, assignment):
+        perm = gate.perm.images
+        images = [perm[s] for s in images]
     return Permutation(tuple(images))
 
 
 def evaluate(program: RomProgram, assignment: int, start: int) -> int:
     """Final writable state reached from ``start`` under one assignment."""
-    _require_classical(program)
-    _check_assignment(program, assignment)
+    require_kind(program, CLASSICAL)
     if not 0 <= start < program.space.num_states:
         raise ValueError(f"start state {start} out of range")
     state = start
-    for inst in program.instructions:
-        if inst.control is None or assignment >> (inst.control - 1) & 1:
-            state = inst.gate.perm.images[state]
+    for gate in active_gates(program, assignment):
+        state = gate.perm.images[state]
     return state
-
-
-def iter_final_states(program: RomProgram, start: int = 0) -> Iterator[int]:
-    """Stream the final state for every assignment, in assignment order."""
-    _require_classical(program)
-    steps = [
-        (0 if inst.control is None else 1 << (inst.control - 1), inst.gate.perm.images)
-        for inst in program.instructions
-    ]
-    for assignment in range(program.space.num_assignments):
-        state = start
-        for mask, images in steps:
-            if not mask or assignment & mask:
-                state = images[state]
-        yield state
 
 
 def extract_function(program: RomProgram) -> VectorFunction:
     """The boolean function computed from the all-zero start state."""
-    _require_classical(program)
+    require_kind(program, CLASSICAL)
+    acts = [np.array(inst.gate.perm.images, dtype=np.uint8).take for inst in program.instructions]
+    blocks = sweep(program, np.zeros(1, dtype=np.uint8), acts)
+    states = np.concatenate([rows[:, 0] for _, rows in blocks])
     j = program.space.num_rom_bits
-    if j > EAGER_SWEEP_LIMIT:
-        raise ValueError(
-            f"{j} ROM bits exceeds the eager sweep limit ({EAGER_SWEEP_LIMIT}); "
-            "use iter_final_states"
-        )
-    n = program.space.num_writable
-    packed = [0] * n
-    for assignment, state in enumerate(iter_final_states(program)):
-        for bit in range(n):
-            if state >> bit & 1:
-                packed[bit] |= 1 << assignment
-    return VectorFunction(j, tuple(TruthTable.from_int(j, p) for p in packed))
-
-
-def _check_assignment(program: RomProgram, assignment: int) -> None:
-    if not 0 <= assignment < program.space.num_assignments:
-        raise ValueError(f"assignment {assignment} out of range")
+    return VectorFunction(j, tuple(
+        TruthTable(j, tuple((states >> bit & 1).tolist()))
+        for bit in range(program.space.num_writable)
+    ))

@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 from .boolfunc import TruthTable
 from .program import (
@@ -23,7 +26,9 @@ from .program import (
     KindMismatchError,
     RomProgram,
     UnitaryGate,
+    require_kind,
 )
+from .sweep import active_gates, sweep
 
 # |amplitude|^2 above this counts as a definite basis-state outcome.
 OUTCOME_THRESHOLD = 1e-9
@@ -107,21 +112,19 @@ def matrix_of_gate(gate: Gate) -> Unitary2:
     raise KindMismatchError("classical gate has no matrix")
 
 
-def _require_quantum(program: RomProgram) -> None:
-    if program.space.kind != QUANTUM:
-        raise KindMismatchError("expected a quantum program")
-
-
 def unitary_of(program: RomProgram, assignment: int) -> Unitary2:
     """Product of the active gates; later instructions multiply on the left."""
-    _require_quantum(program)
-    if not 0 <= assignment < program.space.num_assignments:
-        raise ValueError(f"assignment {assignment} out of range")
+    require_kind(program, QUANTUM)
     result = Unitary2.identity()
-    for inst in program.instructions:
-        if inst.control is None or assignment >> (inst.control - 1) & 1:
-            result = matrix_of_gate(inst.gate) @ result
+    for gate in active_gates(program, assignment):
+        result = matrix_of_gate(gate) @ result
     return result
+
+
+def _rotate(mat: Unitary2) -> Callable[[np.ndarray], np.ndarray]:
+    """Maps amplitude rows to ``rows @ mat^T``."""
+    mat_t = np.array([[mat.a, mat.c], [mat.b, mat.d]])
+    return lambda rows: (rows.reshape(-1, 2) @ mat_t).reshape(rows.shape)
 
 
 def extract_boolean(program: RomProgram) -> TruthTable:
@@ -129,20 +132,13 @@ def extract_boolean(program: RomProgram) -> TruthTable:
 
     Raises NonClassicalOutput if any assignment ends away from the basis.
     """
-    _require_quantum(program)
-    steps = [
-        (0 if inst.control is None else 1 << (inst.control - 1), matrix_of_gate(inst.gate))
-        for inst in program.instructions
-    ]
-    packed = 0
-    for assignment in range(program.space.num_assignments):
-        amp0, amp1 = complex(1.0), complex(0.0)
-        for mask, mat in steps:
-            if not mask or assignment & mask:
-                amp0, amp1 = (mat.a * amp0 + mat.b * amp1, mat.c * amp0 + mat.d * amp1)
-        p1 = amp1.real * amp1.real + amp1.imag * amp1.imag
-        if p1 >= 1.0 - OUTCOME_THRESHOLD:
-            packed |= 1 << assignment
-        elif p1 > OUTCOME_THRESHOLD:
-            raise NonClassicalOutput(assignment, (amp0, amp1))
-    return TruthTable.from_int(program.space.num_rom_bits, packed)
+    require_kind(program, QUANTUM)
+    acts = [_rotate(matrix_of_gate(inst.gate)) for inst in program.instructions]
+    bits = []
+    for first, amps in sweep(program, np.array([1, 0], dtype=complex), acts):
+        p1 = amps[:, 1].real ** 2 + amps[:, 1].imag ** 2
+        unsure = np.flatnonzero((p1 > OUTCOME_THRESHOLD) & (p1 < 1.0 - OUTCOME_THRESHOLD))
+        if unsure.size:
+            raise NonClassicalOutput(first + int(unsure[0]), tuple(amps[unsure[0]].tolist()))
+        bits += (p1 >= 1.0 - OUTCOME_THRESHOLD).astype(int).tolist()
+    return TruthTable(program.space.num_rom_bits, tuple(bits))

@@ -187,7 +187,7 @@ def parse_circuit(text: str) -> CircuitNode:
     tokens: list[tuple[str, int]] = []
     pos = 0
     for raw in text.replace("(", " ( ").replace(")", " ) ").split():
-        found = text.find(raw if raw not in "()" else raw, pos)
+        found = text.find(raw, pos)
         tokens.append((raw, found if found >= 0 else pos))
         pos = (found if found >= 0 else pos) + len(raw)
     cursor = 0

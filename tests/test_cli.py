@@ -186,6 +186,18 @@ def test_verify_bad_json_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+def test_verify_refuses_quantum_width_past_sweep_limit(capsys, tmp_path):
+    from romcomp import QUANTUM, RomProgram, RomSpace
+
+    path = tmp_path / "wide.json"
+    path.write_text(dumps(RomProgram(RomSpace(21, 1, QUANTUM))))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_render_worked_example(capsys, tmp_path):
     path = tmp_path / "example.json"
     path.write_text(dumps(worked_example_program()))

@@ -122,7 +122,7 @@ def test_table_pipeline_matches_scalar_canonization(j, symmetric):
     length = 1 << j
     gathers = _gather_tables(j, symmetric)
     moves = _moves(j)
-    pipeline = _pipeline_for(length, gathers, moves)
+    pipeline = _pipeline_for(j, symmetric)
     vectors = [tuple(rng.randrange(4) for _ in range(length)) for _ in range(300)]
     encs = np.array([_encode(v) for v in vectors], dtype=np.uint32)
     bulk = pipeline.canonize(encs)

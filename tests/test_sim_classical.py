@@ -5,7 +5,10 @@ import pytest
 from romcomp import (
     CLASSICAL,
     Anf,
+    Instruction,
     KindMismatchError,
+    Permutation,
+    PermutationGate,
     RomProgram,
     RomSpace,
     concat,
@@ -16,6 +19,7 @@ from romcomp import (
     rom_call_count,
     truth_table_of,
 )
+from romcomp.sweep import BLOCK_BITS
 from romcomp.synth_classical import cnot_gate, compile_pair, not_gate
 
 from test_program import random_classical_program
@@ -139,3 +143,21 @@ def test_eager_sweep_limit():
     wide = RomProgram(RomSpace(21, 2, CLASSICAL))
     with pytest.raises(ValueError):
         extract_function(wide)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_block_sweep_matches_evaluate(seed):
+    # Two ROM bits above the block, and two random 3-bit gates on every bit.
+    rng = random.Random(seed)
+    j = BLOCK_BITS + 2
+    controls = [None, *range(1, j + 1), *range(1, j + 1)]
+    rng.shuffle(controls)
+    prog = RomProgram(RomSpace(j, 3, CLASSICAL), tuple(
+        Instruction(PermutationGate(Permutation(tuple(rng.sample(range(8), 8)))), c)
+        for c in controls
+    ))
+    vf = extract_function(prog)
+    edges = [0, 1 << BLOCK_BITS, 1 << (BLOCK_BITS + 1), (1 << j) - 1]
+    for u in edges + rng.sample(range(1 << j), 200):
+        state = evaluate(prog, u, 0)
+        assert [table.bits[u] for table in vf.components] == [state >> b & 1 for b in range(3)]

@@ -18,6 +18,7 @@ from romcomp import (
     unitary_of,
 )
 from romcomp.sim_quantum import Unitary2
+from romcomp.sweep import BLOCK_BITS
 
 HALF = DyadicExponent(1, 1)
 ONE = DyadicExponent(1)
@@ -136,6 +137,14 @@ def test_extract_boolean_rejects_superposition():
     with pytest.raises(NonClassicalOutput) as info:
         extract_boolean(prog)
     assert info.value.assignment == 0
+
+
+def test_block_sweep_reports_first_superposition_above_the_block():
+    j = BLOCK_BITS + 2
+    prog = RomProgram(RomSpace(j, 1, QUANTUM), (rot("X", HALF, j),))
+    with pytest.raises(NonClassicalOutput) as info:
+        extract_boolean(prog)
+    assert info.value.assignment == 1 << (j - 1)
 
 
 def test_unitary_of_respects_concat():

@@ -49,9 +49,6 @@ class TruthTable:
             packed |= b << u
         return packed
 
-    def value(self, assignment: int) -> int:
-        return self.bits[assignment]
-
     def to_bit_string(self) -> str:
         return "".join(str(b) for b in self.bits)
 
@@ -105,16 +102,6 @@ class Anf:
         for mask in self.monomials:
             if mask < 0 or mask >= 1 << self.num_vars:
                 raise ValueError(f"monomial mask {mask} out of range for {self.num_vars} vars")
-
-    @classmethod
-    def from_var_lists(cls, num_vars: int, monomials: list[list[int]]) -> "Anf":
-        masks = set()
-        for vars_ in monomials:
-            mask = 0
-            for v in vars_:
-                mask |= 1 << (v - 1)
-            masks.add(mask)
-        return cls(num_vars, frozenset(masks))
 
     def var_lists(self) -> list[list[int]]:
         """Monomials as sorted 1-based variable lists, smallest mask first."""

@@ -66,16 +66,14 @@ def _parse_function(
 
 
 def _cmd_anf(args: argparse.Namespace) -> int:
-    if args.monomials is not None and args.table is not None:
+    if (args.monomials is None) == (args.table is None):
         raise CliError("give exactly one of --monomials or --table")
     if args.table is not None:
         table = parse_table(args.table, args.num_vars)
         print(format_monomials(anf_of(table)))
-    elif args.monomials is not None:
+    else:
         anf = parse_monomials(args.monomials, args.num_vars)
         print(truth_table_of(anf).to_bit_string())
-    else:
-        raise CliError("give exactly one of --monomials or --table")
     return EXIT_OK
 
 

@@ -11,6 +11,7 @@ threads.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 CLASSICAL = "classical"
@@ -196,6 +197,9 @@ class UnitaryGate:
     entries: tuple[complex, complex, complex, complex]
 
     def __post_init__(self) -> None:
+        # A NaN residual compares false against the tolerance, so check first.
+        if not all(cmath.isfinite(z) for z in self.entries):
+            raise ProgramError("matrix entries must be finite")
         a, b, c, d = self.entries
         # Entrywise residual of U*U^dagger against the identity.
         residual = max(

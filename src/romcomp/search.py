@@ -16,9 +16,11 @@ the explored space roughly by j!.  Witness reconstruction undoes both
 identifications: state relabelings become free uncontrolled gates and bit
 relabelings are pushed through the remaining moves by conjugation.
 
-Levels are expanded as bulk numpy operations over the whole frontier; only
-the sorted signature set of each level is kept, and the witness path is
-recovered backwards by inverting moves over the orbit of the hit signature.
+Levels are expanded as bulk numpy operations over the whole frontier, and
+only the sorted signature set of each level is kept.  The class graph is
+undirected, so the witness path is walked back from the hit class through
+the same tables: each step picks the smallest neighbour that lies in the
+previous level, and the first move that leads from it to the current class.
 """
 
 from __future__ import annotations
@@ -119,10 +121,6 @@ def _encode(vector: tuple[int, ...]) -> int:
     return enc
 
 
-def _decode(enc: int, length: int) -> tuple[int, ...]:
-    return tuple((enc >> (2 * pos)) & 3 for pos in range(length))
-
-
 def _gather_tables(num_rom_bits: int, enable: bool) -> list[tuple[int, ...]]:
     """Position maps canon-index -> source-index, one per ROM-bit relabeling.
 
@@ -176,9 +174,10 @@ class _TablePipeline:
     distinct states, 65 of them).
     """
 
-    def __init__(self, length: int, gathers: list[tuple[int, ...]],
-                 moves: list[tuple[int, tuple[int, ...]]]) -> None:
-        self.length = length
+    def __init__(self, num_rom_bits: int, use_symmetry: bool) -> None:
+        self.gathers = _gather_tables(num_rom_bits, use_symmetry)
+        self.moves = _moves(num_rom_bits)
+        length = 1 << num_rom_bits
         self.low_width = min(length, 8)
         self.high_width = length - self.low_width
         self.low_mask = np.uint32((1 << (2 * self.low_width)) - 1)
@@ -208,14 +207,16 @@ class _TablePipeline:
 
         self.gather_low = []
         self.gather_high = []
-        for gather in gathers:
+        for gather in self.gathers:
             self.gather_low.append(self._gather_table(gather, 0))
             self.gather_high.append(self._gather_table(gather, 1))
-        self.move_low = []
-        self.move_high = []
-        for index, perm in moves:
-            self.move_low.append(self._move_table(index, perm, 0))
-            self.move_high.append(self._move_table(index, perm, 1))
+        # moves x half-values, filled in place: stacking a list of rows would
+        # briefly hold the tables twice (48 MB at j = 4).
+        self.move_low = np.empty((len(self.moves), 1 << 2 * self.low_width), dtype=np.uint32)
+        self.move_high = np.empty((len(self.moves), 1 << 2 * self.high_width), dtype=np.uint32)
+        for move_idx, (index, perm) in enumerate(self.moves):
+            self.move_low[move_idx] = self._move_table(index, perm, 0)
+            self.move_high[move_idx] = self._move_table(index, perm, 1)
 
     @staticmethod
     def _appearance_orders() -> list[tuple[int, ...]]:
@@ -285,6 +286,11 @@ class _TablePipeline:
             self.move_high[move_idx][high] << self.low_bits
         )
 
+    def neighbours(self, enc: int) -> np.ndarray:
+        """Canonical encodings of every move applied to one encoding, in move order."""
+        low, high = self.split(np.uint32(enc))
+        return self.canonize(self.move_low[:, low] | (self.move_high[:, high] << self.low_bits))
+
     def canonize(self, encs: np.ndarray) -> np.ndarray:
         low, high = self.split(encs)
         best: np.ndarray | None = None
@@ -311,8 +317,7 @@ _PIPELINES: dict[tuple[int, bool], _TablePipeline] = {}
 def _pipeline_for(num_rom_bits: int, use_symmetry: bool) -> _TablePipeline:
     key = (num_rom_bits, use_symmetry)
     if key not in _PIPELINES:
-        gathers = _gather_tables(num_rom_bits, use_symmetry)
-        _PIPELINES[key] = _TablePipeline(1 << num_rom_bits, gathers, _moves(num_rom_bits))
+        _PIPELINES[key] = _TablePipeline(num_rom_bits, use_symmetry)
     return _PIPELINES[key]
 
 
@@ -358,20 +363,15 @@ def minimal_program(
         use_symmetry = _symmetric_target(target, sym_gathers)
     elif use_symmetry and not _symmetric_target(target, sym_gathers):
         raise ValueError("symmetry pruning requires a bit-relabeling-invariant target")
-    gathers = sym_gathers if use_symmetry else _gather_tables(j, False)
+    pipeline = _pipeline_for(j, use_symmetry)
 
-    length = 1 << j
-    start = (0,) * length
-    start_enc = _canonize(start, gathers)[0]
-    target_enc = _canonize(target.targets, gathers)[0]
-    moves = _moves(j)
-
-    if start_enc == target_enc:
-        witness = _reconstruct(target, [], gathers)
+    # The start signature (state 0 on every assignment) is canonical and encodes to 0.
+    target_enc = _canonize(target.targets, pipeline.gathers)[0]
+    if target_enc == 0:
+        witness = _reconstruct(target, [], pipeline.gathers)
         return SearchResult(0, witness, 0)
 
-    pipeline = _pipeline_for(j, use_symmetry)
-    visited = np.array([start_enc], dtype=np.uint32)
+    visited = np.zeros(1, dtype=np.uint32)
     level_sets = [visited]
     frontier = visited
     nodes_expanded = 0
@@ -381,7 +381,7 @@ def minimal_program(
         collected: list[np.ndarray] = []
         collected_size = 0
         hit = False
-        for move_idx in range(len(moves)):
+        for move_idx in range(len(pipeline.moves)):
             encs = np.unique(pipeline.canonize(pipeline.apply_move(frontier, move_idx)))
             if np.any(encs == np.uint32(target_enc)):
                 hit = True
@@ -396,8 +396,8 @@ def minimal_program(
                 collected = [np.unique(np.concatenate(collected))]
                 collected_size = collected[0].size
         if hit:
-            path = _walk_back(target, target_enc, depth, level_sets, moves, gathers)
-            witness = _reconstruct(target, path, gathers)
+            path = _walk_back(pipeline, target_enc, level_sets)
+            witness = _reconstruct(target, path, pipeline.gathers)
             return SearchResult(depth, witness, nodes_expanded)
         if not collected:
             break
@@ -408,55 +408,26 @@ def minimal_program(
     raise NotFoundWithinDepth(max_depth)
 
 
-def _orbit(vector: tuple[int, ...], gathers: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """All vectors equivalent to ``vector`` under the active identifications."""
-    seen = set()
-    for gather in gathers:
-        permuted = tuple(vector[g] for g in gather)
-        for relabel in itertools.permutations(range(_STATES)):
-            seen.add(tuple(relabel[v] for v in permuted))
-    return sorted(seen)
-
-
 def _walk_back(
-    target: SearchTarget,
-    final_enc: int,
-    depth: int,
-    level_sets: list[np.ndarray],
-    moves: list[tuple[int, tuple[int, ...]]],
-    gathers: list[tuple[int, ...]],
+    pipeline: _TablePipeline, final_enc: int, level_sets: list[np.ndarray]
 ) -> list[tuple[int, tuple[int, ...]]]:
     """Recover a deterministic move path from the per-level signature sets.
 
-    Walking backwards, a predecessor of the current class is the canonical
-    form of an inverse move applied to some member of the class orbit; each
-    candidate is verified forward before being accepted, and the smallest
-    (signature, move index) pair wins.
+    The class graph is undirected (the inverse of a move is a move, and moves
+    commute with relabelings up to conjugation), so the predecessors of a
+    class are its neighbours in the previous level.  Each step takes the
+    smallest such neighbour and the first move that leads from it forward.
     """
-    length = 1 << target.num_rom_bits
-    inverse_luts = [tuple(_invert(perm)) for _, perm in moves]
     path: list[tuple[int, tuple[int, ...]]] = []
     cur_enc = final_enc
-    for level in range(depth, 0, -1):
-        prev = level_sets[level - 1]
-        cur_vec = _decode(cur_enc, length)
-        best: tuple[int, int] | None = None
-        for variant in _orbit(cur_vec, gathers):
-            for move_idx, (index, _) in enumerate(moves):
-                candidate = _apply_move(variant, (index, inverse_luts[move_idx]))
-                cand_enc, cand_vec, _, _ = _canonize(candidate, gathers)
-                if best is not None and (cand_enc, move_idx) >= best:
-                    continue
-                at = int(np.searchsorted(prev, np.uint32(cand_enc)))
-                if at >= len(prev) or int(prev[at]) != cand_enc:
-                    continue
-                forward = _canonize(_apply_move(cand_vec, moves[move_idx]), gathers)[0]
-                if forward == cur_enc:
-                    best = (cand_enc, move_idx)
-        if best is None:
+    for prev in reversed(level_sets):
+        preds = np.intersect1d(pipeline.neighbours(cur_enc), prev)
+        if not preds.size:
             raise AssertionError("level sets lost the predecessor of a hit signature")
-        path.append(moves[best[1]])
-        cur_enc = best[0]
+        pred = int(preds[0])
+        move_idx = int(np.flatnonzero(pipeline.neighbours(pred) == cur_enc)[0])
+        path.append(pipeline.moves[move_idx])
+        cur_enc = pred
     path.reverse()
     return path
 

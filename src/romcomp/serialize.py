@@ -10,6 +10,9 @@ where <gate> is one of
     {"perm": [s0, s1, ...]}                       classical permutation
     {"axis": "X" | "Z", "num": p, "log2den": k}   dyadic rotation X^t / Z^t
     {"matrix": [[re, im], [re, im], [re, im], [re, im]]}   raw unitary, row-major
+
+Integer fields take JSON integers only: a JSON boolean is rejected, although
+Python counts ``bool`` as an ``int``, so every check is ``type(x) is int``.
 """
 
 from __future__ import annotations
@@ -70,21 +73,22 @@ def gate_from_dict(data: Any) -> Gate:
     _require(isinstance(data, dict), f"gate must be an object, got {type(data).__name__}")
     if "perm" in data:
         images = data["perm"]
-        _require(isinstance(images, list) and all(isinstance(s, int) for s in images),
+        _require(isinstance(images, list) and all(type(s) is int for s in images),
                  "perm must be a list of integers")
         return PermutationGate(Permutation(tuple(images)))
     if "axis" in data:
-        _require(isinstance(data.get("num"), int) and isinstance(data.get("log2den"), int),
+        _require(type(data.get("num")) is int and type(data.get("log2den")) is int,
                  "dyadic gate needs integer num and log2den")
         return DyadicGate(data["axis"], DyadicExponent(data["num"], data["log2den"]))
     if "matrix" in data:
         rows = data["matrix"]
         _require(
             isinstance(rows, list) and len(rows) == 4
-            and all(isinstance(e, list) and len(e) == 2 for e in rows),
-            "matrix must be four [re, im] pairs",
+            and all(isinstance(e, list) and len(e) == 2 for e in rows)
+            and all(type(x) in (int, float) for e in rows for x in e),
+            "matrix must be four [re, im] pairs of numbers",
         )
-        entries = tuple(complex(float(re), float(im)) for re, im in rows)
+        entries = tuple(complex(re, im) for re, im in rows)
         return UnitaryGate(entries)  # type: ignore[arg-type]
     raise ProgramFormatError(f"unrecognized gate object with keys {sorted(data)}")
 
@@ -94,6 +98,8 @@ def program_from_dict(data: Any) -> RomProgram:
     for key in ("num_rom_bits", "num_writable", "kind", "instructions"):
         _require(key in data, f"program is missing {key!r}")
     _require(data["kind"] in (CLASSICAL, QUANTUM), f"unknown kind {data['kind']!r}")
+    _require(type(data["num_rom_bits"]) is int and type(data["num_writable"]) is int,
+             "num_rom_bits and num_writable must be integers")
     space = RomSpace(data["num_rom_bits"], data["num_writable"], data["kind"])
     raw = data["instructions"]
     _require(isinstance(raw, list), "instructions must be a list")
@@ -102,7 +108,7 @@ def program_from_dict(data: Any) -> RomProgram:
         _require(isinstance(item, dict) and "gate" in item,
                  f"instruction {pos} must be an object with a gate")
         control = item.get("control")
-        _require(control is None or isinstance(control, int),
+        _require(control is None or type(control) is int,
                  f"instruction {pos}: control must be an integer or null")
         instructions.append(Instruction(gate_from_dict(item["gate"]), control))
     return RomProgram(space, tuple(instructions))

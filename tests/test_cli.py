@@ -1,3 +1,6 @@
+import io
+import json
+
 from romcomp import dumps, loads
 from romcomp.cli import main
 
@@ -191,6 +194,29 @@ def test_verify_refuses_quantum_width_past_sweep_limit(capsys, tmp_path):
 
     path = tmp_path / "wide.json"
     path.write_text(dumps(RomProgram(RomSpace(21, 1, QUANTUM))))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_verify_rejects_nan_matrix_on_stdin(capsys, monkeypatch):
+    gate = {"matrix": [[1, 0], [0, 0], [0, 0], [float("nan"), 0]]}
+    text = json.dumps({"num_rom_bits": 1, "num_writable": 1, "kind": "quantum",
+                       "instructions": [{"control": None, "gate": gate}]})
+    assert "NaN" in text
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "verify", "-")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_verify_rejects_string_width(capsys, tmp_path):
+    path = tmp_path / "width.json"
+    path.write_text('{"num_rom_bits": "3", "num_writable": 2, "kind": "classical", '
+                    '"instructions": []}')
     code, out, err = run(capsys, "verify", str(path))
     assert code == 2
     assert out == ""

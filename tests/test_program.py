@@ -94,6 +94,13 @@ def test_unitary_gate_must_be_unitary():
     UnitaryGate((0j, 1 + 0j, 1 + 0j, 0j))
     with pytest.raises(ProgramError):
         UnitaryGate((1 + 0j, 1 + 0j, 0j, 1 + 0j))
+    # A NaN residual passes "residual > tol", and max() drops it unless it
+    # comes first: a NaN in either place must be refused.
+    nan = complex(float("nan"), 0)
+    with pytest.raises(ProgramError):
+        UnitaryGate((nan, 0j, 0j, 1 + 0j))
+    with pytest.raises(ProgramError):
+        UnitaryGate((1 + 0j, 0j, 0j, nan))
 
 
 def test_program_kind_checks():

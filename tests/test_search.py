@@ -7,6 +7,7 @@ from romcomp import (
     NotFoundWithinDepth,
     SearchTarget,
     conjectured_minimal_calls,
+    dumps,
     evaluate,
     extract_function,
     minimal_program,
@@ -28,6 +29,47 @@ def check_witness(result, target):
         evaluate(result.witness, u, 0) for u in range(1 << target.num_rom_bits)
     )
     assert got == target.targets
+
+
+def pinned(*instructions):
+    """Wire form of a j = 3 two-bit witness, from (control, perm) pairs."""
+    body = ", ".join(
+        f'{{"control": {"null" if c is None else c}, "gate": {{"perm": {list(p)}}}}}'
+        for c, p in instructions
+    )
+    return f'{{"num_rom_bits": 3, "num_writable": 2, "kind": "classical", "instructions": [{body}]}}'
+
+
+AND3_WITNESS = pinned(
+    (1, (1, 0, 2, 3)), (2, (0, 2, 1, 3)), (3, (0, 1, 3, 2)), (2, (0, 2, 1, 3)),
+    (1, (1, 0, 2, 3)), (None, (0, 2, 3, 1)),
+)
+
+# Search outputs recorded from the orbit-based walk-back; any search strategy
+# must keep the same witness bytes and the same count of expanded classes.
+PINNED_SEARCHES = [
+    (SearchTarget.all_bits_and(3), True, 5, 422, AND3_WITNESS),
+    (SearchTarget.all_bits_and(3), False, 5, 2111, AND3_WITNESS),
+    (SearchTarget(3, (1, 1, 2, 3, 0, 0, 3, 2)), None, 3, 28, pinned(
+        (2, (1, 0, 2, 3)), (1, (0, 2, 1, 3)), (3, (3, 2, 1, 0)), (None, (1, 2, 3, 0)),
+    )),
+    (SearchTarget(3, (1, 1, 3, 3, 3, 1, 1, 1)), None, 5, 2111, pinned(
+        (1, (1, 0, 2, 3)), (2, (2, 3, 0, 1)), (3, (2, 1, 3, 0)), (2, (1, 3, 2, 0)),
+        (1, (2, 0, 1, 3)), (None, (1, 0, 3, 2)),
+    )),
+    (SearchTarget(3, (3, 0, 0, 1, 0, 2, 0, 2)), None, 4, 467, pinned(
+        (3, (1, 0, 2, 3)), (2, (2, 1, 0, 3)), (1, (2, 0, 1, 3)), (3, (3, 2, 0, 1)),
+        (None, (3, 1, 0, 2)),
+    )),
+]
+
+
+@pytest.mark.parametrize("target,symmetry,calls,nodes,witness", PINNED_SEARCHES)
+def test_search_outputs_are_pinned(target, symmetry, calls, nodes, witness):
+    result = minimal_program(target, max_depth=12, use_symmetry=symmetry)
+    assert result.minimal_rom_calls == calls
+    assert result.nodes_expanded == nodes
+    assert dumps(result.witness) == witness
 
 
 def test_recurrence_values():
@@ -132,6 +174,16 @@ def test_table_pipeline_matches_scalar_canonization(j, symmetric):
     moved = pipeline.apply_move(encs, move_idx)
     for vector, got in zip(vectors, moved):
         assert _encode(_apply_move(vector, moves[move_idx])) == int(got)
+    # Each move lands in the class the scalar path computes, and the class
+    # graph is undirected: every neighbour of a class leads back to it.
+    for vector in vectors[:10]:
+        around = pipeline.neighbours(_encode(vector))
+        assert [int(n) for n in around] == [
+            _canonize(_apply_move(vector, move), gathers)[0] for move in moves
+        ]
+        canon = _canonize(vector, gathers)[0]
+        for neighbour in pipeline.neighbours(canon):
+            assert canon in pipeline.neighbours(neighbour)
 
 
 def test_target_validation():

@@ -86,6 +86,22 @@ def test_malformed_documents_rejected(mutation):
         program_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "kind,instruction",
+    [
+        ("classical", {"control": True, "gate": {"perm": [1, 0, 2, 3]}}),
+        ("classical", {"control": None, "gate": {"perm": [True, False, 2, 3]}}),
+        ("quantum", {"control": None, "gate": {"axis": "Z", "num": True, "log2den": 0}}),
+        ("quantum", {"control": None, "gate": {"matrix": [[None, 0], [0, 0], [0, 0], [1, 0]]}}),
+    ],
+)
+def test_json_booleans_and_nulls_are_not_numbers(kind, instruction):
+    data = {"num_rom_bits": 1, "num_writable": 2 if kind == "classical" else 1,
+            "kind": kind, "instructions": [instruction]}
+    with pytest.raises(ProgramFormatError):
+        program_from_dict(data)
+
+
 def test_invalid_json_rejected():
     with pytest.raises(ProgramFormatError):
         loads("{not json")

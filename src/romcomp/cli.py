@@ -207,8 +207,6 @@ def _cmd_counts(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    if args.j == 4 and not args.enable_j4:
-        raise CliError("j=4 takes a long exhaustive run; pass --enable-j4 to confirm")
     target = SearchTarget.all_bits_and(args.j)
     try:
         result = minimal_program(target, args.max_depth)
@@ -280,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     srch = sub.add_parser("search", help="exhaustive minimal-ROM-call search for the AND target")
     srch.add_argument("--j", type=int, required=True, choices=[1, 2, 3, 4])
     srch.add_argument("--max-depth", type=int, default=12)
-    srch.add_argument("--enable-j4", action="store_true",
-                      help="confirm the long-running j=4 search")
     srch.set_defaults(func=_cmd_search)
     return parser
 

@@ -21,6 +21,12 @@ QUANTUM = "quantum"
 # unitary gates.
 UNITARITY_TOL = 1e-12
 
+# Largest accepted exponent denominator 2**log2den.  It keeps |num| <= 2**52,
+# so ``DyadicExponent.value`` is exact.  The compilers need at most
+# ceil(log2 m) for an AND of m ROM bits (and_fast), so every program they
+# emit for fewer than 2**51 ROM bits fits.
+MAX_LOG2DEN = 51
+
 
 class ProgramError(ValueError):
     """A program or one of its parts failed validation."""
@@ -128,9 +134,9 @@ class DyadicExponent:
     log2den: int = 0
 
     def __post_init__(self) -> None:
-        if self.log2den < 0:
-            raise ProgramError("log2den must be non-negative")
         num, log2den = self.num, self.log2den
+        if not 0 <= log2den <= MAX_LOG2DEN:
+            raise ProgramError(f"log2den must be in 0..{MAX_LOG2DEN}, got {log2den}")
         while log2den > 0 and num % 2 == 0:
             num //= 2
             log2den -= 1

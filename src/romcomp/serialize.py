@@ -22,6 +22,7 @@ from typing import Any
 
 from .program import (
     CLASSICAL,
+    MAX_LOG2DEN,
     QUANTUM,
     DyadicExponent,
     DyadicGate,
@@ -79,6 +80,8 @@ def gate_from_dict(data: Any) -> Gate:
     if "axis" in data:
         _require(type(data.get("num")) is int and type(data.get("log2den")) is int,
                  "dyadic gate needs integer num and log2den")
+        if data["log2den"] > MAX_LOG2DEN:
+            raise ProgramFormatError(f"log2den must be at most {MAX_LOG2DEN}")
         return DyadicGate(data["axis"], DyadicExponent(data["num"], data["log2den"]))
     if "matrix" in data:
         rows = data["matrix"]

@@ -1,15 +1,11 @@
 """Acceptance criteria, one test per criterion.
 
 Each test prints a single PASS line (visible with ``pytest -s``) including
-its elapsed time; a failed assertion is the FAIL. The long j=4 search runs
-only when ROMCOMP_ENABLE_J4 is set.
+its elapsed time; a failed assertion is the FAIL.
 """
 
-import os
 import random
 import time
-
-import pytest
 
 from romcomp import (
     Anf,
@@ -212,10 +208,6 @@ def test_criterion_09_search_minimality(tmp_path, capsys):
     watch.finish(9, "search returns 1, 3, 5 for j=1..3; witnesses pass verify")
 
 
-@pytest.mark.skipif(
-    not os.environ.get("ROMCOMP_ENABLE_J4"),
-    reason="long exhaustive run; set ROMCOMP_ENABLE_J4=1 to enable",
-)
 def test_criterion_09b_search_minimality_j4(tmp_path, capsys):
     result = minimal_program(SearchTarget.all_bits_and(4), max_depth=10)
     assert result.minimal_rom_calls == 9 == conjectured_minimal_calls(4)

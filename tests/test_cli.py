@@ -213,6 +213,18 @@ def test_verify_rejects_nan_matrix_on_stdin(capsys, monkeypatch):
     assert err.startswith("error:")
 
 
+def test_verify_rejects_huge_log2den_on_stdin(capsys, monkeypatch):
+    gate = {"axis": "X", "num": 1, "log2den": 10**9}
+    text = json.dumps({"num_rom_bits": 1, "num_writable": 1, "kind": "quantum",
+                       "instructions": [{"control": 1, "gate": gate}]})
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "verify", "-")
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_verify_rejects_string_width(capsys, tmp_path):
     path = tmp_path / "width.json"
     path.write_text('{"num_rom_bits": "3", "num_writable": 2, "kind": "classical", '
@@ -262,10 +274,14 @@ def test_search_command(capsys):
     assert prog.space.num_writable == 2
 
 
-def test_search_j4_needs_flag(capsys):
-    code, _, err = run(capsys, "search", "--j", "4")
-    assert code == 2
-    assert "enable-j4" in err
+def test_search_j4_witness_verifies(capsys, tmp_path):
+    code, out, err = run(capsys, "search", "--j", "4")
+    assert code == 0
+    assert "j=4 min_rom_calls=9" in err
+    path = tmp_path / "witness.json"
+    path.write_text(out)
+    code, _, _ = run(capsys, "verify", str(path), "--f1", "1.2.3.4", "--f2", "")
+    assert code == 0
 
 
 def test_search_depth_exhausted(capsys):

@@ -88,6 +88,12 @@ def test_dyadic_exponent_normalizes():
     assert DyadicExponent(1, 2) + DyadicExponent(1, 2) == DyadicExponent(1, 1)
     with pytest.raises(ProgramError):
         DyadicExponent(5, 1)  # 5/2 > 2
+    # The denominator is capped, so 2 << log2den stays small and value exact.
+    assert DyadicExponent(1, 51).value == 2.0 ** -51
+    for too_fine in (lambda: DyadicExponent(1, 52), lambda: DyadicExponent(1, 51).halved(),
+                     lambda: DyadicExponent(0, 10**9)):
+        with pytest.raises(ProgramError):
+            too_fine()
 
 
 def test_unitary_gate_must_be_unitary():

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import numpy as np
@@ -31,13 +33,13 @@ def check_witness(result, target):
     assert got == target.targets
 
 
-def pinned(*instructions):
-    """Wire form of a j = 3 two-bit witness, from (control, perm) pairs."""
+def pinned(*instructions, j=3):
+    """Wire form of a two-bit witness, from (control, perm) pairs."""
     body = ", ".join(
         f'{{"control": {"null" if c is None else c}, "gate": {{"perm": {list(p)}}}}}'
         for c, p in instructions
     )
-    return f'{{"num_rom_bits": 3, "num_writable": 2, "kind": "classical", "instructions": [{body}]}}'
+    return f'{{"num_rom_bits": {j}, "num_writable": 2, "kind": "classical", "instructions": [{body}]}}'
 
 
 AND3_WITNESS = pinned(
@@ -45,31 +47,82 @@ AND3_WITNESS = pinned(
     (1, (1, 0, 2, 3)), (None, (0, 2, 3, 1)),
 )
 
-# Search outputs recorded from the orbit-based walk-back; any search strategy
-# must keep the same witness bytes and the same count of expanded classes.
+# Checked with extract_function: register 1 ends as the AND of u1..u4 and
+# register 2 as 0.
+AND4_WITNESS = pinned(
+    (1, (1, 0, 2, 3)), (2, (0, 2, 1, 3)), (3, (0, 1, 3, 2)), (4, (3, 0, 2, 1)),
+    (1, (0, 3, 1, 2)), (4, (3, 1, 2, 0)), (3, (0, 2, 1, 3)), (2, (0, 3, 2, 1)),
+    (1, (3, 1, 2, 0)), (None, (0, 2, 3, 1)), j=4,
+)
+
+# The j = 3 witness bytes were recorded from the forward-only search with the
+# orbit-based walk-back, and any search strategy must keep them; the j = 4 one
+# is the bidirectional search's (the forward-only search took about 30 min).
+# ``nodes`` counts the classes the bidirectional search expanded, in both
+# directions.
 PINNED_SEARCHES = [
-    (SearchTarget.all_bits_and(3), True, 5, 422, AND3_WITNESS),
-    (SearchTarget.all_bits_and(3), False, 5, 2111, AND3_WITNESS),
-    (SearchTarget(3, (1, 1, 2, 3, 0, 0, 3, 2)), None, 3, 28, pinned(
+    (SearchTarget.all_bits_and(3), True, 5, 11, AND3_WITNESS),
+    (SearchTarget.all_bits_and(3), False, 5, 35, AND3_WITNESS),
+    (SearchTarget(3, (1, 1, 2, 3, 0, 0, 3, 2)), None, 3, 5, pinned(
         (2, (1, 0, 2, 3)), (1, (0, 2, 1, 3)), (3, (3, 2, 1, 0)), (None, (1, 2, 3, 0)),
     )),
-    (SearchTarget(3, (1, 1, 3, 3, 3, 1, 1, 1)), None, 5, 2111, pinned(
+    (SearchTarget(3, (1, 1, 3, 3, 3, 1, 1, 1)), None, 5, 46, pinned(
         (1, (1, 0, 2, 3)), (2, (2, 3, 0, 1)), (3, (2, 1, 3, 0)), (2, (1, 3, 2, 0)),
         (1, (2, 0, 1, 3)), (None, (1, 0, 3, 2)),
     )),
-    (SearchTarget(3, (3, 0, 0, 1, 0, 2, 0, 2)), None, 4, 467, pinned(
+    (SearchTarget(3, (3, 0, 0, 1, 0, 2, 0, 2)), None, 4, 29, pinned(
         (3, (1, 0, 2, 3)), (2, (2, 1, 0, 3)), (1, (2, 0, 1, 3)), (3, (3, 2, 0, 1)),
         (None, (3, 1, 0, 2)),
     )),
+    (SearchTarget.all_bits_and(4), True, 9, 2645, AND4_WITNESS),
 ]
+PINNED_IDS = ["and3-sym", "and3-plain", "seeded3-3", "seeded3-5", "seeded3-4", "and4-sym"]
 
 
-@pytest.mark.parametrize("target,symmetry,calls,nodes,witness", PINNED_SEARCHES)
+@pytest.mark.parametrize("target,symmetry,calls,nodes,witness", PINNED_SEARCHES, ids=PINNED_IDS)
 def test_search_outputs_are_pinned(target, symmetry, calls, nodes, witness):
     result = minimal_program(target, max_depth=12, use_symmetry=symmetry)
     assert result.minimal_rom_calls == calls
     assert result.nodes_expanded == nodes
     assert dumps(result.witness) == witness
+
+
+def _unreduced_minimal_calls(j):
+    """Minimal ROM calls of every j-bit target, by a BFS over raw state vectors.
+
+    Only controlled moves are walked; a free gate can be pushed to the end of
+    a program by conjugating the moves after it, so a target costs the
+    fewest calls over all of its state relabelings.
+    """
+    perms = list(itertools.permutations(range(4)))
+    start = (0,) * (1 << j)
+    calls = {start: 0}
+    frontier = [start]
+    while frontier:
+        reached = []
+        for vector in frontier:
+            for index, perm in itertools.product(range(j), perms):
+                moved = tuple(perm[v] if u >> index & 1 else v for u, v in enumerate(vector))
+                if moved not in calls:
+                    calls[moved] = calls[vector] + 1
+                    reached.append(moved)
+        frontier = reached
+    return {
+        target: min(calls.get(tuple(perm[v] for v in target), math.inf) for perm in perms)
+        for target in itertools.product(range(4), repeat=1 << j)
+    }
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_search_matches_unreduced_bfs(j):
+    for targets, calls in _unreduced_minimal_calls(j).items():
+        target = SearchTarget(j, targets)
+        result = minimal_program(target, max_depth=12)
+        assert result.minimal_rom_calls == calls
+        check_witness(result, target)
+        if calls:
+            with pytest.raises(NotFoundWithinDepth):
+                minimal_program(target, max_depth=calls - 1)
 
 
 def test_recurrence_values():
@@ -171,7 +224,7 @@ def test_table_pipeline_matches_scalar_canonization(j, symmetric):
     for vector, got in zip(vectors, bulk):
         assert _canonize(vector, gathers)[0] == int(got)
     move_idx = rng.randrange(len(moves))
-    moved = pipeline.apply_move(encs, move_idx)
+    moved = pipeline.moved(encs)[move_idx]
     for vector, got in zip(vectors, moved):
         assert _encode(_apply_move(vector, moves[move_idx])) == int(got)
     # Each move lands in the class the scalar path computes, and the class

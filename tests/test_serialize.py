@@ -102,6 +102,14 @@ def test_json_booleans_and_nulls_are_not_numbers(kind, instruction):
         program_from_dict(data)
 
 
+def test_huge_log2den_rejected():
+    gate = {"axis": "X", "num": 1, "log2den": 10**9}
+    text = json.dumps({"num_rom_bits": 1, "num_writable": 1, "kind": "quantum",
+                       "instructions": [{"control": 1, "gate": gate}]})
+    with pytest.raises(ProgramFormatError):
+        loads(text)
+
+
 def test_invalid_json_rejected():
     with pytest.raises(ProgramFormatError):
         loads("{not json")

@@ -180,6 +180,8 @@ def parse_monomials(text: str, num_vars: int | None = None) -> Anf:
                     if not part.isdigit() or int(part) < 1:
                         raise ParseError(f"expected a variable index, got {part!r}", sub)
                     var = int(part)
+                    if num_vars is not None and var > num_vars:
+                        raise ParseError(f"variable {var} out of range for {num_vars} vars", sub)
                     if mask >> (var - 1) & 1:
                         raise ParseError(f"variable {var} repeated in monomial", sub)
                     mask |= 1 << (var - 1)

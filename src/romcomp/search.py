@@ -27,6 +27,7 @@ move that leads from it to the current class.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -44,6 +45,8 @@ from .program import (
 _STATES = 4
 # Raw encodings canonized per bulk call while expanding a level.
 _EXPAND_CHUNK = 1 << 20
+# Positions per packed half-signature.
+_HALF_WIDTH = 8
 
 
 class NotFoundWithinDepth(Exception):
@@ -125,7 +128,8 @@ def _encode(vector: tuple[int, ...]) -> int:
     return enc
 
 
-def _gather_tables(num_rom_bits: int, enable: bool) -> list[tuple[int, ...]]:
+@functools.cache
+def _gather_tables(num_rom_bits: int, enable: bool) -> tuple[tuple[int, ...], ...]:
     """Position maps canon-index -> source-index, one per ROM-bit relabeling.
 
     Table g for bit map pi satisfies: canonical[m] = vector[g[m]] where bit
@@ -144,11 +148,11 @@ def _gather_tables(num_rom_bits: int, enable: bool) -> list[tuple[int, ...]]:
                     dst |= 1 << pi[b]
             gather[dst] = src
         tables.append(tuple(gather))
-    return tables
+    return tuple(tables)
 
 
 def _canonize(
-    vector: tuple[int, ...], gathers: list[tuple[int, ...]]
+    vector: tuple[int, ...], gathers: tuple[tuple[int, ...], ...]
 ) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Minimal encoding over bit relabelings and state relabelings.
 
@@ -167,6 +171,83 @@ def _canonize(
     return best_enc, best[0], best[1], best[2]
 
 
+def _frozen(table: np.ndarray) -> np.ndarray:
+    """Mark a lookup table read-only; the cached ones are shared by pipelines."""
+    table.flags.writeable = False
+    return table
+
+
+@functools.cache
+def _order_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Over the 65 appearance orders: ``compose[a, b]`` (a, then b's new
+    states), ``order_perm[a]`` (the index of the relabeling that ranks states
+    by a, unseen ones last) and the id of each one-state order."""
+    orders = [()]
+    for size in range(1, _STATES + 1):
+        orders.extend(itertools.permutations(range(_STATES), size))
+    order_id = {order: idx for idx, order in enumerate(orders)}
+    compose = np.array(
+        [[order_id[a + tuple(v for v in b if v not in a)] for b in orders] for a in orders],
+        dtype=np.uint8,
+    )
+    perm_id = {p: idx for idx, p in enumerate(itertools.permutations(range(_STATES)))}
+    ranked = [a + tuple(v for v in range(_STATES) if v not in a) for a in orders]
+    order_perm = np.array(
+        [perm_id[tuple(full.index(v) for v in range(_STATES))] for full in ranked], dtype=np.uint8
+    )
+    single = np.array([order_id[(v,)] for v in range(_STATES)], dtype=np.uint8)
+    return _frozen(compose), _frozen(order_perm), _frozen(single)
+
+
+@functools.cache
+def _scan_table(width: int) -> np.ndarray:
+    """Appearance-order id of every packed half, scanned low position first."""
+    compose, _, single = _order_tables()
+    half = np.arange(1 << (2 * width), dtype=np.uint32)
+    ids = np.zeros(half.shape, dtype=np.uint8)
+    for pos in range(width):
+        ids = compose[ids, single[half >> 2 * pos & 3]]
+    return _frozen(ids)
+
+
+def _half_tables(cols: np.ndarray) -> np.ndarray:
+    """Row k maps every packed half of cols.shape[0] positions to the OR of
+    cols[pos, k, v] over its positions, v being the half's value at pos."""
+    acc = np.zeros((cols.shape[1], 1), dtype=np.uint32)
+    for col in cols:
+        acc = (col[:, :, None] | acc[:, None, :]).reshape(col.shape[0], -1)
+    return _frozen(acc)
+
+
+@functools.cache
+def _relabel_table(width: int) -> np.ndarray:
+    """relabel[perm_id, half] = half with every value mapped by that permutation."""
+    perms = np.array(list(itertools.permutations(range(_STATES))), dtype=np.uint32)
+    return _half_tables(perms << (2 * np.arange(width, dtype=np.uint32))[:, None, None])
+
+
+@functools.cache
+def _move_tables(num_rom_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high halves of every move: its permutation where its ROM bit
+    is set, the identity elsewhere."""
+    moves = _moves(num_rom_bits)
+    index = np.array([i for i, _ in moves])
+    perms = np.array([p for _, p in moves], dtype=np.uint32)
+    positions = np.arange(1 << num_rom_bits)[:, None]
+    active = (positions >> (index - 1) & 1)[:, :, None]
+    cols = np.where(active, perms, np.arange(_STATES, dtype=np.uint32))
+    cols <<= (2 * (positions % _HALF_WIDTH)).astype(np.uint32)[:, :, None]
+    return _half_tables(cols[:_HALF_WIDTH]), _half_tables(cols[_HALF_WIDTH:])
+
+
+def _gather_half_tables(gathers: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high halves of every position permutation: each source half's
+    contribution to the permuted packed value."""
+    destinations = np.argsort(np.array(gathers), axis=1).T
+    cols = np.arange(_STATES, dtype=np.uint32) << (2 * destinations).astype(np.uint32)[:, :, None]
+    return _half_tables(cols[:_HALF_WIDTH]), _half_tables(cols[_HALF_WIDTH:])
+
+
 class _TablePipeline:
     """Precomputed lookup tables for bulk work on packed signatures.
 
@@ -175,111 +256,26 @@ class _TablePipeline:
     controlled moves act independently on the halves, so each becomes two
     table lookups; the first-occurrence relabeling is a scan, so the halves
     compose through a tiny automaton over appearance orders (sequences of
-    distinct states, 65 of them).
+    distinct states, 65 of them).  Only the gather tables depend on
+    ``use_symmetry``; the others are built once per width or per j and shared.
     """
 
     def __init__(self, num_rom_bits: int, use_symmetry: bool) -> None:
         self.gathers = _gather_tables(num_rom_bits, use_symmetry)
         self.moves = _moves(num_rom_bits)
         length = 1 << num_rom_bits
-        self.low_width = min(length, 8)
+        self.low_width = min(length, _HALF_WIDTH)
         self.high_width = length - self.low_width
         self.low_mask = np.uint32((1 << (2 * self.low_width)) - 1)
         self.low_bits = np.uint32(2 * self.low_width)
 
-        orders = self._appearance_orders()
-        order_id = {order: idx for idx, order in enumerate(orders)}
-        self.scan_low = self._scan_table(self.low_width, order_id)
-        self.scan_high = self._scan_table(self.high_width, order_id)
-        size = len(orders)
-        self.compose = np.empty((size, size), dtype=np.uint8)
-        for a, first in enumerate(orders):
-            for b, second in enumerate(orders):
-                merged = list(first) + [v for v in second if v not in first]
-                self.compose[a, b] = order_id[tuple(merged)]
-        perms = list(itertools.permutations(range(_STATES)))
-        perm_id = {p: idx for idx, p in enumerate(perms)}
-        self.order_perm = np.empty(size, dtype=np.uint8)
-        for idx, order in enumerate(orders):
-            full = list(order) + [v for v in range(_STATES) if v not in order]
-            label = [0] * _STATES
-            for rank, value in enumerate(full):
-                label[value] = rank
-            self.order_perm[idx] = perm_id[tuple(label)]
-        self.relabel_low = self._value_map_table(perms, self.low_width)
-        self.relabel_high = self._value_map_table(perms, self.high_width)
-
-        self.gather_low = []
-        self.gather_high = []
-        for gather in self.gathers:
-            self.gather_low.append(self._gather_table(gather, 0))
-            self.gather_high.append(self._gather_table(gather, 1))
-        # moves x half-values, filled in place: stacking a list of rows would
-        # briefly hold the tables twice (48 MB at j = 4).
-        self.move_low = np.empty((len(self.moves), 1 << 2 * self.low_width), dtype=np.uint32)
-        self.move_high = np.empty((len(self.moves), 1 << 2 * self.high_width), dtype=np.uint32)
-        for move_idx, (index, perm) in enumerate(self.moves):
-            self.move_low[move_idx] = self._move_table(index, perm, 0)
-            self.move_high[move_idx] = self._move_table(index, perm, 1)
-
-    @staticmethod
-    def _appearance_orders() -> list[tuple[int, ...]]:
-        out = [()]
-        for size in range(1, _STATES + 1):
-            out.extend(itertools.permutations(range(_STATES), size))
-        return out
-
-    def _scan_table(self, width: int, order_id: dict) -> np.ndarray:
-        """Appearance-order id of every packed half, scanned low position first."""
-        table = np.empty(1 << (2 * width), dtype=np.uint8)
-        for packed in range(table.shape[0]):
-            seen: list[int] = []
-            for pos in range(width):
-                value = packed >> (2 * pos) & 3
-                if value not in seen:
-                    seen.append(value)
-            table[packed] = order_id[tuple(seen)]
-        return table
-
-    @staticmethod
-    def _value_map_table(perms: list[tuple[int, ...]], width: int) -> np.ndarray:
-        """relabel_.flat[perm_id << 2*width | half] = half with values mapped."""
-        half = np.arange(1 << (2 * width), dtype=np.uint32)
-        table = np.empty((len(perms), half.shape[0]), dtype=np.uint32)
-        for idx, perm in enumerate(perms):
-            lut = np.array(perm, dtype=np.uint32)
-            acc = np.zeros_like(half)
-            for pos in range(width):
-                acc |= lut[(half >> np.uint32(2 * pos)) & np.uint32(3)] << np.uint32(2 * pos)
-            table[idx] = acc
-        return table
-
-    def _gather_table(self, gather: tuple[int, ...], half: int) -> np.ndarray:
-        """Contribution of one source half to the position-permuted packed value."""
-        width = self.high_width if half else self.low_width
-        base = self.low_width if half else 0
-        src = np.arange(1 << (2 * width), dtype=np.uint32)
-        acc = np.zeros_like(src)
-        for dst_pos, src_pos in enumerate(gather):
-            if base <= src_pos < base + width:
-                acc |= ((src >> np.uint32(2 * (src_pos - base))) & np.uint32(3)) << np.uint32(
-                    2 * dst_pos
-                )
-        return acc
-
-    def _move_table(self, index: int, perm: tuple[int, ...], half: int) -> np.ndarray:
-        """One half of a controlled move: apply perm where the ROM bit is set."""
-        width = self.high_width if half else self.low_width
-        base = self.low_width if half else 0
-        src = np.arange(1 << (2 * width), dtype=np.uint32)
-        lut = np.array(perm, dtype=np.uint32)
-        acc = np.zeros_like(src)
-        for pos in range(width):
-            values = (src >> np.uint32(2 * pos)) & np.uint32(3)
-            if (base + pos) >> (index - 1) & 1:
-                values = lut[values]
-            acc |= values << np.uint32(2 * pos)
-        return acc
+        self.compose, self.order_perm, _ = _order_tables()
+        self.scan_low = _scan_table(self.low_width)
+        self.scan_high = _scan_table(self.high_width)
+        self.relabel_low = _relabel_table(self.low_width)
+        self.relabel_high = _relabel_table(self.high_width)
+        self.move_low, self.move_high = _move_tables(num_rom_bits)
+        self.gather_low, self.gather_high = _gather_half_tables(self.gathers)
 
     def split(self, encs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return encs & self.low_mask, encs >> self.low_bits
@@ -327,14 +323,9 @@ def _unique(encs: np.ndarray) -> np.ndarray:
     return encs[keep]
 
 
-_PIPELINES: dict[tuple[int, bool], _TablePipeline] = {}
-
-
+@functools.cache
 def _pipeline_for(num_rom_bits: int, use_symmetry: bool) -> _TablePipeline:
-    key = (num_rom_bits, use_symmetry)
-    if key not in _PIPELINES:
-        _PIPELINES[key] = _TablePipeline(num_rom_bits, use_symmetry)
-    return _PIPELINES[key]
+    return _TablePipeline(num_rom_bits, use_symmetry)
 
 
 def _moves(num_rom_bits: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -351,7 +342,7 @@ def _apply_move(
     return tuple(perm[v] if pos & mask else v for pos, v in enumerate(vector))
 
 
-def _symmetric_target(target: SearchTarget, gathers: list[tuple[int, ...]]) -> bool:
+def _symmetric_target(target: SearchTarget, gathers: tuple[tuple[int, ...], ...]) -> bool:
     return all(
         tuple(target.targets[g] for g in gather) == target.targets for gather in gathers
     )
@@ -456,7 +447,7 @@ def _walk_back(
 def _reconstruct(
     target: SearchTarget,
     moves: list[tuple[int, tuple[int, ...]]],
-    gathers: list[tuple[int, ...]],
+    gathers: tuple[tuple[int, ...], ...],
 ) -> RomProgram:
     """Turn a canonical-space move path into a real program hitting the target.
 

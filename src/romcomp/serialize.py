@@ -118,8 +118,13 @@ def program_from_dict(data: Any) -> RomProgram:
 
 
 def loads(text: str) -> RomProgram:
+    """Parse a wire-format document; every rejection is a ProgramFormatError."""
     try:
-        data = json.loads(text)
+        return program_from_dict(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ProgramFormatError(f"invalid JSON: {exc}") from exc
-    return program_from_dict(data)
+    except ProgramFormatError:
+        raise
+    except ProgramError as exc:
+        # The model's own checks (widths, permutations, unitarity, controls).
+        raise ProgramFormatError(str(exc)) from exc

@@ -12,6 +12,7 @@ information when the conditioning bits are classical.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -90,8 +91,9 @@ class Unitary2:
         return Unitary2(factor * self.a, factor * self.b, factor * self.c, factor * self.d)
 
 
+@functools.cache
 def gate_matrix(axis: str, exponent: DyadicExponent) -> Unitary2:
-    """Matrix of X**t or Z**t for dyadic t."""
+    """Matrix of X**t or Z**t for dyadic t, memoised (both are immutable)."""
     phase = cmath.exp(1j * cmath.pi * exponent.value)
     if axis == "Z":
         return Unitary2(1.0, 0.0, 0.0, phase)

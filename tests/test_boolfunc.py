@@ -89,6 +89,8 @@ def test_parse_monomials_errors():
         parse_monomials("1.1")
     with pytest.raises(ParseError):
         parse_monomials("1,1")
+    with pytest.raises(ParseError, match="variable 5 out of range for 4 vars"):
+        parse_monomials("1.5", 4)
     err = None
     try:
         parse_monomials("1,2,bad")

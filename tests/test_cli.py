@@ -342,3 +342,16 @@ def test_classical3_compile_verify_exhaustive_j2(capsys, tmp_path):
             ["compile", "--backend", "classical3", "--monomials", monos, "--num-rom-bits", "2"],
             ["--f1", monos, "--f2", "", "--f3", ""],
         )
+
+
+def test_verify_refuses_variable_past_the_width(capsys, tmp_path):
+    # The index is checked before its mask is built: 1 << 99998 used to be
+    # built and then printed in the error message.
+    from romcomp import CLASSICAL, RomProgram, RomSpace
+
+    path = tmp_path / "one.json"
+    path.write_text(dumps(RomProgram(RomSpace(1, 2, CLASSICAL))))
+    code, out, err = run(capsys, "verify", str(path), "--f1", "1.99999")
+    assert code == 2
+    assert out == ""
+    assert err == "parse error: variable 99999 out of range for 1 vars (at position 2)\n"

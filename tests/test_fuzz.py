@@ -1,0 +1,99 @@
+"""Property tests: malformed input ends in a clean error, never a traceback.
+
+Examples are derandomized so the suite is repeatable; raise ``max_examples``
+and drop ``derandomize`` locally to fuzz harder.
+"""
+
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from romcomp import ProgramFormatError, RomProgram, loads
+from romcomp.cli import main
+
+# No deadline or generation-speed check: both are wall-clock based, and a
+# loaded machine would fail them without any fault in the code.
+FUZZ = settings(max_examples=80, deadline=None, derandomize=True,
+                suppress_health_check=[HealthCheck.too_slow])
+
+scalars = (st.none() | st.booleans() | st.integers(-(2**64), 2**64) | st.text(max_size=4)
+           | st.floats(allow_nan=True, allow_infinity=True))
+json_values = st.recursive(
+    scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=12,
+)
+HALF = 0.5 ** 0.5
+UNITARIES = [
+    [[1, 0], [0, 0], [0, 0], [1, 0]],
+    [[0, 0], [1, 0], [1, 0], [0, 0]],
+    [[HALF, 0], [HALF, 0], [HALF, 0], [-HALF, 0]],
+]
+
+
+@st.composite
+def programs(draw):
+    """Valid program documents of up to 4 ROM bits, half of them with one
+    field replaced by a junk value or deleted."""
+    kind = draw(st.sampled_from(["classical", "quantum"]))
+    j = draw(st.integers(1, 4))
+    n = 1 if kind == "quantum" else draw(st.integers(1, 3))
+    if kind == "classical":
+        gate = st.builds(lambda p: {"perm": list(p)}, st.permutations(range(1 << n)))
+    else:
+        gate = st.fixed_dictionaries({"axis": st.sampled_from("XZ"), "num": st.integers(-4, 4),
+                                      "log2den": st.integers(0, 3)})
+        gate |= st.sampled_from(UNITARIES).map(lambda m: {"matrix": m})
+    instructions = draw(st.lists(st.fixed_dictionaries(
+        {"control": st.none() | st.integers(1, j), "gate": gate}), max_size=5))
+    doc = {"num_rom_bits": j, "num_writable": n, "kind": kind, "instructions": instructions}
+    if draw(st.booleans()):
+        places = [doc] + instructions + [inst["gate"] for inst in instructions]
+        place = draw(st.sampled_from(places))
+        key = draw(st.sampled_from(sorted(place) + ["extra"]))
+        if draw(st.booleans()):
+            place.pop(key, None)
+        else:
+            place[key] = draw(st.integers(-2, 9) | json_values)
+    return doc
+
+
+documents = programs().map(json.dumps) | json_values.map(json.dumps) | st.text(max_size=20)
+
+
+@FUZZ
+@given(documents)
+def test_loads_returns_a_program_or_raises_format_error(text):
+    try:
+        program = loads(text)
+    except ProgramFormatError:
+        return
+    assert isinstance(program, RomProgram)
+
+
+def run_verify(text, *argv):
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["verify", "-", *argv])
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@FUZZ
+@given(programs().map(json.dumps),
+       st.lists(st.text(alphabet="0123456789.,:t ", max_size=6).map("--f1={}".format), max_size=1))
+def test_verify_exits_cleanly(text, spec):
+    code, out, err = run_verify(text, *spec)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith(("error:", "parse error:"))

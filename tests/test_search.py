@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -237,6 +238,117 @@ def test_table_pipeline_matches_scalar_canonization(j, symmetric):
         canon = _canonize(vector, gathers)[0]
         for neighbour in pipeline.neighbours(canon):
             assert canon in pipeline.neighbours(neighbour)
+
+
+# Scalar references for the pipeline's lookup tables: the loops that built
+# them before the numpy builders.
+ORDERS = [()] + [p for size in range(1, 5) for p in itertools.permutations(range(4), size)]
+ORDER_ID = {order: idx for idx, order in enumerate(ORDERS)}
+PERMS = list(itertools.permutations(range(4)))
+
+
+def reference_order_tables():
+    compose = np.empty((65, 65), dtype=np.uint8)
+    for a, first in enumerate(ORDERS):
+        for b, second in enumerate(ORDERS):
+            merged = list(first) + [v for v in second if v not in first]
+            compose[a, b] = ORDER_ID[tuple(merged)]
+    order_perm = np.empty(65, dtype=np.uint8)
+    for idx, order in enumerate(ORDERS):
+        full = list(order) + [v for v in range(4) if v not in order]
+        label = [0] * 4
+        for rank, value in enumerate(full):
+            label[value] = rank
+        order_perm[idx] = PERMS.index(tuple(label))
+    return compose, order_perm
+
+
+@functools.cache
+def reference_scan(width):
+    """First-occurrence order id of every packed half, low position first."""
+    table = np.empty(1 << (2 * width), dtype=np.uint8)
+    for packed in range(table.shape[0]):
+        seen = []
+        for pos in range(width):
+            value = packed >> (2 * pos) & 3
+            if value not in seen:
+                seen.append(value)
+        table[packed] = ORDER_ID[tuple(seen)]
+    return table
+
+
+def reference_value_map(luts):
+    """Every packed half with the value at position pos mapped by luts[pos]."""
+    half = np.arange(1 << (2 * len(luts)), dtype=np.uint32)
+    acc = np.zeros_like(half)
+    for pos, lut in enumerate(luts):
+        values = (half >> np.uint32(2 * pos)) & np.uint32(3)
+        acc |= np.array(lut, dtype=np.uint32)[values] << np.uint32(2 * pos)
+    return acc
+
+
+def reference_move(move, base, width):
+    """One half of a controlled move: its permutation where the ROM bit is set."""
+    index, perm = move
+    return reference_value_map(
+        [perm if (base + pos) >> (index - 1) & 1 else (0, 1, 2, 3) for pos in range(width)]
+    )
+
+
+def reference_gather(gather, base, width):
+    """One source half's contribution to the position-permuted packed value."""
+    src = np.arange(1 << (2 * width), dtype=np.uint32)
+    acc = np.zeros_like(src)
+    for dst_pos, src_pos in enumerate(gather):
+        if base <= src_pos < base + width:
+            values = (src >> np.uint32(2 * (src_pos - base))) & np.uint32(3)
+            acc |= values << np.uint32(2 * dst_pos)
+    return acc
+
+
+def assert_same(table, reference):
+    assert table.dtype == reference.dtype and table.shape == reference.shape
+    assert np.array_equal(table, reference)
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_lookup_tables_match_scalar_loops(j):
+    pipeline = _pipeline_for(j, False)
+    compose, order_perm = reference_order_tables()
+    assert_same(pipeline.compose, compose)
+    assert_same(pipeline.order_perm, order_perm)
+    halves = [(0, pipeline.low_width), (pipeline.low_width, pipeline.high_width)]
+    scans = (pipeline.scan_low, pipeline.scan_high)
+    relabels = (pipeline.relabel_low, pipeline.relabel_high)
+    for (_, width), scan, relabel in zip(halves, scans, relabels):
+        assert_same(scan, reference_scan(width))
+        assert_same(relabel, np.stack([reference_value_map([perm] * width) for perm in PERMS]))
+    moves = _moves(j)
+    # Every move up to j = 3; a seeded sample of the 92 at j = 4.
+    sample = range(len(moves)) if j < 4 else random.Random(4).sample(range(len(moves)), 12)
+    for (base, width), table in zip(halves, (pipeline.move_low, pipeline.move_high)):
+        assert table.dtype == np.uint32 and table.shape == (len(moves), 1 << (2 * width))
+        for k in sample:
+            assert np.array_equal(table[k], reference_move(moves[k], base, width))
+    symmetric = _pipeline_for(j, True)
+    for (base, width), tables in zip(halves, (symmetric.gather_low, symmetric.gather_high)):
+        assert len(tables) == len(symmetric.gathers) == math.factorial(j)
+        for table, gather in zip(tables, symmetric.gathers):
+            assert_same(table, reference_gather(gather, base, width))
+
+
+def test_pipelines_share_their_tables():
+    names = ["compose", "order_perm", "scan_low", "scan_high", "relabel_low", "relabel_high",
+             "move_low", "move_high"]
+    for j in range(1, 5):
+        symmetric, plain = _pipeline_for(j, True), _pipeline_for(j, False)
+        for name in names:
+            assert getattr(symmetric, name) is getattr(plain, name)
+            assert not getattr(plain, name).flags.writeable
+    # A half of 8 positions serves the one half at j = 3 and both at j = 4.
+    three, four = _pipeline_for(3, True), _pipeline_for(4, True)
+    assert three.scan_low is four.scan_low is four.scan_high
+    assert three.relabel_low is four.relabel_low is four.relabel_high
 
 
 def test_target_validation():

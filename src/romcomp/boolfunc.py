@@ -7,6 +7,7 @@ the assignment whose mask is ``u``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 
@@ -122,30 +123,41 @@ class VectorFunction:
                 raise ValueError("all components must share num_vars")
 
 
+# 0/1 bytes <-> ASCII digits, to move a 0/1 vector in and out of an int.
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _moebius(values: bytes | bytearray, num_vars: int) -> bytes:
+    """Binary Moebius (Zhegalkin) transform of a 0/1 byte vector; it is its
+    own inverse.  Entry u of the result is the XOR of the entries at the
+    subsets of u.  The vector is packed into one int (entry u at bit u), so
+    each variable costs one masked shift however long the vector is."""
+    length = 1 << num_vars
+    packed = int(values[::-1].translate(_TO_DIGITS), 2)
+    for v in range(num_vars):
+        step = 1 << v
+        # The bits u with u_v = 0, a run of `step` ones repeated by doubling.
+        low, width = (1 << step) - 1, 2 * step
+        while width < length:
+            low |= low << width
+            width *= 2
+        packed ^= (packed & low) << step
+    return format(packed, f"0{length}b").encode()[::-1].translate(_FROM_DIGITS)
+
+
 def anf_of(table: TruthTable) -> Anf:
-    """Monomial set of a table, via the binary Moebius (Zhegalkin) transform."""
-    coeffs = list(table.bits)
-    length = len(coeffs)
-    step = 1
-    while step < length:
-        for idx in range(length):
-            if idx & step:
-                coeffs[idx] ^= coeffs[idx ^ step]
-        step <<= 1
-    return Anf(table.num_vars, frozenset(m for m in range(length) if coeffs[m]))
+    """Monomial set of a table, via the Moebius transform."""
+    coeffs = _moebius(bytes(table.bits), table.num_vars)
+    return Anf(table.num_vars, frozenset(itertools.compress(range(len(coeffs)), coeffs)))
 
 
 def truth_table_of(anf: Anf) -> TruthTable:
-    """Evaluate each monomial as a conjunction and XOR the results."""
-    length = 1 << anf.num_vars
-    packed = 0
+    """Evaluate the XOR of the monomials, via the Moebius transform."""
+    coeffs = bytearray(1 << anf.num_vars)
     for mask in anf.monomials:
-        pattern = 0
-        for u in range(length):
-            if u & mask == mask:
-                pattern |= 1 << u
-        packed ^= pattern
-    return TruthTable.from_int(anf.num_vars, packed)
+        coeffs[mask] = 1
+    return TruthTable(anf.num_vars, tuple(_moebius(coeffs, anf.num_vars)))
 
 
 def count_functions(num_vars: int, num_outputs: int) -> int:

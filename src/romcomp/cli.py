@@ -8,6 +8,7 @@ count line goes to stderr) so output pipes straight into ``verify``.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import serialize
@@ -31,6 +32,7 @@ from .search import (
 )
 from .sim_classical import extract_function
 from .sim_quantum import NonClassicalOutput, extract_boolean
+from .sweep import SWEEP_LIMIT
 from .synth_classical import (
     and_barrington,
     and_sequence,
@@ -72,6 +74,13 @@ def _cmd_anf(args: argparse.Namespace) -> int:
         table = parse_table(args.table, args.num_vars)
         print(format_monomials(anf_of(table)))
     else:
+        # The table has 2^width entries: refuse a wide one before
+        # parse_monomials builds masks that wide.
+        width = args.num_vars
+        if width is None:
+            width = max(map(int, re.findall(r"\d+", args.monomials)), default=1)
+        if width > SWEEP_LIMIT:
+            raise CliError(f"{width} variables exceed the table limit ({SWEEP_LIMIT})")
         anf = parse_monomials(args.monomials, args.num_vars)
         print(truth_table_of(anf).to_bit_string())
     return EXIT_OK

@@ -250,7 +250,15 @@ class RomProgram:
     instructions: tuple[Instruction, ...] = ()
 
     def __post_init__(self) -> None:
+        # Compiled programs repeat a few gates many times: check each
+        # (gate, control) at its first position only.  The program keeps its
+        # gates alive, so their ids stay unique.
+        checked: set[tuple[int, int | None]] = set()
         for pos, inst in enumerate(self.instructions):
+            key = (id(inst.gate), inst.control)
+            if key in checked:
+                continue
+            checked.add(key)
             if isinstance(inst.gate, PermutationGate):
                 if self.space.kind != CLASSICAL:
                     raise KindMismatchError(f"classical gate at {pos} in a quantum program")

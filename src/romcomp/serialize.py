@@ -50,14 +50,20 @@ def gate_to_dict(gate: Gate) -> dict[str, Any]:
 
 
 def program_to_dict(program: RomProgram) -> dict[str, Any]:
+    """The wire-format document.  Instructions that share a gate object share
+    its gate dict, so compiled programs cost one dict per distinct gate."""
+    gate_dicts: dict[int, dict[str, Any]] = {}
+    instructions = []
+    for inst in program.instructions:
+        gate_dict = gate_dicts.get(id(inst.gate))
+        if gate_dict is None:
+            gate_dict = gate_dicts[id(inst.gate)] = gate_to_dict(inst.gate)
+        instructions.append({"control": inst.control, "gate": gate_dict})
     return {
         "num_rom_bits": program.space.num_rom_bits,
         "num_writable": program.space.num_writable,
         "kind": program.space.kind,
-        "instructions": [
-            {"control": inst.control, "gate": gate_to_dict(inst.gate)}
-            for inst in program.instructions
-        ],
+        "instructions": instructions,
     }
 
 
@@ -107,14 +113,37 @@ def program_from_dict(data: Any) -> RomProgram:
     raw = data["instructions"]
     _require(isinstance(raw, list), "instructions must be a list")
     instructions = []
+    # Compiled classical programs repeat a few dozen gates: build one gate per
+    # distinct perm and one instruction per distinct (gate, control).
+    perm_gates: dict[tuple[int, ...], Gate] = {}
+    interned: dict[tuple[int, int | None], Instruction] = {}
     for pos, item in enumerate(raw):
-        _require(isinstance(item, dict) and "gate" in item,
-                 f"instruction {pos} must be an object with a gate")
+        # Plain ifs, not _require: its message would be formatted every time.
+        if not (isinstance(item, dict) and "gate" in item):
+            raise ProgramFormatError(f"instruction {pos} must be an object with a gate")
         control = item.get("control")
-        _require(control is None or type(control) is int,
-                 f"instruction {pos}: control must be an integer or null")
-        instructions.append(Instruction(gate_from_dict(item["gate"]), control))
+        if not (control is None or type(control) is int):
+            raise ProgramFormatError(f"instruction {pos}: control must be an integer or null")
+        gate = _interned_gate(item["gate"], perm_gates)
+        key = (id(gate), control)
+        if key not in interned:
+            interned[key] = Instruction(gate, control)
+        instructions.append(interned[key])
     return RomProgram(space, tuple(instructions))
+
+
+def _interned_gate(data: Any, perm_gates: dict[tuple[int, ...], Gate]) -> Gate:
+    """``gate_from_dict``, with one gate object per distinct perm image tuple."""
+    images = data.get("perm") if isinstance(data, dict) else None
+    # Check the types before the lookup: True == 1 and hash(True) == hash(1),
+    # so [true, false] would otherwise find the gate cached for [1, 0].
+    if type(images) is not list or not set(map(type, images)) <= {int}:
+        return gate_from_dict(data)
+    key = tuple(images)
+    gate = perm_gates.get(key)
+    if gate is None:
+        gate = perm_gates[key] = gate_from_dict(data)
+    return gate
 
 
 def loads(text: str) -> RomProgram:

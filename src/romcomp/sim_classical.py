@@ -7,6 +7,8 @@ function the program computes.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .boolfunc import TruthTable, VectorFunction
@@ -38,7 +40,15 @@ def evaluate(program: RomProgram, assignment: int, start: int) -> int:
 def extract_function(program: RomProgram) -> VectorFunction:
     """The boolean function computed from the all-zero start state."""
     require_kind(program, CLASSICAL)
-    acts = [np.array(inst.gate.perm.images, dtype=np.uint8).take for inst in program.instructions]
+    # One lookup table per distinct gate object: compiled programs reuse a
+    # few dozen gates many times.
+    tables: dict[int, Callable[[np.ndarray], np.ndarray]] = {}
+    acts = []
+    for inst in program.instructions:
+        act = tables.get(id(inst.gate))
+        if act is None:
+            act = tables[id(inst.gate)] = np.array(inst.gate.perm.images, dtype=np.uint8).take
+        acts.append(act)
     blocks = sweep(program, np.zeros(1, dtype=np.uint8), acts)
     states = np.concatenate([rows[:, 0] for _, rows in blocks])
     j = program.space.num_rom_bits

@@ -91,10 +91,16 @@ class Unitary2:
         return Unitary2(factor * self.a, factor * self.b, factor * self.c, factor * self.d)
 
 
-@functools.cache
 def gate_matrix(axis: str, exponent: DyadicExponent) -> Unitary2:
-    """Matrix of X**t or Z**t for dyadic t, memoised (both are immutable)."""
-    phase = cmath.exp(1j * cmath.pi * exponent.value)
+    """Matrix of X**t or Z**t for dyadic t."""
+    return _rotation_matrix(axis, exponent.num, exponent.log2den)
+
+
+@functools.cache
+def _rotation_matrix(axis: str, num: int, log2den: int) -> Unitary2:
+    """``gate_matrix``, memoised on plain ints: a DyadicExponent key would run
+    the dataclass's Python ``__hash__`` and ``__eq__`` on every lookup."""
+    phase = cmath.exp(1j * cmath.pi * (num / (1 << log2den)))
     if axis == "Z":
         return Unitary2(1.0, 0.0, 0.0, phase)
     if axis == "X":
@@ -107,7 +113,7 @@ def gate_matrix(axis: str, exponent: DyadicExponent) -> Unitary2:
 
 def matrix_of_gate(gate: Gate) -> Unitary2:
     if isinstance(gate, DyadicGate):
-        return gate_matrix(gate.axis, gate.exponent)
+        return _rotation_matrix(gate.axis, gate.exponent.num, gate.exponent.log2den)
     if isinstance(gate, UnitaryGate):
         a, b, c, d = gate.entries
         return Unitary2(a, b, c, d)
@@ -117,10 +123,13 @@ def matrix_of_gate(gate: Gate) -> Unitary2:
 def unitary_of(program: RomProgram, assignment: int) -> Unitary2:
     """Product of the active gates; later instructions multiply on the left."""
     require_kind(program, QUANTUM)
-    result = Unitary2.identity()
+    # A fold over plain complex entries: a Unitary2 per gate cost more than
+    # the products.  Same arithmetic as ``Unitary2.__matmul__``.
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
     for gate in active_gates(program, assignment):
-        result = matrix_of_gate(gate) @ result
-    return result
+        m = matrix_of_gate(gate)
+        a, b, c, d = m.a * a + m.b * c, m.a * b + m.b * d, m.c * a + m.d * c, m.c * b + m.d * d
+    return Unitary2(a, b, c, d)
 
 
 def _rotate(mat: Unitary2) -> Callable[[np.ndarray], np.ndarray]:

@@ -310,15 +310,27 @@ def barrington(circuit: CircuitNode, rho: Permutation) -> BranchingProgram:
     """
     if not _is_five_cycle(rho):
         raise ValueError("rho must be a 5-cycle")
+    Steps = list[tuple[int, Permutation, Permutation]]
+    # Shared subtrees (XOR reads each operand twice) recur with the same
+    # targets, so each (node, target) is expanded once.  The key is the node's
+    # id, not its value: hashing a frozen tree recurses over all of it.  Each
+    # entry holds its node, so the fresh nodes of the OR rewrite stay alive
+    # and their ids are not reused.
+    memo: dict[tuple[int, tuple[int, ...]], tuple[CircuitNode, Steps]] = {}
 
-    def rec(node: CircuitNode, target: Permutation) -> list[tuple[int, Permutation, Permutation]]:
+    def rec(node: CircuitNode, target: Permutation) -> Steps:
+        """The steps for ``node``; shared with the memo, so never mutated."""
+        key = (id(node), target.images)
+        if key not in memo:
+            memo[key] = (node, expand(node, target))
+        return memo[key][1]
+
+    def expand(node: CircuitNode, target: Permutation) -> Steps:
         if isinstance(node, InputNode):
             return [(node.index, Permutation.identity(5), target)]
         if isinstance(node, NotNode):
-            steps = rec(node.child, target.inverse())
-            bit, if0, if1 = steps[-1]
-            steps[-1] = (bit, if0.then(target), if1.then(target))
-            return steps
+            *steps, (bit, if0, if1) = rec(node.child, target.inverse())
+            return steps + [(bit, if0.then(target), if1.then(target))]
         if isinstance(node, OrNode):
             rewritten = NotNode(AndNode(NotNode(node.left), NotNode(node.right)))
             return rec(rewritten, target)
@@ -383,13 +395,26 @@ def circuit_to_three_bit(circuit: CircuitNode, num_rom_bits: int) -> RomProgram:
     instructions: list[Instruction] = []
     for cycle in BIT_FLIP_FIVE_CYCLES:
         rho, support = five_cycle_on_support(cycle)
+        # Barrington's steps repeat a few dozen distinct (if0, if1) pairs:
+        # embed each pair once, and build each step's instructions once.
+        gates: dict[tuple[tuple[int, ...], ...], tuple[PermutationGate, PermutationGate]] = {}
+        built: dict[tuple[int, tuple[int, ...], tuple[int, ...]], tuple[Instruction, ...]] = {}
         for bit, if0, if1 in barrington(circuit, rho).steps:
-            always = embed_permutation(if0, support, 8)
-            conditional = embed_permutation(if0.inverse().then(if1), support, 8)
-            if not always.is_identity():
-                instructions.append(Instruction(PermutationGate(always), None))
-            if not conditional.is_identity():
-                instructions.append(Instruction(PermutationGate(conditional), bit))
+            key = (bit, if0.images, if1.images)
+            if key not in built:
+                pair = key[1:]
+                if pair not in gates:
+                    gates[pair] = (
+                        PermutationGate(embed_permutation(if0, support, 8)),
+                        PermutationGate(embed_permutation(if0.inverse().then(if1), support, 8)),
+                    )
+                always, conditional = gates[pair]
+                built[key] = tuple(
+                    Instruction(gate, control)
+                    for gate, control in ((always, None), (conditional, bit))
+                    if not gate.perm.is_identity()
+                )
+            instructions.extend(built[key])
     return RomProgram(space, tuple(instructions))
 
 

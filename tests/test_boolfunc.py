@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -51,6 +53,40 @@ def test_round_trip_exhaustive_small():
             seen.add(anf.monomials)
         # Bijection: as many monomial sets as tables.
         assert len(seen) == 1 << (1 << j)
+
+
+def _loop_anf(table):
+    """Reference: the per-entry Moebius loop."""
+    coeffs = list(table.bits)
+    step = 1
+    while step < len(coeffs):
+        for idx in range(len(coeffs)):
+            if idx & step:
+                coeffs[idx] ^= coeffs[idx ^ step]
+        step <<= 1
+    return frozenset(m for m, c in enumerate(coeffs) if c)
+
+
+def _loop_table(anf):
+    """Reference: XOR of each monomial's conjunction, one entry at a time."""
+    bits = [0] * (1 << anf.num_vars)
+    for mask in anf.monomials:
+        for u in range(len(bits)):
+            bits[u] ^= u & mask == mask
+    return tuple(bits)
+
+
+@pytest.mark.parametrize("j", range(1, 10))
+def test_transforms_match_the_entry_loops(j):
+    rng = random.Random(j)
+    tables = [TruthTable.constant(j, 0), TruthTable.constant(j, 1)]
+    tables += [TruthTable.from_int(j, rng.getrandbits(1 << j)) for _ in range(12)]
+    for table in tables:
+        anf = anf_of(table)
+        assert anf.monomials == _loop_anf(table)
+        assert truth_table_of(anf).bits == _loop_table(anf) == table.bits
+        sparse = Anf(j, frozenset(rng.sample(range(1 << j), min(3, 1 << j))))
+        assert truth_table_of(sparse).bits == _loop_table(sparse)
 
 
 @given(st.integers(1, 6), st.data())

@@ -355,3 +355,21 @@ def test_verify_refuses_variable_past_the_width(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == "parse error: variable 99999 out of range for 1 vars (at position 2)\n"
+
+
+def test_anf_refuses_tables_past_the_sweep_limit(capsys):
+    # Each would build a table of 2^21 or more entries; the last one's mask
+    # alone would need about 125 GB.
+    for argv in (["--monomials", "", "--num-vars", "21"], ["--monomials", "1.21"],
+                 ["--monomials", "1,2.1000000000000"]):
+        code, out, err = run(capsys, "anf", *argv)
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_anf_accepts_the_sweep_limit(capsys):
+    code, out, _ = run(capsys, "anf", "--monomials", "20")
+    assert code == 0
+    assert out == "0" * (1 << 19) + "1" * (1 << 19) + "\n"

@@ -194,3 +194,19 @@ def test_quantum_program_is_unitary(seed):
     p = random_quantum_program(rng)
     for u in range(p.space.num_assignments):
         assert unitary_of(p, u).unitarity_residual() < 1e-9
+
+
+def test_repeated_checks_report_the_first_offending_position():
+    # The checks run once per distinct (gate, control); a pair that failed
+    # must still be reported where it first occurs.
+    ok, wide = Instruction(NOT1, 1), Instruction(NOT1, 3)
+    with pytest.raises(ProgramError, match="^control u_3 at 2 exceeds 2 ROM bits$"):
+        RomProgram(SPACE2, (ok, ok, wide, ok, wide))
+    # So must a repeated gate of the wrong width.
+    eight = PermutationGate(Permutation.identity(8))
+    program = (ok, Instruction(eight, 1), Instruction(eight, 1))
+    with pytest.raises(ProgramError, match="^gate at 1 acts on 8 states, space has 4$"):
+        RomProgram(SPACE2, program)
+    with pytest.raises(KindMismatchError, match="^classical gate at 1 in a quantum program$"):
+        RomProgram(RomSpace(2, 1, QUANTUM), (Instruction(DyadicGate("X", DyadicExponent(1)), 1),
+                                             Instruction(NOT1, 1), Instruction(NOT1, 1)))

@@ -122,3 +122,36 @@ def test_classical_pair_survives_round_trip_semantics():
     f2 = Anf(3, frozenset({0b011}))
     prog = compile_pair(f1, f2, 3)
     assert extract_function(loads(dumps(prog))) == extract_function(prog)
+
+
+@pytest.mark.parametrize("lookalike", [[True, False, 2, 3], [1.0, 0, 2, 3]])
+def test_interned_perms_do_not_admit_lookalike_images(lookalike):
+    # True == 1.0 == 1 and they hash alike, so a gate cache consulted before
+    # the type check would hand the gate built for [1, 0, 2, 3] to these.
+    good = {"control": None, "gate": {"perm": [1, 0, 2, 3]}}
+    bad = {"control": 1, "gate": {"perm": lookalike}}
+    doc = {"num_rom_bits": 1, "num_writable": 2, "kind": "classical", "instructions": [good]}
+    assert loads(json.dumps(doc)).instructions[0].gate.perm.images == (1, 0, 2, 3)
+    for instructions in ([bad], [good, bad], [good, good, bad, good]):
+        text = json.dumps(dict(doc, instructions=instructions))
+        with pytest.raises(ProgramFormatError, match="^perm must be a list of integers$"):
+            loads(text)
+
+
+def test_loads_shares_gates_and_instructions():
+    text = dumps(and_barrington(4))
+    program = loads(text)
+    gates = {id(inst.gate) for inst in program.instructions}
+    assert len(gates) == len({inst.gate.perm.images for inst in program.instructions})
+    pairs = {(inst.gate.perm.images, inst.control) for inst in program.instructions}
+    assert len({id(inst) for inst in program.instructions}) == len(pairs) < len(program)
+    assert dumps(program) == text
+
+
+def test_repeated_bad_control_reports_its_first_position():
+    good = {"control": 1, "gate": {"perm": [1, 0, 3, 2]}}
+    bad = {"control": 3, "gate": {"perm": [1, 0, 3, 2]}}
+    text = json.dumps({"num_rom_bits": 2, "num_writable": 2, "kind": "classical",
+                       "instructions": [good, good, bad, good, bad]})
+    with pytest.raises(ProgramFormatError, match="^control u_3 at 2 exceeds 2 ROM bits$"):
+        loads(text)

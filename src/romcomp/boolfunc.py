@@ -101,8 +101,10 @@ class Anf:
         if self.num_vars < 1:
             raise ValueError("need at least one variable")
         for mask in self.monomials:
-            if mask < 0 or mask >= 1 << self.num_vars:
-                raise ValueError(f"monomial mask {mask} out of range for {self.num_vars} vars")
+            if mask < 0:
+                raise ValueError(f"monomial mask {mask} is negative")
+            if mask >= 1 << self.num_vars:
+                raise ValueError(f"u{mask.bit_length()} out of range for {self.num_vars} vars")
 
     def var_lists(self) -> list[list[int]]:
         """Monomials as sorted 1-based variable lists, smallest mask first."""

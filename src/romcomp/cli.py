@@ -15,7 +15,6 @@ from . import serialize
 from .boolfunc import (
     Anf,
     ParseError,
-    TruthTable,
     anf_of,
     format_monomials,
     parse_monomials,
@@ -37,7 +36,6 @@ from .synth_classical import (
     and_barrington,
     and_sequence,
     anf_to_circuit,
-    balanced_and_circuit,
     circuit_inputs,
     circuit_to_three_bit,
     compile_pair,
@@ -55,16 +53,6 @@ class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_USAGE) -> None:
         super().__init__(message)
         self.code = code
-
-
-def _parse_function(
-    monomials: str | None, table: str | None, num_vars: int | None
-) -> Anf:
-    if (monomials is None) == (table is None):
-        raise CliError("give exactly one of --monomials or --table")
-    if monomials is not None:
-        return parse_monomials(monomials, num_vars)
-    return anf_of(parse_table(table, num_vars))
 
 
 def _cmd_anf(args: argparse.Namespace) -> int:
@@ -86,54 +74,74 @@ def _cmd_anf(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _infer_rom_bits(args: argparse.Namespace, fallback: int) -> int:
-    if args.num_rom_bits is not None:
-        return args.num_rom_bits
-    return max(fallback, 1)
+def _component_specs(args: argparse.Namespace, registers: int) -> list[str | None]:
+    """One ``_parse_component`` spec per writable register, None if not given.
+
+    The function is named either per register with ``--f<k>``, or whole by
+    one of ``--monomials S``, ``--table T`` and ``--and-of m``: the specs
+    ``S``, ``t:T`` and ``1.2.….m`` for register 1.  Mixing flags with a
+    whole-function one, or naming a register past ``registers``, is refused.
+    """
+    whole = {
+        "--monomials": (1, args.monomials),
+        "--table": (1, None if args.table is None else "t:" + args.table),
+    }
+    and_of = getattr(args, "and_of", None)
+    if and_of is not None:
+        if and_of < 1:
+            raise CliError(f"--and-of must be at least 1, got {and_of}")
+        # Two registers means classical2, where and_sequence leaves an
+        # even-width AND in register 2.
+        and_register = 2 if registers == 2 and and_of % 2 == 0 else 1
+        whole["--and-of"] = (and_register, ".".join(str(v) for v in range(1, and_of + 1)))
+    flags = {f"--f{k}": (k, getattr(args, f"f{k}", None)) for k in (1, 2, 3)} | whole
+    given = {flag: named for flag, named in flags.items() if named[1] is not None}
+    if len(given) > 1 and any(flag in whole for flag in given):
+        raise CliError(f"conflicting function flags: {', '.join(given)}")
+    specs: list[str | None] = [None] * registers
+    for flag, (register, spec) in given.items():
+        if register > registers:
+            raise CliError(f"{flag} names register {register}, past the program's {registers}")
+        specs[register - 1] = spec
+    return specs
+
+
+def _parse_component(spec: str | None, num_vars: int | None) -> Anf:
+    """A component function given as ``1,1.2`` / ``m:...`` / ``t:0100``;
+    None is the constant 0."""
+    spec = spec or ""
+    if spec.startswith("t:"):
+        return anf_of(parse_table(spec[2:], num_vars))
+    if spec.startswith("m:"):
+        spec = spec[2:]
+    return parse_monomials(spec, num_vars)
+
+
+# Backend -> (writable registers its functions fill, the one flag only it reads).
+_BACKENDS = {"quantum1": (1, "naive"), "classical2": (2, None), "classical3": (1, "circuit")}
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
-    naive = args.naive
+    registers, _ = _BACKENDS[args.backend]
+    for backend, (_, flag) in _BACKENDS.items():
+        if flag and backend != args.backend and getattr(args, flag) not in (None, False):
+            raise CliError(f"--{flag} applies only to --backend {backend}")
+    specs = _component_specs(args, registers)
+    circuit = None
+    if args.circuit is not None:
+        if args.num_vars is not None or specs != [None]:
+            raise CliError("--circuit is the whole function: give no other function flag")
+        circuit = parse_circuit(args.circuit)
+    parsed = [_parse_component(spec, args.num_vars) for spec in specs]
+    widths = [anf.num_vars for anf in parsed] if circuit is None else circuit_inputs(circuit)
+    j = max(widths) if args.num_rom_bits is None else args.num_rom_bits
+    anfs = [Anf(j, anf.monomials) for anf in parsed]
     if args.backend == "quantum1":
-        if args.and_of is not None:
-            j = _infer_rom_bits(args, args.and_of)
-            controls = list(range(1, args.and_of + 1))
-            program = (and_naive if naive else and_fast)(controls, j)
-        else:
-            anf = _parse_function(args.monomials, args.table, args.num_vars)
-            j = _infer_rom_bits(args, anf.num_vars)
-            if j != anf.num_vars:
-                anf = Anf(j, anf.monomials)
-            program = compile_function(anf, j, method="naive" if naive else "fast")
+        program = compile_function(anfs[0], j, method="naive" if args.naive else "fast")
     elif args.backend == "classical2":
-        if args.and_of is not None:
-            j = _infer_rom_bits(args, args.and_of)
-            program, _ = and_sequence(args.and_of, j)
-        else:
-            f1_spec = args.f1
-            if f1_spec is None and args.f2 is None and (args.monomials or args.table):
-                f1_spec = args.monomials if args.monomials is not None else "t:" + args.table
-            f1 = _parse_component(f1_spec, args.num_vars)
-            f2 = _parse_component(args.f2, args.num_vars)
-            j = _infer_rom_bits(args, max(f1.num_vars if f1 else 1, f2.num_vars if f2 else 1))
-            f1 = Anf(j, f1.monomials if f1 else frozenset())
-            f2 = Anf(j, f2.monomials if f2 else frozenset())
-            program = compile_pair(f1, f2, j)
-    else:  # classical3
-        if args.and_of is not None:
-            j = _infer_rom_bits(args, args.and_of)
-            if j == args.and_of:
-                program = and_barrington(j)
-            else:
-                program = circuit_to_three_bit(balanced_and_circuit(args.and_of), j)
-        elif args.circuit is not None:
-            circuit = parse_circuit(args.circuit)
-            j = _infer_rom_bits(args, max(circuit_inputs(circuit)))
-            program = circuit_to_three_bit(circuit, j)
-        else:
-            anf = _parse_function(args.monomials, args.table, args.num_vars)
-            j = _infer_rom_bits(args, anf.num_vars)
-            program = circuit_to_three_bit(anf_to_circuit(Anf(j, anf.monomials)), j)
+        program = compile_pair(anfs[0], anfs[1], j)
+    else:
+        program = circuit_to_three_bit(anf_to_circuit(anfs[0]) if circuit is None else circuit, j)
     text = serialize.dumps(program)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -142,17 +150,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         print(text)
     print(f"rom_calls={rom_call_count(program)} gates={len(program)}", file=sys.stderr)
     return EXIT_OK
-
-
-def _parse_component(spec: str | None, num_vars: int | None) -> Anf | None:
-    """A component function given as ``1,1.2`` / ``m:...`` / ``t:0100``."""
-    if spec is None:
-        return None
-    if spec.startswith("t:"):
-        return anf_of(parse_table(spec[2:], num_vars))
-    if spec.startswith("m:"):
-        spec = spec[2:]
-    return parse_monomials(spec, num_vars)
 
 
 def _read_program(path: str) -> RomProgram:
@@ -165,12 +162,7 @@ def _read_program(path: str) -> RomProgram:
 def _cmd_verify(args: argparse.Namespace) -> int:
     program = _read_program(args.program)
     j = program.space.num_rom_bits
-    n = program.space.num_writable
-    specs = [args.f1, args.f2, args.f3][:n]
-    if args.monomials is not None or args.table is not None:
-        if specs[0] is not None:
-            raise CliError("--monomials/--table conflict with --f1")
-        specs[0] = args.monomials if args.monomials is not None else "t:" + args.table
+    specs = _component_specs(args, program.space.num_writable)
     anfs = [_parse_component(spec, j) for spec in specs]
     # Simulate first: the sweep's width limit must fire before any table is built.
     if program.space.kind == QUANTUM:
@@ -181,7 +173,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             return EXIT_NONCLASSICAL
     else:
         actual = list(extract_function(program).components)
-    expected = [TruthTable.constant(j, 0) if anf is None else truth_table_of(anf) for anf in anfs]
+    expected = [truth_table_of(anf) for anf in anfs]
 
     for u in range(1 << j):
         for comp, (got, want) in enumerate(zip(actual, expected), start=1):
@@ -200,8 +192,8 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_counts(args: argparse.Namespace) -> int:
-    if args.j_max > 16:
-        raise CliError("counts table is capped at 16 ROM bits")
+    if not 1 <= args.j_max <= 16:
+        raise CliError(f"--j-max must be in 1..16, got {args.j_max}")
     header = f"{'j':>3} {'naive':>8} {'fast':>8} {'twobit':>8} {'barrington':>11} {'conjectured':>11}"
     print(header)
     for j in range(1, args.j_max + 1):
@@ -216,6 +208,8 @@ def _cmd_counts(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    if args.max_depth < 0:
+        raise CliError(f"--max-depth must be at least 0, got {args.max_depth}")
     target = SearchTarget.all_bits_and(args.j)
     try:
         result = minimal_program(target, args.max_depth)
@@ -253,15 +247,15 @@ def build_parser() -> argparse.ArgumentParser:
     anf.set_defaults(func=_cmd_anf)
 
     comp = sub.add_parser("compile", help="compile a boolean function to a ROM program")
-    comp.add_argument("--backend", required=True, choices=["quantum1", "classical2", "classical3"])
+    comp.add_argument("--backend", required=True, choices=list(_BACKENDS))
     comp.add_argument("--and-of", type=int, default=None, metavar="M",
                       help="compile the AND of ROM bits 1..M")
-    comp.add_argument("--monomials", help="function as a monomial list")
-    comp.add_argument("--table", help="function as a truth table")
-    comp.add_argument("--f1", help="classical2: first component (monomials, m:... or t:...)")
-    comp.add_argument("--f2", help="classical2: second component")
-    comp.add_argument("--circuit", help="classical3: prefix circuit like '(and x1 (or x2 x3))'")
-    comp.add_argument("--num-vars", type=int, default=None, help="variables in --monomials/--table")
+    comp.add_argument("--monomials", help="function as a monomial list (same as --f1)")
+    comp.add_argument("--table", help="function as a truth table (same as --f1 t:...)")
+    comp.add_argument("--f1", help="register 1's function (monomials, m:... or t:...)")
+    comp.add_argument("--f2", help="classical2: register 2's function")
+    comp.add_argument("--circuit", help="classical3: the function as a circuit like '(and x1 x2)'")
+    comp.add_argument("--num-vars", type=int, default=None, help="variables in the function flags")
     comp.add_argument("--num-rom-bits", type=int, default=None, help="ROM width of the program")
     comp.add_argument("--naive", action="store_true", help="quantum1: doubling construction")
     comp.add_argument("-o", "--output", help="write the JSON program here instead of stdout")

@@ -1,7 +1,18 @@
 import io
 import json
 
-from romcomp import dumps, loads
+import pytest
+
+from romcomp import (
+    and_barrington,
+    and_fast,
+    and_naive,
+    and_sequence,
+    balanced_and_circuit,
+    circuit_to_three_bit,
+    dumps,
+    loads,
+)
 from romcomp.cli import main
 
 from test_sim_classical import worked_example_program
@@ -12,6 +23,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_error_line(code, out, err):
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_anf_table_to_monomials(capsys):
@@ -262,8 +279,8 @@ def test_counts_table(capsys):
 
 
 def test_counts_cap(capsys):
-    code, _, err = run(capsys, "counts", "--j-max", "17")
-    assert code == 2
+    for j_max in ("17", "0"):
+        assert_one_error_line(*run(capsys, "counts", "--j-max", j_max))
 
 
 def test_search_command(capsys):
@@ -373,3 +390,89 @@ def test_anf_accepts_the_sweep_limit(capsys):
     code, out, _ = run(capsys, "anf", "--monomials", "20")
     assert code == 0
     assert out == "0" * (1 << 19) + "1" * (1 << 19) + "\n"
+
+
+# construction -> (compile flags, library program for the AND of u1..um in j ROM bits)
+AND_CONSTRUCTIONS = {
+    "fast": (["--backend", "quantum1"], lambda m, j: and_fast(list(range(1, m + 1)), j)),
+    "naive": (
+        ["--backend", "quantum1", "--naive"], lambda m, j: and_naive(list(range(1, m + 1)), j)
+    ),
+    "sequence": (["--backend", "classical2"], lambda m, j: and_sequence(m, j)[0]),
+    "barrington": (
+        ["--backend", "classical3"],
+        lambda m, j: (
+            and_barrington(m) if j == m else circuit_to_three_bit(balanced_and_circuit(m), j)
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("construction", sorted(AND_CONSTRUCTIONS))
+@pytest.mark.parametrize("m", range(1, 11))
+def test_and_of_prints_the_library_construction(capsys, m, construction):
+    # --and-of m goes through the same path as --monomials 1.2.….m.
+    flags, build = AND_CONSTRUCTIONS[construction]
+    for j in (m, m + 2):
+        width = [] if j == m else ["--num-rom-bits", str(j)]
+        code, out, _ = run(capsys, "compile", *flags, "--and-of", str(m), *width)
+        assert code == 0
+        assert out == dumps(build(m, j)) + "\n"
+
+
+# Each names a flag the backend does not read, or mixes a whole-function
+# flag with another function flag.
+REFUSED = {
+    "classical2-circuit": ["compile", "--backend", "classical2", "--circuit", "(and x1 x2)"],
+    "classical2-monomials-f2": ["compile", "--backend", "classical2", "--monomials", "1.2",
+                                "--f2", "1"],
+    "classical2-table-f1": ["compile", "--backend", "classical2", "--table", "0110", "--f1", "1"],
+    "classical3-and-of-monomials": ["compile", "--backend", "classical3", "--and-of", "3",
+                                    "--monomials", "1"],
+    "classical3-and-of-naive": ["compile", "--backend", "classical3", "--and-of", "3", "--naive"],
+    "verify-f3-two-bit": ["verify", "TWO_BIT", "--f1", "1,3", "--f2", "1,1.2", "--f3", "1.2"],
+    "verify-f2-quantum": ["verify", "QUANTUM", "--monomials", "1.2", "--f2", "1"],
+    "verify-monomials-table": ["verify", "QUANTUM", "--monomials", "1.2", "--table", "0110"],
+}
+
+
+@pytest.mark.parametrize("argv", list(REFUSED.values()), ids=list(REFUSED))
+def test_unread_or_conflicting_function_flags_are_refused(capsys, tmp_path, argv):
+    programs = {"TWO_BIT": worked_example_program(), "QUANTUM": two_control_flip_program()}
+    for name, program in programs.items():
+        (tmp_path / name).write_text(dumps(program))
+    argv = [str(tmp_path / arg) if arg in programs else arg for arg in argv]
+    assert_one_error_line(*run(capsys, *argv))
+
+
+def test_function_wider_than_the_rom_names_its_variable(capsys):
+    for backend in ("quantum1", "classical2", "classical3"):
+        code, out, err = run(capsys, "compile", "--backend", backend, "--and-of", "3",
+                             "--num-rom-bits", "2")
+        assert_one_error_line(code, out, err)
+        assert err == "error: u3 out of range for 2 vars\n"
+
+
+def test_and_of_below_one_is_one_error_on_every_backend(capsys):
+    for m in ("0", "-3"):
+        errors = set()
+        for backend in ("quantum1", "classical2", "classical3"):
+            code, out, err = run(capsys, "compile", "--backend", backend, "--and-of", m)
+            assert_one_error_line(code, out, err)
+            errors.add(err)
+        assert errors == {f"error: --and-of must be at least 1, got {m}\n"}
+
+
+def test_search_negative_depth_is_a_usage_error(capsys):
+    assert_one_error_line(*run(capsys, "search", "--j", "3", "--max-depth", "-1"))
+
+
+def test_registers_without_a_flag_hold_constant_zero(capsys, tmp_path):
+    for backend in ("quantum1", "classical2", "classical3"):
+        _pipe_compile_verify(
+            capsys, tmp_path, ["compile", "--backend", backend, "--num-vars", "2"], []
+        )
+    # and_sequence leaves an even-width AND in register 2, and so does --and-of.
+    _pipe_compile_verify(
+        capsys, tmp_path, ["compile", "--backend", "classical2", "--and-of", "2"], ["--f2", "1.2"]
+    )

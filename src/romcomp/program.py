@@ -27,6 +27,20 @@ UNITARITY_TOL = 1e-12
 # emit for fewer than 2**51 ROM bits fits.
 MAX_LOG2DEN = 51
 
+# Widest product the doubling constructions build (the two-bit monomial
+# block and the naive one-qubit AND): m ROM bits cost 3 * 2**(m-1) - 2
+# instructions, 1,572,862 at m = 20.
+MAX_DOUBLING_VARS = 20
+
+
+def check_doubling_width(num_vars: int) -> None:
+    """Refuse a doubling construction over more than MAX_DOUBLING_VARS bits."""
+    if num_vars > MAX_DOUBLING_VARS:
+        raise ValueError(
+            f"a product of {num_vars} ROM bits needs {3 * 2 ** (num_vars - 1) - 2} "
+            f"instructions by doubling; at most {MAX_DOUBLING_VARS} bits are supported"
+        )
+
 
 class ProgramError(ValueError):
     """A program or one of its parts failed validation."""

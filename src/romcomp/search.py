@@ -4,25 +4,27 @@ A two-bit program hitting a per-assignment target from start state 0 is
 searched as a path in "signature" space: the signature is the vector, over
 all 2^j ROM assignments, of the state currently reached from 0.  Uncontrolled
 gates are free, so signatures are identified up to a uniform relabeling of
-the four states: any free gate can be absorbed into that relabeling, and the
-one trailing free gate is restored when the witness is rebuilt.  Each search
+the four states: any free gate can be absorbed into that relabeling, so a
+cheapest program needs at most one free gate, at its start.  Each search
 move is therefore a single controlled step (ROM index, non-identity
 permutation), and a shortest path is a cheapest program.
 
 When the target is invariant under permuting the ROM bits (the all-bits AND
 is), signatures are additionally identified up to bit relabeling, which cuts
-the explored space roughly by j!.  Witness reconstruction undoes both
-identifications: state relabelings become free uncontrolled gates and bit
-relabelings are pushed through the remaining moves by conjugation.
+the explored space roughly by j!.  The one canonizer,
+``_TablePipeline.canonize``, maps a signature to its class under both
+identifications.
 
 The class graph is undirected (the inverse of a move is a move), so the
 search is bidirectional (Pohl 1971): BFS levels grow from the start class and
 from the target class, each step growing the side with the smaller last
 level, until a new level meets the other side's last level; no earlier pair
 met, so that depth is the minimum.  Each level is expanded in bulk numpy
-calls over all of its moves.  The witness is walked back from the target,
-each step picking the smallest neighbour in the previous level and the first
-move that leads from it to the current class.
+calls over all of its moves.  The witness is walked back on real signatures,
+not classes: from the target's own signature, each step takes the first move
+whose image's class lies in the previous level, down to a constant signature
+c.  The inverse of move (i, p) is (i, p^-1), so that walk inverted, after one
+free gate 0 -> c, is the program; no relabeling has to be undone.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .program import (
     PermutationGate,
     RomProgram,
     RomSpace,
+    inverse,
 )
 
 _STATES = 4
@@ -76,6 +79,11 @@ class SearchTarget:
         length = 1 << num_rom_bits
         return cls(num_rom_bits, tuple(1 if u == length - 1 else 0 for u in range(length)))
 
+    @property
+    def packed(self) -> int:
+        """The targets as one raw signature: two bits per assignment, u = 0 lowest."""
+        return sum(state << (2 * u) for u, state in enumerate(self.targets))
+
 
 @dataclass(frozen=True, slots=True)
 class SearchResult:
@@ -100,34 +108,6 @@ def conjectured_minimal_calls(num_rom_bits: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _relabel(vector: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """First-occurrence state relabeling.
-
-    Returns the relabeled vector and the full map old-state -> new-state
-    (unseen states getting the remaining labels in increasing order).
-    """
-    mapping = [-1] * _STATES
-    nxt = 0
-    out = []
-    for v in vector:
-        if mapping[v] < 0:
-            mapping[v] = nxt
-            nxt += 1
-        out.append(mapping[v])
-    for v in range(_STATES):
-        if mapping[v] < 0:
-            mapping[v] = nxt
-            nxt += 1
-    return tuple(out), tuple(mapping)
-
-
-def _encode(vector: tuple[int, ...]) -> int:
-    enc = 0
-    for pos, v in enumerate(vector):
-        enc |= v << (2 * pos)
-    return enc
-
-
 @functools.cache
 def _gather_tables(num_rom_bits: int, enable: bool) -> tuple[tuple[int, ...], ...]:
     """Position maps canon-index -> source-index, one per ROM-bit relabeling.
@@ -149,26 +129,6 @@ def _gather_tables(num_rom_bits: int, enable: bool) -> tuple[tuple[int, ...], ..
             gather[dst] = src
         tables.append(tuple(gather))
     return tuple(tables)
-
-
-def _canonize(
-    vector: tuple[int, ...], gathers: tuple[tuple[int, ...], ...]
-) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Minimal encoding over bit relabelings and state relabelings.
-
-    Returns (encoding, canonical vector, winning gather table, state map).
-    """
-    best_enc = -1
-    best = None
-    for gather in gathers:
-        permuted = tuple(vector[g] for g in gather)
-        relabeled, mapping = _relabel(permuted)
-        enc = _encode(relabeled)
-        if best_enc < 0 or enc < best_enc:
-            best_enc = enc
-            best = (relabeled, gather, mapping)
-    assert best is not None
-    return best_enc, best[0], best[1], best[2]
 
 
 def _frozen(table: np.ndarray) -> np.ndarray:
@@ -334,14 +294,6 @@ def _moves(num_rom_bits: int) -> list[tuple[int, tuple[int, ...]]]:
     return [(i, p) for i in range(1, num_rom_bits + 1) for p in perms]
 
 
-def _apply_move(
-    vector: tuple[int, ...], move: tuple[int, tuple[int, ...]]
-) -> tuple[int, ...]:
-    index, perm = move
-    mask = 1 << (index - 1)
-    return tuple(perm[v] if pos & mask else v for pos, v in enumerate(vector))
-
-
 def _symmetric_target(target: SearchTarget, gathers: tuple[tuple[int, ...], ...]) -> bool:
     return all(
         tuple(target.targets[g] for g in gather) == target.targets for gather in gathers
@@ -374,10 +326,9 @@ def minimal_program(
     pipeline = _pipeline_for(j, use_symmetry)
 
     # The start signature (state 0 on every assignment) is canonical and encodes to 0.
-    target_enc = _canonize(target.targets, pipeline.gathers)[0]
+    target_enc = int(pipeline.canonize(np.uint32(target.packed)))
     if target_enc == 0:
-        witness = _reconstruct(target, [], pipeline.gathers)
-        return SearchResult(0, witness, 0)
+        return SearchResult(0, _witness(pipeline, target, []), 0)
 
     fwd = [np.zeros(1, dtype=np.uint32)]
     bwd = [np.array([target_enc], dtype=np.uint32)]
@@ -392,19 +343,22 @@ def minimal_program(
             break
         side.append(level)
         if np.intersect1d(level, other[-1], assume_unique=True).size:
-            path = _walk_back(pipeline, target_enc, _path_levels(pipeline, fwd, bwd))
-            return SearchResult(depth, _reconstruct(target, path, pipeline.gathers), nodes_expanded)
+            witness = _witness(pipeline, target, _path_levels(pipeline, fwd, bwd))
+            return SearchResult(depth, witness, nodes_expanded)
     raise NotFoundWithinDepth(max_depth)
 
 
 def _path_levels(
     pipeline: _TablePipeline, fwd: list[np.ndarray], bwd: list[np.ndarray]
 ) -> list[np.ndarray]:
-    """Levels 0..d-1 for the walk-back when fwd[-1] meets bwd[-1] at depth d.
+    """Levels 0..d-1 of the cheapest paths when fwd[-1] meets bwd[-1] at depth d.
 
-    Past the meeting, level i is backward level d - i narrowed to shortest
-    paths: among a walk-back class's neighbours these are exactly the ones at
-    forward distance i.  A meeting at the target drops fwd[-1].
+    Level i holds classes at forward distance exactly i from the start.  Up to
+    the meeting these are the forward levels; past it, level i is backward
+    level d - i narrowed to the classes one move from level i - 1, which
+    puts them at both distances.  So every class in level i has a neighbour
+    in level i - 1, and the target one in level d - 1.  A meeting at the
+    target drops fwd[-1].
     """
     depth = len(fwd) + len(bwd) - 2
     levels = list(fwd)
@@ -415,105 +369,30 @@ def _path_levels(
     return levels[:depth]
 
 
-def _walk_back(
-    pipeline: _TablePipeline, final_enc: int, level_sets: list[np.ndarray]
-) -> list[tuple[int, tuple[int, ...]]]:
-    """Recover a deterministic move path from the per-level signature sets.
-
-    The class graph is undirected (moves commute with relabelings up to
-    conjugation), so the predecessors of a class are its neighbours in the
-    previous level.  Each step takes the smallest such neighbour and the
-    first move that leads from it forward.
-    """
-    path: list[tuple[int, tuple[int, ...]]] = []
-    cur_enc = final_enc
-    for prev in reversed(level_sets):
-        preds = np.intersect1d(_unique(pipeline.neighbours(cur_enc)), prev, assume_unique=True)
-        if not preds.size:
-            raise AssertionError("level sets lost the predecessor of a hit signature")
-        pred = int(preds[0])
-        move_idx = int(np.flatnonzero(pipeline.neighbours(pred) == cur_enc)[0])
-        path.append(pipeline.moves[move_idx])
-        cur_enc = pred
-    path.reverse()
-    return path
-
-
-# ---------------------------------------------------------------------------
-# Witness reconstruction
-# ---------------------------------------------------------------------------
-
-
-def _reconstruct(
-    target: SearchTarget,
-    moves: list[tuple[int, tuple[int, ...]]],
-    gathers: tuple[tuple[int, ...], ...],
+def _witness(
+    pipeline: _TablePipeline, target: SearchTarget, level_sets: list[np.ndarray]
 ) -> RomProgram:
-    """Turn a canonical-space move path into a real program hitting the target.
+    """A cheapest program reaching ``target``, given levels 0..d-1 of its paths.
 
-    Tracks the accumulated state relabeling H (real value -> canon value) and
-    position map realpos (canon position -> real position).  Each canon move
-    is conjugated back through both before being emitted; state relabelings
-    chosen by canonization reappear as a single free fixup gate at the end.
+    The walk starts from the target's own signature.  At each level, taken in
+    reverse, it keeps the first move (in ``_moves`` order) whose image's class
+    lies in that level and goes on from the image itself, so it ends on a
+    real constant signature c.  The walk maps the target to c, so its inverse,
+    after one free gate s -> s ^ c, maps the start to the target.
     """
-    j = target.num_rom_bits
-    length = 1 << j
-    space = RomSpace(j, 2, CLASSICAL)
-    instructions: list[Instruction] = []
-
-    canon_vec = (0,) * length
-    state_map = tuple(range(_STATES))  # real value -> canon value
-    realpos = tuple(range(length))  # canon position -> real position
-    real_vec = [0] * length
-
-    for move in moves:
-        index, perm = move
-        inv_map = _invert(state_map)
-        # H^-1 . perm . H: conjugate the canon-space move back to real values.
-        real_perm = tuple(inv_map[perm[state_map[x]]] for x in range(_STATES))
-        real_index = realpos[1 << (index - 1)].bit_length()
-        instructions.append(
-            Instruction(PermutationGate(Permutation(real_perm)), real_index)
-        )
-        mask = 1 << (real_index - 1)
-        for pos in range(length):
-            if pos & mask:
-                real_vec[pos] = real_perm[real_vec[pos]]
-
-        raw = _apply_move(canon_vec, move)
-        _, canon_vec, gather, relabel_map = _canonize(raw, gathers)
-        state_map = tuple(relabel_map[v] for v in state_map)
-        realpos = tuple(realpos[g] for g in gather)
-
-    # Final free permutation lining the reached states up with the target.
-    fixup = _mapping_to_permutation(tuple(real_vec), target.targets)
-    if not fixup.is_identity():
-        instructions.append(Instruction(PermutationGate(fixup), None))
-        real_vec = [fixup.images[v] for v in real_vec]
-    if tuple(real_vec) != target.targets:
-        raise AssertionError("witness reconstruction failed to meet the target")
-    return RomProgram(space, tuple(instructions))
-
-
-def _invert(mapping: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(mapping)
-    for src, dst in enumerate(mapping):
-        inv[dst] = src
-    return tuple(inv)
-
-
-def _mapping_to_permutation(reached: tuple[int, ...], wanted: tuple[int, ...]) -> Permutation:
-    """The state permutation g with g(reached[u]) = wanted[u], extended to a
-    bijection by pairing leftover states in increasing order."""
-    images = [-1] * _STATES
-    for got, want in zip(reached, wanted):
-        if images[got] < 0:
-            images[got] = want
-        elif images[got] != want:
-            raise AssertionError("reached states are not a relabeling of the target")
-    used = {v for v in images if v >= 0}
-    spare = [v for v in range(_STATES) if v not in used]
-    for state in range(_STATES):
-        if images[state] < 0:
-            images[state] = spare.pop(0)
-    return Permutation(tuple(images))
+    enc = np.uint32(target.packed)
+    walk: list[Instruction] = []
+    for level in reversed(level_sets):
+        images = pipeline.moved(enc)
+        canon = pipeline.canonize(images)
+        # Membership by binary search in the sorted level; np.isin hashes.
+        found = level[np.searchsorted(level, canon).clip(max=level.size - 1)] == canon
+        k = int(np.flatnonzero(found)[0])
+        index, perm = pipeline.moves[k]
+        walk.append(Instruction(PermutationGate(Permutation(perm)), index))
+        enc = images[k]
+    constant = int(enc) & 3
+    if constant:
+        flip = Permutation(tuple(s ^ constant for s in range(_STATES)))
+        walk.append(Instruction(PermutationGate(flip), None))
+    return inverse(RomProgram(RomSpace(target.num_rom_bits, 2, CLASSICAL), tuple(walk)))

@@ -29,6 +29,7 @@ from .program import (
     PermutationGate,
     RomProgram,
     RomSpace,
+    check_doubling_width,
 )
 
 # Two-register gate tables; register 1 is the low state bit.
@@ -76,6 +77,7 @@ def monomial_into_register(variables: list[int], target: int, num_rom_bits: int)
     for v in variables:
         if not 1 <= v <= num_rom_bits:
             raise ValueError(f"variable u_{v} out of range for {num_rom_bits} ROM bits")
+    check_doubling_width(len(variables))
     space = RomSpace(num_rom_bits, 2, CLASSICAL)
     if not variables:
         return RomProgram(space, (not_gate(target, None),))
@@ -103,8 +105,7 @@ def compile_pair(f1: Anf, f2: Anf, num_rom_bits: int) -> RomProgram:
     space = RomSpace(num_rom_bits, 2, CLASSICAL)
     instructions: list[Instruction] = []
     for anf, register in ((f1, 1), (f2, 2)):
-        for mask in sorted(anf.monomials):
-            vars_ = [v + 1 for v in range(num_rom_bits) if mask >> v & 1]
+        for vars_ in anf.var_lists():
             instructions.extend(
                 monomial_into_register(vars_, register, num_rom_bits).instructions
             )
@@ -246,11 +247,11 @@ def anf_to_circuit(anf: Anf) -> CircuitNode:
         return xor(tree(nodes[:mid]), tree(nodes[mid:]))
 
     terms: list[CircuitNode] = []
-    for mask in sorted(anf.monomials):
-        if mask == 0:
+    for variables in anf.var_lists():
+        if not variables:
             terms.append(OrNode(x1, NotNode(x1)))
             continue
-        vars_ = [InputNode(v + 1) for v in range(anf.num_vars) if mask >> v & 1]
+        vars_ = [InputNode(v) for v in variables]
 
         def and_tree(nodes: list[CircuitNode]) -> CircuitNode:
             if len(nodes) == 1:

@@ -28,6 +28,7 @@ from .program import (
     Instruction,
     RomProgram,
     RomSpace,
+    check_doubling_width,
 )
 
 _ONE = DyadicExponent(1)
@@ -65,6 +66,7 @@ def _naive_block(axis: str, controls: list[int]) -> list[Instruction]:
 def and_naive(controls: list[int], num_rom_bits: int) -> RomProgram:
     """XOR the AND of the given ROM bits into the qubit, doubling recursion."""
     _check_controls(controls, num_rom_bits)
+    check_doubling_width(len(controls))
     ops = _naive_block(AXIS_X, list(controls))
     space = RomSpace(num_rom_bits, 1, QUANTUM)
     return RomProgram(space, tuple(reversed(ops)))
@@ -132,10 +134,9 @@ def compile_function(anf: Anf, num_rom_bits: int, method: str = "fast") -> RomPr
         raise ValueError(f"method must be 'fast' or 'naive', got {method!r}")
     build = and_fast if method == "fast" else and_naive
     instructions: list[Instruction] = []
-    for mask in sorted(anf.monomials):
-        if mask == 0:
-            instructions.append(_rotation(AXIS_X, _ONE, None))
-        else:
-            vars_ = [v + 1 for v in range(num_rom_bits) if mask >> v & 1]
+    for vars_ in anf.var_lists():
+        if vars_:
             instructions.extend(build(vars_, num_rom_bits).instructions)
+        else:
+            instructions.append(_rotation(AXIS_X, _ONE, None))
     return RomProgram(RomSpace(num_rom_bits, 1, QUANTUM), tuple(instructions))

@@ -278,6 +278,23 @@ def test_counts_table(capsys):
         assert fast <= 4 * j * j
 
 
+def test_counts_up_to_the_cli_cap(capsys):
+    code, out, _ = run(capsys, "counts", "--j-max", "16")
+    assert code == 0
+    rows = [[int(x) for x in line.split()] for line in out.splitlines()[1:]]
+    assert [row[0] for row in rows] == list(range(1, 17))
+    # naive and twobit are the doubling constructions: 3 * 2^(j-1) - 2.
+    assert all(row[1] == row[3] == 3 * 2 ** (row[0] - 1) - 2 for row in rows)
+    assert rows[-1] == [16, 98302, 256, 98302, 1024, 765]
+
+
+def test_doubling_constructions_past_the_bound_are_refused(capsys):
+    for backend in (["classical2"], ["quantum1", "--naive"]):
+        code, out, err = run(capsys, "compile", "--backend", *backend, "--and-of", "21")
+        assert_one_error_line(code, out, err)
+        assert "21 ROM bits" in err
+
+
 def test_counts_cap(capsys):
     for j_max in ("17", "0"):
         assert_one_error_line(*run(capsys, "counts", "--j-max", j_max))

@@ -16,14 +16,68 @@ from romcomp import (
     minimal_program,
     rom_call_count,
 )
-from romcomp.search import (
-    _apply_move,
-    _canonize,
-    _encode,
-    _gather_tables,
-    _moves,
-    _pipeline_for,
-)
+from romcomp.search import _gather_tables, _moves, _pipeline_for
+
+
+# Scalar reference canonizer for the table pipeline: the minimal encoding of
+# a signature over ROM-bit relabelings (gather tables) and first-occurrence
+# state relabelings.
+
+
+def _relabel(vector: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """First-occurrence state relabeling.
+
+    Returns the relabeled vector and the full map old-state -> new-state
+    (unseen states getting the remaining labels in increasing order).
+    """
+    mapping = [-1] * 4
+    nxt = 0
+    out = []
+    for v in vector:
+        if mapping[v] < 0:
+            mapping[v] = nxt
+            nxt += 1
+        out.append(mapping[v])
+    for v in range(4):
+        if mapping[v] < 0:
+            mapping[v] = nxt
+            nxt += 1
+    return tuple(out), tuple(mapping)
+
+
+def _encode(vector: tuple[int, ...]) -> int:
+    enc = 0
+    for pos, v in enumerate(vector):
+        enc |= v << (2 * pos)
+    return enc
+
+
+def _canonize(
+    vector: tuple[int, ...], gathers: tuple[tuple[int, ...], ...]
+) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Minimal encoding over bit relabelings and state relabelings.
+
+    Returns (encoding, canonical vector, winning gather table, state map).
+    """
+    best_enc = -1
+    best = None
+    for gather in gathers:
+        permuted = tuple(vector[g] for g in gather)
+        relabeled, mapping = _relabel(permuted)
+        enc = _encode(relabeled)
+        if best_enc < 0 or enc < best_enc:
+            best_enc = enc
+            best = (relabeled, gather, mapping)
+    assert best is not None
+    return best_enc, best[0], best[1], best[2]
+
+
+def _apply_move(
+    vector: tuple[int, ...], move: tuple[int, tuple[int, ...]]
+) -> tuple[int, ...]:
+    index, perm = move
+    mask = 1 << (index - 1)
+    return tuple(perm[v] if pos & mask else v for pos, v in enumerate(vector))
 
 
 def check_witness(result, target):
@@ -44,36 +98,37 @@ def pinned(*instructions, j=3):
 
 
 AND3_WITNESS = pinned(
-    (1, (1, 0, 2, 3)), (2, (0, 2, 1, 3)), (3, (0, 1, 3, 2)), (2, (0, 2, 1, 3)),
-    (1, (1, 0, 2, 3)), (None, (0, 2, 3, 1)),
+    (1, (1, 0, 2, 3)), (2, (0, 2, 1, 3)), (3, (0, 1, 3, 2)), (2, (0, 3, 1, 2)),
+    (1, (2, 0, 1, 3)),
 )
 
 # Checked with extract_function: register 1 ends as the AND of u1..u4 and
 # register 2 as 0.
 AND4_WITNESS = pinned(
-    (1, (1, 0, 2, 3)), (2, (0, 2, 1, 3)), (3, (0, 1, 3, 2)), (4, (3, 0, 2, 1)),
-    (1, (0, 3, 1, 2)), (4, (3, 1, 2, 0)), (3, (0, 2, 1, 3)), (2, (0, 3, 2, 1)),
-    (1, (3, 1, 2, 0)), (None, (0, 2, 3, 1)), j=4,
+    (1, (1, 0, 2, 3)), (2, (0, 2, 1, 3)), (3, (0, 1, 3, 2)), (1, (1, 0, 2, 3)),
+    (4, (0, 3, 2, 1)), (3, (0, 1, 3, 2)), (1, (1, 0, 2, 3)), (2, (0, 2, 1, 3)),
+    (1, (1, 0, 2, 3)), j=4,
 )
 
-# The j = 3 witness bytes were recorded from the forward-only search with the
-# orbit-based walk-back, and any search strategy must keep them; the j = 4 one
-# is the bidirectional search's (the forward-only search took about 30 min).
-# ``nodes`` counts the classes the bidirectional search expanded, in both
-# directions.
+# The witness bytes are fixed by the walk-back rule: from the target's own
+# signature, each step takes the first move (in ``_moves`` order) into the
+# previous level, and the walk inverted is the program, after one free gate
+# when the walk ends on a nonzero constant.  Each witness was checked with
+# ``evaluate`` on every assignment before it was pinned.  ``nodes`` counts
+# the classes the bidirectional search expanded, in both directions.
 PINNED_SEARCHES = [
     (SearchTarget.all_bits_and(3), True, 5, 11, AND3_WITNESS),
     (SearchTarget.all_bits_and(3), False, 5, 35, AND3_WITNESS),
     (SearchTarget(3, (1, 1, 2, 3, 0, 0, 3, 2)), None, 3, 5, pinned(
-        (2, (1, 0, 2, 3)), (1, (0, 2, 1, 3)), (3, (3, 2, 1, 0)), (None, (1, 2, 3, 0)),
+        (None, (1, 0, 3, 2)), (3, (1, 0, 2, 3)), (2, (3, 2, 0, 1)), (1, (0, 1, 3, 2)),
     )),
     (SearchTarget(3, (1, 1, 3, 3, 3, 1, 1, 1)), None, 5, 46, pinned(
-        (1, (1, 0, 2, 3)), (2, (2, 3, 0, 1)), (3, (2, 1, 3, 0)), (2, (1, 3, 2, 0)),
-        (1, (2, 0, 1, 3)), (None, (1, 0, 3, 2)),
+        (None, (1, 0, 3, 2)), (2, (0, 3, 1, 2)), (1, (1, 2, 3, 0)), (3, (1, 3, 2, 0)),
+        (2, (1, 2, 0, 3)), (1, (0, 3, 1, 2)),
     )),
     (SearchTarget(3, (3, 0, 0, 1, 0, 2, 0, 2)), None, 4, 29, pinned(
-        (3, (1, 0, 2, 3)), (2, (2, 1, 0, 3)), (1, (2, 0, 1, 3)), (3, (3, 2, 0, 1)),
-        (None, (3, 1, 0, 2)),
+        (None, (3, 2, 1, 0)), (1, (1, 2, 3, 0)), (2, (0, 2, 3, 1)), (3, (2, 1, 3, 0)),
+        (2, (1, 0, 2, 3)),
     )),
     (SearchTarget.all_bits_and(4), True, 9, 2645, AND4_WITNESS),
 ]
@@ -86,6 +141,18 @@ def test_search_outputs_are_pinned(target, symmetry, calls, nodes, witness):
     assert result.minimal_rom_calls == calls
     assert result.nodes_expanded == nodes
     assert dumps(result.witness) == witness
+
+
+def test_witness_has_one_leading_free_gate_at_most():
+    rng = random.Random(8)
+    targets = [SearchTarget(2, t) for t in itertools.product(range(4), repeat=4)]
+    targets += [SearchTarget(3, tuple(rng.randrange(4) for _ in range(8))) for _ in range(50)]
+    for target in targets:
+        result = minimal_program(target, max_depth=12)
+        check_witness(result, target)
+        free = [k for k, inst in enumerate(result.witness.instructions) if inst.control is None]
+        assert free in ([], [0])
+        assert len(result.witness) == result.minimal_rom_calls + len(free)
 
 
 def _unreduced_minimal_calls(j):

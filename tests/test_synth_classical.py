@@ -116,6 +116,18 @@ def test_and_sequence_range_errors():
         and_sequence(3, 2)
 
 
+def test_doubling_past_the_bound_is_refused_before_building():
+    wide = list(range(1, 22))
+    with pytest.raises(ValueError, match="21 ROM bits"):
+        monomial_into_register(wide, 1, 21)
+    with pytest.raises(ValueError, match="21 ROM bits"):
+        and_sequence(21, 21)
+    with pytest.raises(ValueError, match="21 ROM bits"):
+        compile_pair(Anf(21, frozenset()), Anf(21, frozenset({(1 << 21) - 1})), 21)
+    # Barrington's construction grows as 4^depth, not by doubling.
+    assert rom_call_count(and_barrington(21)) > 0
+
+
 def test_monomial_into_register_steering():
     for target in (1, 2):
         for vars_ in ([2], [1, 3], [2, 3, 1]):

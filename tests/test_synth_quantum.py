@@ -61,6 +61,17 @@ def test_control_validation():
         and_fast([3], 2)
 
 
+def test_naive_and_past_the_bound_is_refused_before_building():
+    wide = list(range(1, 22))
+    with pytest.raises(ValueError, match="21 ROM bits"):
+        and_naive(wide, 21)
+    with pytest.raises(ValueError, match="21 ROM bits"):
+        compile_function(Anf(21, frozenset({(1 << 21) - 1})), 21, "naive")
+    assert rom_call_count(and_fast(wide, 21)) == rom_call_count(
+        compile_function(Anf(21, frozenset({(1 << 21) - 1})), 21)
+    ) > 0
+
+
 def test_fast_two_controls():
     prog = and_fast([1, 2], 2)
     assert rom_call_count(prog) == 4

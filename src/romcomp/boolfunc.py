@@ -103,7 +103,7 @@ class Anf:
         for mask in self.monomials:
             if mask < 0:
                 raise ValueError(f"monomial mask {mask} is negative")
-            if mask >= 1 << self.num_vars:
+            if mask.bit_length() > self.num_vars:
                 raise ValueError(f"u{mask.bit_length()} out of range for {self.num_vars} vars")
 
     def var_lists(self) -> list[list[int]]:

@@ -21,7 +21,7 @@ from .boolfunc import (
     parse_table,
     truth_table_of,
 )
-from .program import QUANTUM, ProgramError, RomProgram, rom_call_count
+from .program import MAX_ROM_CALLS, QUANTUM, ProgramError, RomProgram, rom_call_count
 from .render import render_program
 from .search import (
     NotFoundWithinDepth,
@@ -48,6 +48,10 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_NONCLASSICAL = 3
 
+# Widest ROM that compile accepts: 1024 bits, the widest AND whose and_fast
+# program (4^ceil(log2 m) calls) fits MAX_ROM_CALLS.
+COMPILE_WIDTH_LIMIT = 1 << (MAX_ROM_CALLS.bit_length() - 1) // 2
+
 
 class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_USAGE) -> None:
@@ -58,20 +62,23 @@ class CliError(Exception):
 def _cmd_anf(args: argparse.Namespace) -> int:
     if (args.monomials is None) == (args.table is None):
         raise CliError("give exactly one of --monomials or --table")
+    _check_width(SWEEP_LIMIT, [args.monomials], args.num_vars)
     if args.table is not None:
-        table = parse_table(args.table, args.num_vars)
-        print(format_monomials(anf_of(table)))
+        print(format_monomials(anf_of(parse_table(args.table, args.num_vars))))
     else:
-        # The table has 2^width entries: refuse a wide one before
-        # parse_monomials builds masks that wide.
-        width = args.num_vars
-        if width is None:
-            width = max(map(int, re.findall(r"\d+", args.monomials)), default=1)
-        if width > SWEEP_LIMIT:
-            raise CliError(f"{width} variables exceed the table limit ({SWEEP_LIMIT})")
-        anf = parse_monomials(args.monomials, args.num_vars)
-        print(truth_table_of(anf).to_bit_string())
+        print(truth_table_of(parse_monomials(args.monomials, args.num_vars)).to_bit_string())
     return EXIT_OK
+
+
+def _check_width(limit: int, texts: list[str | None], *widths: int | None) -> None:
+    """Refuse a variable index or width past ``limit`` before any ``1 << width``
+    mask or table is built; ``t:`` tables are skipped, as their length bounds
+    their width."""
+    indices = [int(index) for text in texts if text and not text.startswith("t:")
+               for index in re.findall(r"\d+", text)]
+    widest = max([width for width in widths if width is not None] + indices, default=0)
+    if widest > limit:
+        raise CliError(f"{widest} variables exceed the limit ({limit})")
 
 
 def _component_specs(args: argparse.Namespace, registers: int) -> list[str | None]:
@@ -126,6 +133,8 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     for backend, (_, flag) in _BACKENDS.items():
         if flag and backend != args.backend and getattr(args, flag) not in (None, False):
             raise CliError(f"--{flag} applies only to --backend {backend}")
+    _check_width(COMPILE_WIDTH_LIMIT, [args.monomials, args.f1, args.f2, args.circuit],
+                 args.num_vars, args.and_of, args.num_rom_bits)
     specs = _component_specs(args, registers)
     circuit = None
     if args.circuit is not None:
@@ -163,7 +172,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     program = _read_program(args.program)
     j = program.space.num_rom_bits
     specs = _component_specs(args, program.space.num_writable)
-    anfs = [_parse_component(spec, j) for spec in specs]
     # Simulate first: the sweep's width limit must fire before any table is built.
     if program.space.kind == QUANTUM:
         try:
@@ -173,7 +181,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             return EXIT_NONCLASSICAL
     else:
         actual = list(extract_function(program).components)
-    expected = [truth_table_of(anf) for anf in anfs]
+    expected = [truth_table_of(_parse_component(spec, j)) for spec in specs]
 
     for u in range(1 << j):
         for comp, (got, want) in enumerate(zip(actual, expected), start=1):

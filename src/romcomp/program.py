@@ -12,6 +12,7 @@ threads.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 
 CLASSICAL = "classical"
@@ -27,19 +28,22 @@ UNITARITY_TOL = 1e-12
 # emit for fewer than 2**51 ROM bits fits.
 MAX_LOG2DEN = 51
 
-# Widest product the doubling constructions build (the two-bit monomial
-# block and the naive one-qubit AND): m ROM bits cost 3 * 2**(m-1) - 2
-# instructions, 1,572,862 at m = 20.
-MAX_DOUBLING_VARS = 20
+# Most ROM calls a compiler may spend on one program.  A product of m ROM
+# bits built by doubling costs 3 * 2**(m-1) - 2 calls, so m <= 20 fits.
+MAX_ROM_CALLS = 2**21
 
 
-def check_doubling_width(num_vars: int) -> None:
-    """Refuse a doubling construction over more than MAX_DOUBLING_VARS bits."""
-    if num_vars > MAX_DOUBLING_VARS:
-        raise ValueError(
-            f"a product of {num_vars} ROM bits needs {3 * 2 ** (num_vars - 1) - 2} "
-            f"instructions by doubling; at most {MAX_DOUBLING_VARS} bits are supported"
-        )
+def doubling_calls(num_vars: int) -> int:
+    """ROM calls of a doubling product of ``num_vars`` bits (two-bit monomial
+    block, naive one-qubit AND); past the budget, refused by width alone."""
+    if num_vars > MAX_ROM_CALLS.bit_length() - 2:
+        raise ValueError(f"a product of {num_vars} ROM bits needs over {MAX_ROM_CALLS} ROM calls")
+    return 3 * 2 ** (num_vars - 1) - 2 if num_vars else 0
+
+
+def check_rom_calls(calls: int) -> None:
+    if calls > MAX_ROM_CALLS:
+        raise ValueError(f"the program needs up to {calls} ROM calls (limit {MAX_ROM_CALLS})")
 
 
 class ProgramError(ValueError):
@@ -192,7 +196,17 @@ class PermutationGate:
     perm: Permutation
 
     def inverse(self) -> "PermutationGate":
-        return PermutationGate(self.perm.inverse())
+        return permutation_gate(self.perm.inverse().images)
+
+
+@functools.cache
+def permutation_gate(images: tuple[int, ...]) -> PermutationGate:
+    """The one gate for ``images``, shared so that per-gate caches work once
+    per distinct gate.  Pass plain ints: (True, False) would find (1, 0)'s
+    gate.  Only 2, 4 or 8 states are cached, at most 2! + 4! + 8! gates."""
+    if len(images) not in (2, 4, 8):
+        raise ProgramError(f"a gate acts on 2, 4 or 8 states, got {len(images)}")
+    return PermutationGate(Permutation(images))
 
 
 @dataclass(frozen=True, slots=True)

@@ -38,11 +38,10 @@ import numpy as np
 from .program import (
     CLASSICAL,
     Instruction,
-    Permutation,
-    PermutationGate,
     RomProgram,
     RomSpace,
     inverse,
+    permutation_gate,
 )
 
 _STATES = 4
@@ -389,10 +388,10 @@ def _witness(
         found = level[np.searchsorted(level, canon).clip(max=level.size - 1)] == canon
         k = int(np.flatnonzero(found)[0])
         index, perm = pipeline.moves[k]
-        walk.append(Instruction(PermutationGate(Permutation(perm)), index))
+        walk.append(Instruction(permutation_gate(perm), index))
         enc = images[k]
     constant = int(enc) & 3
     if constant:
-        flip = Permutation(tuple(s ^ constant for s in range(_STATES)))
-        walk.append(Instruction(PermutationGate(flip), None))
+        flip = tuple(s ^ constant for s in range(_STATES))
+        walk.append(Instruction(permutation_gate(flip), None))
     return inverse(RomProgram(RomSpace(target.num_rom_bits, 2, CLASSICAL), tuple(walk)))

@@ -22,18 +22,17 @@ from typing import Any
 
 from .program import (
     CLASSICAL,
-    MAX_LOG2DEN,
     QUANTUM,
     DyadicExponent,
     DyadicGate,
     Gate,
     Instruction,
-    Permutation,
     PermutationGate,
     ProgramError,
     RomProgram,
     RomSpace,
     UnitaryGate,
+    permutation_gate,
 )
 
 
@@ -67,8 +66,8 @@ def program_to_dict(program: RomProgram) -> dict[str, Any]:
     }
 
 
-def dumps(program: RomProgram, indent: int | None = None) -> str:
-    return json.dumps(program_to_dict(program), indent=indent)
+def dumps(program: RomProgram) -> str:
+    return json.dumps(program_to_dict(program))
 
 
 def _require(condition: bool, message: str) -> None:
@@ -77,17 +76,19 @@ def _require(condition: bool, message: str) -> None:
 
 
 def gate_from_dict(data: Any) -> Gate:
-    _require(isinstance(data, dict), f"gate must be an object, got {type(data).__name__}")
+    # A plain if, not _require: the loader calls this once per instruction.
+    if not isinstance(data, dict):
+        raise ProgramFormatError(f"gate must be an object, got {type(data).__name__}")
     if "perm" in data:
         images = data["perm"]
-        _require(isinstance(images, list) and all(type(s) is int for s in images),
+        # Check the types before the lookup: [true, false] would otherwise
+        # find the gate shared for [1, 0].
+        _require(isinstance(images, list) and set(map(type, images)) <= {int},
                  "perm must be a list of integers")
-        return PermutationGate(Permutation(tuple(images)))
+        return permutation_gate(tuple(images))
     if "axis" in data:
         _require(type(data.get("num")) is int and type(data.get("log2den")) is int,
                  "dyadic gate needs integer num and log2den")
-        if data["log2den"] > MAX_LOG2DEN:
-            raise ProgramFormatError(f"log2den must be at most {MAX_LOG2DEN}")
         return DyadicGate(data["axis"], DyadicExponent(data["num"], data["log2den"]))
     if "matrix" in data:
         rows = data["matrix"]
@@ -113,9 +114,8 @@ def program_from_dict(data: Any) -> RomProgram:
     raw = data["instructions"]
     _require(isinstance(raw, list), "instructions must be a list")
     instructions = []
-    # Compiled classical programs repeat a few dozen gates: build one gate per
-    # distinct perm and one instruction per distinct (gate, control).
-    perm_gates: dict[tuple[int, ...], Gate] = {}
+    # Compiled classical programs repeat a few dozen gates, each shared by
+    # permutation_gate: build one instruction per distinct (gate, control).
     interned: dict[tuple[int, int | None], Instruction] = {}
     for pos, item in enumerate(raw):
         # Plain ifs, not _require: its message would be formatted every time.
@@ -124,26 +124,12 @@ def program_from_dict(data: Any) -> RomProgram:
         control = item.get("control")
         if not (control is None or type(control) is int):
             raise ProgramFormatError(f"instruction {pos}: control must be an integer or null")
-        gate = _interned_gate(item["gate"], perm_gates)
+        gate = gate_from_dict(item["gate"])
         key = (id(gate), control)
         if key not in interned:
             interned[key] = Instruction(gate, control)
         instructions.append(interned[key])
     return RomProgram(space, tuple(instructions))
-
-
-def _interned_gate(data: Any, perm_gates: dict[tuple[int, ...], Gate]) -> Gate:
-    """``gate_from_dict``, with one gate object per distinct perm image tuple."""
-    images = data.get("perm") if isinstance(data, dict) else None
-    # Check the types before the lookup: True == 1 and hash(True) == hash(1),
-    # so [true, false] would otherwise find the gate cached for [1, 0].
-    if type(images) is not list or not set(map(type, images)) <= {int}:
-        return gate_from_dict(data)
-    key = tuple(images)
-    gate = perm_gates.get(key)
-    if gate is None:
-        gate = perm_gates[key] = gate_from_dict(data)
-    return gate
 
 
 def loads(text: str) -> RomProgram:

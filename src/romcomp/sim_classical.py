@@ -7,8 +7,6 @@ function the program computes.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from .boolfunc import TruthTable, VectorFunction
@@ -40,16 +38,10 @@ def evaluate(program: RomProgram, assignment: int, start: int) -> int:
 def extract_function(program: RomProgram) -> VectorFunction:
     """The boolean function computed from the all-zero start state."""
     require_kind(program, CLASSICAL)
-    # One lookup table per distinct gate object: compiled programs reuse a
-    # few dozen gates many times.
-    tables: dict[int, Callable[[np.ndarray], np.ndarray]] = {}
-    acts = []
-    for inst in program.instructions:
-        act = tables.get(id(inst.gate))
-        if act is None:
-            act = tables[id(inst.gate)] = np.array(inst.gate.perm.images, dtype=np.uint8).take
-        acts.append(act)
-    blocks = sweep(program, np.zeros(1, dtype=np.uint8), acts)
+    blocks = sweep(
+        program, np.zeros(1, dtype=np.uint8),
+        lambda gate: np.array(gate.perm.images, dtype=np.uint8).take,
+    )
     states = np.concatenate([rows[:, 0] for _, rows in blocks])
     j = program.space.num_rom_bits
     return VectorFunction(j, tuple(

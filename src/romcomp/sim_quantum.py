@@ -132,8 +132,9 @@ def unitary_of(program: RomProgram, assignment: int) -> Unitary2:
     return Unitary2(a, b, c, d)
 
 
-def _rotate(mat: Unitary2) -> Callable[[np.ndarray], np.ndarray]:
-    """Maps amplitude rows to ``rows @ mat^T``."""
+def _rotate(gate: Gate) -> Callable[[np.ndarray], np.ndarray]:
+    """Maps amplitude rows to ``rows @ mat^T``, mat the gate's matrix."""
+    mat = matrix_of_gate(gate)
     mat_t = np.array([[mat.a, mat.c], [mat.b, mat.d]])
     return lambda rows: (rows.reshape(-1, 2) @ mat_t).reshape(rows.shape)
 
@@ -144,9 +145,8 @@ def extract_boolean(program: RomProgram) -> TruthTable:
     Raises NonClassicalOutput if any assignment ends away from the basis.
     """
     require_kind(program, QUANTUM)
-    acts = [_rotate(matrix_of_gate(inst.gate)) for inst in program.instructions]
     bits = []
-    for first, amps in sweep(program, np.array([1, 0], dtype=complex), acts):
+    for first, amps in sweep(program, np.array([1, 0], dtype=complex), _rotate):
         p1 = amps[:, 1].real ** 2 + amps[:, 1].imag ** 2
         unsure = np.flatnonzero((p1 > OUTCOME_THRESHOLD) & (p1 < 1.0 - OUTCOME_THRESHOLD))
         if unsure.size:

@@ -8,7 +8,7 @@ none of them.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -32,15 +32,23 @@ def active_gates(program: RomProgram, assignment: int) -> list[Gate]:
 
 
 def sweep(
-    program: RomProgram, start: np.ndarray, acts: Sequence[Callable[[np.ndarray], np.ndarray]]
+    program: RomProgram,
+    start: np.ndarray,
+    act_of: Callable[[Gate], Callable[[np.ndarray], np.ndarray]],
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (first assignment, final rows) per block, in assignment order.
 
-    Rows start as ``start``; ``acts[i]`` maps rows to their images under gate i.
+    Rows start as ``start``; ``act_of(gate)`` maps rows to their images under
+    the gate.  It is called once per distinct gate object, since compiled
+    programs repeat a few dozen gates many times.
     """
     j = program.space.num_rom_bits
     if j > SWEEP_LIMIT:
         raise ValueError(f"{j} ROM bits exceeds the sweep limit ({SWEEP_LIMIT})")
+    # The program keeps its gates alive, so their ids stay unique.
+    gates = {id(inst.gate): inst.gate for inst in program.instructions}
+    acts = {key: act_of(gate) for key, gate in gates.items()}
+    steps = [(inst.control or 0, acts[id(inst.gate)]) for inst in program.instructions]
     k = min(j, BLOCK_BITS)
     for high in range(1 << (j - k)):
         rows = np.tile(start, (1 << k, 1))
@@ -48,7 +56,7 @@ def sweep(
         views = [rows]
         views += [rows.reshape(1 << (k - c), 2, 1 << (c - 1), -1)[:, 1] for c in range(1, k + 1)]
         views += [rows if high >> b & 1 else rows[:0] for b in range(j - k)]
-        for inst, act in zip(program.instructions, acts):
-            view = views[inst.control or 0]
+        for control, act in steps:
+            view = views[control]
             view[...] = act(view)
         yield high << k, rows

@@ -20,32 +20,32 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, TypeVar
 
 from .boolfunc import Anf, ParseError, TruthTable
 from .program import (
     CLASSICAL,
     Instruction,
     Permutation,
-    PermutationGate,
     RomProgram,
     RomSpace,
-    check_doubling_width,
+    check_rom_calls,
+    doubling_calls,
+    permutation_gate,
 )
 
 # Two-register gate tables; register 1 is the low state bit.
-NOT_REG1 = Permutation((1, 0, 3, 2))
-NOT_REG2 = Permutation((2, 3, 0, 1))
-CNOT_INTO_REG1 = Permutation((0, 1, 3, 2))
-CNOT_INTO_REG2 = Permutation((0, 3, 2, 1))
+NOT_REG1 = (1, 0, 3, 2)
+NOT_REG2 = (2, 3, 0, 1)
+CNOT_INTO_REG1 = (0, 1, 3, 2)
+CNOT_INTO_REG2 = (0, 3, 2, 1)
 
 
 def not_gate(register: int, rom_bit: int | None) -> Instruction:
     """NOT on one register, optionally conditioned on a ROM bit."""
     if register not in (1, 2):
         raise ValueError(f"register must be 1 or 2, got {register}")
-    return Instruction(
-        PermutationGate(NOT_REG1 if register == 1 else NOT_REG2), rom_bit
-    )
+    return Instruction(permutation_gate(NOT_REG1 if register == 1 else NOT_REG2), rom_bit)
 
 
 def cnot_gate(target: int, rom_bit: int | None) -> Instruction:
@@ -53,7 +53,7 @@ def cnot_gate(target: int, rom_bit: int | None) -> Instruction:
     if target not in (1, 2):
         raise ValueError(f"target must be 1 or 2, got {target}")
     return Instruction(
-        PermutationGate(CNOT_INTO_REG1 if target == 1 else CNOT_INTO_REG2), rom_bit
+        permutation_gate(CNOT_INTO_REG1 if target == 1 else CNOT_INTO_REG2), rom_bit
     )
 
 
@@ -77,7 +77,7 @@ def monomial_into_register(variables: list[int], target: int, num_rom_bits: int)
     for v in variables:
         if not 1 <= v <= num_rom_bits:
             raise ValueError(f"variable u_{v} out of range for {num_rom_bits} ROM bits")
-    check_doubling_width(len(variables))
+    doubling_calls(len(variables))
     space = RomSpace(num_rom_bits, 2, CLASSICAL)
     if not variables:
         return RomProgram(space, (not_gate(target, None),))
@@ -102,14 +102,11 @@ def compile_pair(f1: Anf, f2: Anf, num_rom_bits: int) -> RomProgram:
     """Two-bit program computing (f1, f2) into registers (1, 2)."""
     if f1.num_vars != num_rom_bits or f2.num_vars != num_rom_bits:
         raise ValueError("component arities must match num_rom_bits")
-    space = RomSpace(num_rom_bits, 2, CLASSICAL)
-    instructions: list[Instruction] = []
-    for anf, register in ((f1, 1), (f2, 2)):
-        for vars_ in anf.var_lists():
-            instructions.extend(
-                monomial_into_register(vars_, register, num_rom_bits).instructions
-            )
-    return RomProgram(space, tuple(instructions))
+    products = [(vars_, 1) for vars_ in f1.var_lists()] + [(vars_, 2) for vars_ in f2.var_lists()]
+    check_rom_calls(sum(doubling_calls(len(vars_)) for vars_, _ in products))
+    instructions = [inst for vars_, register in products
+                    for inst in monomial_into_register(vars_, register, num_rom_bits).instructions]
+    return RomProgram(RomSpace(num_rom_bits, 2, CLASSICAL), tuple(instructions))
 
 
 # ---------------------------------------------------------------------------
@@ -140,47 +137,63 @@ class OrNode:
 
 
 CircuitNode = InputNode | NotNode | AndNode | OrNode
+T = TypeVar("T")
+
+
+def _fold(circuit: CircuitNode, leaf: Callable[[int], T], negate: Callable[[T], T],
+          join: Callable[[CircuitNode, T, T], T]) -> T:
+    """The circuit's value built bottom up: ``leaf(index)`` at an input,
+    ``negate`` through NOT, ``join(node, left, right)`` at AND and OR.  Each
+    node is valued once, keyed by id: XOR reads its operands twice."""
+    memo: dict[int, T] = {}
+
+    def value(node: CircuitNode) -> T:
+        if id(node) not in memo:
+            if isinstance(node, InputNode):
+                memo[id(node)] = leaf(node.index)
+            elif isinstance(node, NotNode):
+                memo[id(node)] = negate(value(node.child))
+            else:
+                memo[id(node)] = join(node, value(node.left), value(node.right))
+        return memo[id(node)]
+
+    return value(circuit)
 
 
 def circuit_depth(node: CircuitNode) -> int:
     """Longest path to an input, counting AND/OR nodes only."""
-    if isinstance(node, InputNode):
-        return 0
-    if isinstance(node, NotNode):
-        return circuit_depth(node.child)
-    return 1 + max(circuit_depth(node.left), circuit_depth(node.right))
+    return _fold(node, lambda _: 0, lambda d: d, lambda _, left, right: 1 + max(left, right))
 
 
 def circuit_inputs(node: CircuitNode) -> set[int]:
-    if isinstance(node, InputNode):
-        return {node.index}
-    if isinstance(node, NotNode):
-        return circuit_inputs(node.child)
-    return circuit_inputs(node.left) | circuit_inputs(node.right)
+    return _fold(node, lambda index: {index}, lambda s: s, lambda _, left, right: left | right)
 
 
 def eval_circuit(node: CircuitNode, assignment: int) -> int:
-    if isinstance(node, InputNode):
-        return assignment >> (node.index - 1) & 1
-    if isinstance(node, NotNode):
-        return 1 - eval_circuit(node.child, assignment)
-    if isinstance(node, AndNode):
-        return eval_circuit(node.left, assignment) & eval_circuit(node.right, assignment)
-    return eval_circuit(node.left, assignment) | eval_circuit(node.right, assignment)
+    return _fold(node, lambda index: assignment >> (index - 1) & 1, lambda v: 1 - v,
+                 lambda n, left, right: left & right if isinstance(n, AndNode) else left | right)
+
+
+def branching_length(circuit: CircuitNode) -> int:
+    """Length of ``barrington``'s program for the circuit, without building
+    it: 1 per input, the child's through NOT, twice both children's through
+    AND and OR."""
+    return _fold(circuit, lambda _: 1, lambda n: n, lambda _, left, right: 2 * (left + right))
+
+
+def _balanced(nodes: list[CircuitNode], join: Callable[..., CircuitNode]) -> CircuitNode:
+    """The nodes joined over a balanced tree, the left half the larger."""
+    if len(nodes) == 1:
+        return nodes[0]
+    mid = (len(nodes) + 1) // 2
+    return join(_balanced(nodes[:mid], join), _balanced(nodes[mid:], join))
 
 
 def balanced_and_circuit(num_inputs: int) -> CircuitNode:
     """AND of x1..xn as a balanced tree of depth ceil(log2 n)."""
     if num_inputs < 1:
         raise ValueError("need at least one input")
-
-    def build(lo: int, hi: int) -> CircuitNode:
-        if hi - lo == 1:
-            return InputNode(lo)
-        mid = (lo + hi + 1) // 2
-        return AndNode(build(lo, mid), build(mid, hi))
-
-    return build(1, num_inputs + 1)
+    return _balanced([InputNode(i) for i in range(1, num_inputs + 1)], AndNode)
 
 
 def parse_circuit(text: str) -> CircuitNode:
@@ -240,27 +253,12 @@ def anf_to_circuit(anf: Anf) -> CircuitNode:
     def xor(a: CircuitNode, b: CircuitNode) -> CircuitNode:
         return OrNode(AndNode(a, NotNode(b)), AndNode(NotNode(a), b))
 
-    def tree(nodes: list[CircuitNode]) -> CircuitNode:
-        if len(nodes) == 1:
-            return nodes[0]
-        mid = (len(nodes) + 1) // 2
-        return xor(tree(nodes[:mid]), tree(nodes[mid:]))
-
-    terms: list[CircuitNode] = []
-    for variables in anf.var_lists():
-        if not variables:
-            terms.append(OrNode(x1, NotNode(x1)))
-            continue
-        vars_ = [InputNode(v) for v in variables]
-
-        def and_tree(nodes: list[CircuitNode]) -> CircuitNode:
-            if len(nodes) == 1:
-                return nodes[0]
-            mid = (len(nodes) + 1) // 2
-            return AndNode(and_tree(nodes[:mid]), and_tree(nodes[mid:]))
-
-        terms.append(and_tree(vars_))
-    return tree(terms)
+    terms = [
+        _balanced([InputNode(v) for v in variables], AndNode)
+        if variables else OrNode(x1, NotNode(x1))
+        for variables in anf.var_lists()
+    ]
+    return _balanced(terms, xor)
 
 
 @dataclass(frozen=True, slots=True)
@@ -392,28 +390,25 @@ def circuit_to_three_bit(circuit: CircuitNode, num_rom_bits: int) -> RomProgram:
     for index in circuit_inputs(circuit):
         if index > num_rom_bits:
             raise ValueError(f"circuit reads x{index} but space has {num_rom_bits} ROM bits")
+    # Every step's controlled difference is a conjugate of a 5-cycle, so each
+    # of the four runs costs exactly one call per step.
+    check_rom_calls(4 * branching_length(circuit))
     space = RomSpace(num_rom_bits, 3, CLASSICAL)
     instructions: list[Instruction] = []
     for cycle in BIT_FLIP_FIVE_CYCLES:
         rho, support = five_cycle_on_support(cycle)
-        # Barrington's steps repeat a few dozen distinct (if0, if1) pairs:
-        # embed each pair once, and build each step's instructions once.
-        gates: dict[tuple[tuple[int, ...], ...], tuple[PermutationGate, PermutationGate]] = {}
+        # Barrington's steps repeat a few dozen distinct steps: build each
+        # one's instructions once.
         built: dict[tuple[int, tuple[int, ...], tuple[int, ...]], tuple[Instruction, ...]] = {}
         for bit, if0, if1 in barrington(circuit, rho).steps:
             key = (bit, if0.images, if1.images)
             if key not in built:
-                pair = key[1:]
-                if pair not in gates:
-                    gates[pair] = (
-                        PermutationGate(embed_permutation(if0, support, 8)),
-                        PermutationGate(embed_permutation(if0.inverse().then(if1), support, 8)),
-                    )
-                always, conditional = gates[pair]
+                always = embed_permutation(if0, support, 8)
+                conditional = embed_permutation(if0.inverse().then(if1), support, 8)
                 built[key] = tuple(
-                    Instruction(gate, control)
-                    for gate, control in ((always, None), (conditional, bit))
-                    if not gate.perm.is_identity()
+                    Instruction(permutation_gate(perm.images), control)
+                    for perm, control in ((always, None), (conditional, bit))
+                    if not perm.is_identity()
                 )
             instructions.extend(built[key])
     return RomProgram(space, tuple(instructions))

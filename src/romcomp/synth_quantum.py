@@ -28,7 +28,8 @@ from .program import (
     Instruction,
     RomProgram,
     RomSpace,
-    check_doubling_width,
+    check_rom_calls,
+    doubling_calls,
 )
 
 _ONE = DyadicExponent(1)
@@ -66,7 +67,7 @@ def _naive_block(axis: str, controls: list[int]) -> list[Instruction]:
 def and_naive(controls: list[int], num_rom_bits: int) -> RomProgram:
     """XOR the AND of the given ROM bits into the qubit, doubling recursion."""
     _check_controls(controls, num_rom_bits)
-    check_doubling_width(len(controls))
+    doubling_calls(len(controls))
     ops = _naive_block(AXIS_X, list(controls))
     space = RomSpace(num_rom_bits, 1, QUANTUM)
     return RomProgram(space, tuple(reversed(ops)))
@@ -133,8 +134,14 @@ def compile_function(anf: Anf, num_rom_bits: int, method: str = "fast") -> RomPr
     if method not in ("fast", "naive"):
         raise ValueError(f"method must be 'fast' or 'naive', got {method!r}")
     build = and_fast if method == "fast" else and_naive
+    var_lists = anf.var_lists()
+    # and_fast's 4^ceil(log2 m) counts the free dummy slots of its padding.
+    check_rom_calls(sum(
+        4 ** (len(v) - 1).bit_length() if build is and_fast and v else doubling_calls(len(v))
+        for v in var_lists
+    ))
     instructions: list[Instruction] = []
-    for vars_ in anf.var_lists():
+    for vars_ in var_lists:
         if vars_:
             instructions.extend(build(vars_, num_rom_bits).instructions)
         else:

@@ -493,3 +493,72 @@ def test_registers_without_a_flag_hold_constant_zero(capsys, tmp_path):
     _pipe_compile_verify(
         capsys, tmp_path, ["compile", "--backend", "classical2", "--and-of", "2"], ["--f2", "1.2"]
     )
+
+
+# 20 distinct products of 20 of the variables 1..21 (20 x 1,572,862 calls).
+TWENTY_PRODUCTS = ",".join(
+    ".".join(str(v) for v in range(1, 22) if v != skip) for skip in range(1, 21)
+)
+# 999 products of 8 variables: an XOR tree ten levels deep, whose operands
+# are shared, so walking it without a memo visits about 10^7 nodes.
+MANY_PRODUCTS = ",".join(".".join(str(v) for v in range(s, s + 8)) for s in range(1, 1000))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--backend", "classical3", "--table", "6b3a91e4d2f07c15"],
+    ["--backend", "classical3", "--monomials", MANY_PRODUCTS],
+    ["--backend", "classical2", "--monomials", TWENTY_PRODUCTS],
+    ["--backend", "classical2", "--f2", TWENTY_PRODUCTS],
+    ["--backend", "quantum1", "--naive", "--monomials", TWENTY_PRODUCTS],
+], ids=["classical3", "classical3-many-products", "classical2", "classical2-f2",
+        "quantum1-naive"])
+def test_compile_refuses_programs_past_the_rom_call_budget(capsys, argv):
+    code, out, err = run(capsys, "compile", *argv)
+    assert_one_error_line(code, out, err)
+    assert "ROM calls" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--monomials", "20000000000"],
+    ["--monomials", "1,2.1000000000000"],
+    ["--monomials", "1", "--num-rom-bits", "20000000000"],
+    ["--monomials", "1", "--num-vars", "20000000000"],
+    ["--table", "ff", "--num-vars", "20000000000"],
+    ["--f1", "m:1.2000"],
+    ["--and-of", "20000000000"],
+    ["--monomials", "1", "--num-rom-bits", "1025"],
+], ids=["index", "index-in-product", "num-rom-bits", "num-vars", "table-num-vars", "f1",
+        "and-of", "one-past-the-cap"])
+def test_compile_refuses_widths_past_the_cap(capsys, argv):
+    # Each would build masks or tables of 2^width bits before failing.
+    code, out, err = run(capsys, "compile", "--backend", "quantum1", *argv)
+    assert_one_error_line(code, out, err)
+    assert "exceed the limit (1024)" in err
+
+
+def test_compile_width_cap_covers_every_backend(capsys):
+    for argv in (["classical2", "--f2", "1.2000"], ["classical3", "--circuit", "(and x1 x2000)"]):
+        code, out, err = run(capsys, "compile", "--backend", *argv)
+        assert_one_error_line(code, out, err)
+        assert "2000 variables exceed the limit (1024)" in err
+
+
+def test_compile_accepts_the_width_cap(capsys):
+    code, out, _ = run(capsys, "compile", "--backend", "quantum1", "--monomials", "1",
+                       "--num-rom-bits", "1024")
+    assert code == 0
+    assert json.loads(out)["num_rom_bits"] == 1024
+
+
+def test_anf_refuses_a_wide_table_width(capsys):
+    assert_one_error_line(*run(capsys, "anf", "--table", "ff", "--num-vars", "20000000000"))
+
+
+@pytest.mark.parametrize("flag", [["--f1", "1"], ["--table", "ff"]])
+def test_verify_refuses_a_wide_program_before_building_the_expected_table(capsys, tmp_path, flag):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"num_rom_bits": 20000000000, "num_writable": 2,
+                                "kind": "classical", "instructions": []}))
+    code, out, err = run(capsys, "verify", str(path), *flag)
+    assert_one_error_line(code, out, err)
+    assert "sweep limit" in err

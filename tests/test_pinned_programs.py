@@ -1,9 +1,9 @@
-"""Compiled three-bit programs pinned byte for byte.
+"""Compiled programs pinned byte for byte.
 
 The compilers and the wire format share gate and instruction objects between
-the many steps of a Barrington program.  The digests below were taken from
-the construction that built a fresh object for every step, so any change in
-what is emitted, or in the ROM-call and gate counts, shows here.
+the many steps of a program.  The digests below were taken from constructions
+that built a fresh object for every instruction, so any change in what is
+emitted, or in the ROM-call and gate counts, shows here.
 """
 
 import hashlib
@@ -13,13 +13,19 @@ import pytest
 from romcomp import (
     TruthTable,
     and_barrington,
+    and_sequence,
     anf_of,
+    balanced_and_circuit,
     circuit_to_three_bit,
+    compile_function,
+    compile_pair,
     dumps,
     loads,
+    parse_table,
     rom_call_count,
 )
-from romcomp.synth_classical import anf_to_circuit
+from romcomp.program import MAX_ROM_CALLS
+from romcomp.synth_classical import anf_to_circuit, branching_length
 
 # m -> (sha256 of dumps, ROM calls, gates)
 AND_BARRINGTON = {
@@ -66,3 +72,72 @@ def test_and_barrington_is_pinned(m):
 def test_three_bit_compile_is_pinned(packed):
     anf = anf_of(TruthTable.from_int(3, packed))
     check_pinned(circuit_to_three_bit(anf_to_circuit(anf), 3), THREE_BIT[packed])
+
+
+def test_three_bit_calls_are_predicted_before_building():
+    # circuit_to_three_bit refuses a program past MAX_ROM_CALLS from
+    # 4 * branching_length, so that count must be exact.
+    for m, (_, calls, _) in AND_BARRINGTON.items():
+        assert 4 * branching_length(balanced_and_circuit(m)) == calls
+    for packed, (_, calls, _) in THREE_BIT.items():
+        assert 4 * branching_length(anf_to_circuit(anf_of(TruthTable.from_int(3, packed)))) == calls
+    for table in ("6996", "b7c3"):
+        circuit = anf_to_circuit(anf_of(parse_table(table)))
+        assert 4 * branching_length(circuit) == rom_call_count(circuit_to_three_bit(circuit, 4))
+    # Five variables, counted by building each once outside the suite: both
+    # fit the budget.  Six variables do not (46,465,024 calls).
+    for table, calls in (("6b3a91e4", 1_527_808), ("d2f07c15", 1_103_872),
+                         ("6b3a91e4d2f07c15", 46_465_024)):
+        assert 4 * branching_length(anf_to_circuit(anf_of(parse_table(table)))) == calls
+    assert 1_527_808 <= MAX_ROM_CALLS < 46_465_024
+
+
+# j -> packed tables (f1, f2) of j variables, from random.Random(9): per j,
+# two getrandbits(2**j).
+TWO_REGISTER_TABLES = {
+    2: (0x7, 0x9),
+    3: (0x5F, 0x44),
+    4: (0x2377, 0x2FA7),
+    5: (0xDDD6FF55, 0xAD38835E),
+    6: (0x569C803601A5BA50, 0x76B6745180B65386),
+}
+
+# (construction, j) -> (sha256 of dumps, ROM calls, gates).  "pair" is
+# compile_pair(f1, f2), "fast" and "naive" are compile_function(f1), and
+# "sequence" is and_sequence(j, j).
+TWO_REGISTER = {
+    ("pair", 2): ("c20506e8f2c702a171f92e3be8e5e73d6ad25bfcb6b8a501b5bb986a9da50754", 6, 8),
+    ("fast", 2): ("c6b2fd7f41a90ec074b6fb77dbf593b9557bf59badf8dcbc39c44972c449f28c", 4, 5),
+    ("naive", 2): ("c6b2fd7f41a90ec074b6fb77dbf593b9557bf59badf8dcbc39c44972c449f28c", 4, 5),
+    ("sequence", 2): ("8eba9bb88851474f7be7ecddd656f26ab6c3a128cd1b0889c35fd80ad24acab3", 4, 4),
+    ("pair", 3): ("d8839800e5bdb34ab18f5e2cb75c35a7e013cd883a79df18f6c1ab7456166cbe", 9, 10),
+    ("fast", 3): ("e8d9b304e559205ffc0c8cd1725b16f54719c05b9a482a5918f369d7708676fc", 4, 5),
+    ("naive", 3): ("e8d9b304e559205ffc0c8cd1725b16f54719c05b9a482a5918f369d7708676fc", 4, 5),
+    ("sequence", 3): ("338a97218b9b80657079d05e0bc12ba32be2f86a016408c8dd56f0c77d0de7b0", 10, 10),
+    ("pair", 4): ("a9dc511aae4781007ea67b4d55dfe02bb85607c7a94cf827838e3b034b253d78", 93, 95),
+    ("fast", 4): ("f708231776e63eaf09f1e0c01f439bc13d322b13681c230826c3a3c428258d71", 64, 77),
+    ("naive", 4): ("980838b8b8be6126e7746a6fdc5407e9749b4ec7331c02d990aaa8864f303120", 64, 65),
+    ("sequence", 4): ("09257d4bf89f4b719e9f37ed9cbb9c1aba4c1cd0a38faca3855c25288b33aead", 22, 22),
+    ("pair", 5): ("c412a454291265119fe4a3f53da25952cea0d2d7d9262a84291d8350aa1faf1d", 258, 259),
+    ("fast", 5): ("5380538b4cb74edf1bb18aafdeefc3232f6e4b2b35ef3b8d1f36d710ad197780", 154, 195),
+    ("naive", 5): ("6535bdcb4b83f73715bd581c7d633cd9f8cd47c5fb0792a666017b5e4931f767", 170, 171),
+    ("sequence", 5): ("e61ac110c6967d0c831743131590fa514d7d4dc5fc5e1f7abd7fe8d139d95ea4", 46, 46),
+    ("pair", 6): ("bfde18ad458e058edc88589c11e36374d4cca5e2f52aae63dff2af8301755d1d", 862, 862),
+    ("fast", 6): ("337cbde4942737f1329e8bf75cb6cc251de60cc084a800cd346a3c90826510db", 394, 506),
+    ("naive", 6): ("c2a6977f0c4fc31ad61e4d4d5c29371b356e42762954777a8eaf363707bc3291", 494, 494),
+    ("sequence", 6): ("65cabd6a2823d31d0f282a4c99dc3e6091a28799af3ae6c8926fc0fdf903df66", 94, 94),
+}
+
+
+def build_two_register(construction, j):
+    f1, f2 = (anf_of(TruthTable.from_int(j, t)) for t in TWO_REGISTER_TABLES[j])
+    if construction == "pair":
+        return compile_pair(f1, f2, j)
+    if construction == "sequence":
+        return and_sequence(j, j)[0]
+    return compile_function(f1, j, construction)
+
+
+@pytest.mark.parametrize("construction, j", sorted(TWO_REGISTER))
+def test_one_and_two_register_compiles_are_pinned(construction, j):
+    check_pinned(build_two_register(construction, j), TWO_REGISTER[construction, j])

@@ -22,7 +22,9 @@ from romcomp import (
     rom_call_count,
     unitary_of,
 )
+from romcomp.program import permutation_gate
 from romcomp.sim_quantum import Unitary2
+from romcomp.synth_classical import cnot_gate, not_gate
 
 SPACE2 = RomSpace(2, 2, CLASSICAL)
 NOT1 = PermutationGate(Permutation((1, 0, 3, 2)))
@@ -210,3 +212,23 @@ def test_repeated_checks_report_the_first_offending_position():
     with pytest.raises(KindMismatchError, match="^classical gate at 1 in a quantum program$"):
         RomProgram(RomSpace(2, 1, QUANTUM), (Instruction(DyadicGate("X", DyadicExponent(1)), 1),
                                              Instruction(NOT1, 1), Instruction(NOT1, 1)))
+
+
+def test_permutation_gates_are_shared():
+    gate = permutation_gate((1, 0, 3, 2))
+    assert gate is permutation_gate((1, 0, 3, 2)) == NOT1
+    assert not_gate(1, None).gate is not_gate(1, 2).gate is gate
+    assert cnot_gate(2, 1).gate is cnot_gate(2, 3).gate
+    # Inverses come from the same cache: an involution is its own inverse.
+    assert gate.inverse() is gate
+    cycle = permutation_gate((1, 2, 3, 0))
+    assert cycle.inverse() is permutation_gate((3, 0, 1, 2))
+    assert cycle.inverse().inverse() is cycle
+
+
+@pytest.mark.parametrize("images", [(0,), (0, 1, 2), (1, 2, 3, 4, 0), tuple(range(16))])
+def test_permutation_gate_refuses_other_widths_without_caching(images):
+    before = permutation_gate.cache_info().currsize
+    with pytest.raises(ProgramError, match="2, 4 or 8 states"):
+        permutation_gate(images)
+    assert permutation_gate.cache_info().currsize == before

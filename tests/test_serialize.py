@@ -10,6 +10,7 @@ from romcomp import (
     program_from_dict,
     program_to_dict,
 )
+from romcomp.program import permutation_gate
 from romcomp.synth_classical import and_barrington, compile_pair
 from romcomp.synth_quantum import and_fast
 
@@ -155,3 +156,20 @@ def test_repeated_bad_control_reports_its_first_position():
                        "instructions": [good, good, bad, good, bad]})
     with pytest.raises(ProgramFormatError, match="^control u_3 at 2 exceeds 2 ROM bits$"):
         loads(text)
+
+
+@pytest.mark.parametrize("images", [[1, 2, 3, 4, 0], list(range(16))])
+def test_odd_width_perm_is_refused_before_the_gate_cache(images):
+    # The shared-gate cache must stay bounded whatever a document asks for.
+    doc = {"num_rom_bits": 1, "num_writable": 3, "kind": "classical",
+           "instructions": [{"control": 1, "gate": {"perm": images}}]}
+    before = permutation_gate.cache_info().currsize
+    with pytest.raises(ProgramFormatError, match="2, 4 or 8 states"):
+        loads(json.dumps(doc))
+    assert permutation_gate.cache_info().currsize == before
+
+
+def test_loads_returns_the_compilers_own_gates():
+    program = and_barrington(3)
+    loaded = loads(dumps(program))
+    assert all(a.gate is b.gate for a, b in zip(program.instructions, loaded.instructions))

@@ -161,3 +161,22 @@ def test_block_sweep_matches_evaluate(seed):
     for u in edges + rng.sample(range(1 << j), 200):
         state = evaluate(prog, u, 0)
         assert [table.bits[u] for table in vf.components] == [state >> b & 1 for b in range(3)]
+
+
+def test_sweep_builds_one_action_per_distinct_gate_object():
+    import numpy as np
+
+    from romcomp import and_barrington
+    from romcomp.sweep import sweep
+
+    program = and_barrington(8)
+    made = []
+
+    def act_of(gate):
+        made.append(gate)
+        return np.array(gate.perm.images, dtype=np.uint8).take
+
+    (_, rows), = sweep(program, np.zeros(1, dtype=np.uint8), act_of)
+    assert rows[:, 0].tolist() == [0] * 255 + [1]
+    distinct = {id(inst.gate) for inst in program.instructions}
+    assert len(made) == len({id(gate) for gate in made}) == len(distinct) < len(program)

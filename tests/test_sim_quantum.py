@@ -192,3 +192,23 @@ def test_kind_mismatch():
         unitary_of(classical, 0)
     with pytest.raises(KindMismatchError):
         extract_boolean(classical)
+
+
+def test_extract_boolean_builds_one_action_per_shared_gate(monkeypatch):
+    import romcomp.sim_quantum as sim_quantum
+
+    rotated = []
+    real_rotate = sim_quantum._rotate
+
+    def counting_rotate(gate):
+        rotated.append(gate)
+        return real_rotate(gate)
+
+    monkeypatch.setattr(sim_quantum, "_rotate", counting_rotate)
+    half = DyadicGate("X", DyadicExponent(1, 1))
+    program = RomProgram(RomSpace(2, 1, QUANTUM), tuple(
+        Instruction(half, control) for control in (1, 2, 1, 2)
+    ))
+    # X^(1/2) four times under u1 or u2: X when exactly one of them is set.
+    assert extract_boolean(program).bits == (0, 1, 1, 0)
+    assert len(rotated) == 1

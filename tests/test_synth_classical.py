@@ -14,6 +14,7 @@ from romcomp import (
     ParseError,
     Permutation,
     and_barrington,
+    anf_of,
     balanced_and_circuit,
     barrington,
     circuit_depth,
@@ -29,11 +30,13 @@ from romcomp import (
     not_gate,
     one_bit_reachable,
     parse_circuit,
+    parse_table,
     rom_call_count,
     and_sequence,
     truth_table_of,
 )
-from romcomp.synth_classical import anf_to_circuit
+from romcomp.program import MAX_ROM_CALLS, doubling_calls
+from romcomp.synth_classical import anf_to_circuit, branching_length, circuit_inputs
 
 
 def and_bits(u, m):
@@ -126,6 +129,41 @@ def test_doubling_past_the_bound_is_refused_before_building():
         compile_pair(Anf(21, frozenset()), Anf(21, frozenset({(1 << 21) - 1})), 21)
     # Barrington's construction grows as 4^depth, not by doubling.
     assert rom_call_count(and_barrington(21)) > 0
+
+
+def twenty_products_of_twenty(num_vars=21):
+    """20 distinct products of 20 of 21 variables: each fits the budget, the
+    sum (20 x 1,572,862 calls) does not."""
+    full = (1 << num_vars) - 1
+    return Anf(num_vars, frozenset(full ^ (1 << v) for v in range(20)))
+
+
+def test_doubling_calls_match_the_built_programs():
+    for m in range(0, 9):
+        program = monomial_into_register(list(range(1, m + 1)), 1, max(m, 1))
+        assert rom_call_count(program) == doubling_calls(m)
+    assert doubling_calls(20) == 1_572_862 <= MAX_ROM_CALLS
+    # Refused by width, before 2**(m-1) is formed.
+    with pytest.raises(ValueError, match="20000000000 ROM bits"):
+        doubling_calls(20_000_000_000)
+
+
+def test_compile_pair_is_bounded_by_its_summed_rom_calls():
+    wide = twenty_products_of_twenty()
+    with pytest.raises(ValueError, match="31457240 ROM calls"):
+        compile_pair(wide, Anf(21, frozenset()), 21)
+    with pytest.raises(ValueError, match="31457240 ROM calls"):
+        compile_pair(Anf(21, frozenset()), wide, 21)
+    # A product past the bound is still refused for its own width first.
+    both = Anf(21, wide.monomials | {(1 << 21) - 1})
+    with pytest.raises(ValueError, match="21 ROM bits"):
+        compile_pair(both, Anf(21, frozenset()), 21)
+
+
+def test_three_bit_compile_is_bounded_by_its_predicted_rom_calls():
+    circuit = anf_to_circuit(anf_of(parse_table("6b3a91e4d2f07c15")))
+    with pytest.raises(ValueError, match="46465024 ROM calls"):
+        circuit_to_three_bit(circuit, 6)
 
 
 def test_monomial_into_register_steering():
@@ -368,3 +406,14 @@ def test_one_bit_closure_with_wider_controls():
     and3 = tuple(and_bits(u, 3) for u in range(8))
     assert and3 not in reachable
     assert len({t.bits for t in one_bit_reachable(3, max_controls=3)}) == 256
+
+
+def test_circuit_walks_value_each_shared_node_once():
+    # Sixty nested ANDs of a node with itself: 2^60 paths, 61 nodes.
+    node = InputNode(1)
+    for _ in range(60):
+        node = AndNode(node, node)
+    assert circuit_inputs(node) == {1}
+    assert circuit_depth(node) == 60
+    assert branching_length(node) == 4 ** 60
+    assert (eval_circuit(node, 0), eval_circuit(node, 1)) == (0, 1)

@@ -16,6 +16,7 @@ from romcomp import (
 )
 
 from test_sim_quantum import two_control_flip_program
+from test_synth_classical import twenty_products_of_twenty
 
 
 def and_table(controls, num_rom_bits):
@@ -182,3 +183,13 @@ def test_compile_arity_mismatch():
         compile_function(Anf(2, frozenset()), 3)
     with pytest.raises(ValueError):
         compile_function(Anf(2, frozenset()), 2, method="slow")
+
+
+def test_compile_function_is_bounded_by_its_summed_rom_calls():
+    with pytest.raises(ValueError, match="31457240 ROM calls"):
+        compile_function(twenty_products_of_twenty(), 21, "naive")
+    # and_fast pads 600 controls to 1024 leaves, 4^10 calls each: three of
+    # them are past the budget.
+    products = [sum(1 << v for v in range(start, start + 600)) for start in (0, 200, 424)]
+    with pytest.raises(ValueError, match=f"{3 * 4 ** 10} ROM calls"):
+        compile_function(Anf(1024, frozenset(products)), 1024)

@@ -32,7 +32,8 @@ class TruthTable:
                 f"table for {self.num_vars} vars needs {1 << self.num_vars} entries, "
                 f"got {len(self.bits)}"
             )
-        if any(b not in (0, 1) for b in self.bits):
+        # Two C-level counts: a generator over 2^16 entries cost more than the sweep.
+        if self.bits.count(0) + self.bits.count(1) != len(self.bits):
             raise ValueError("table entries must be 0 or 1")
 
     @classmethod

@@ -11,7 +11,7 @@ import numpy as np
 
 from .boolfunc import TruthTable, VectorFunction
 from .program import CLASSICAL, Permutation, RomProgram, require_kind
-from .sweep import active_gates, sweep
+from .sweep import Apply, active_gates, sweep
 
 
 def permutation_of(program: RomProgram, assignment: int) -> Permutation:
@@ -35,12 +35,20 @@ def evaluate(program: RomProgram, assignment: int, start: int) -> int:
     return state
 
 
+def _gather(images: np.ndarray) -> Apply:
+    """Maps state rows to ``images[sub, state]``: one image table per
+    sub-assignment, read with one flat gather."""
+    flat, n = images.ravel(), images.shape[1]
+    return lambda sub, rows: flat.take(sub.astype(np.intp)[:, None] * n + rows)
+
+
 def extract_function(program: RomProgram) -> VectorFunction:
     """The boolean function computed from the all-zero start state."""
     require_kind(program, CLASSICAL)
     blocks = sweep(
         program, np.zeros(1, dtype=np.uint8),
         lambda gate: np.array(gate.perm.images, dtype=np.uint8).take,
+        np.arange(program.space.num_states, dtype=np.uint8), _gather,
     )
     states = np.concatenate([rows[:, 0] for _, rows in blocks])
     j = program.space.num_rom_bits

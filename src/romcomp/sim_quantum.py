@@ -14,7 +14,6 @@ from __future__ import annotations
 import cmath
 import functools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .program import (
     UnitaryGate,
     require_kind,
 )
-from .sweep import active_gates, sweep
+from .sweep import Act, Apply, active_gates, sweep
 
 # |amplitude|^2 above this counts as a definite basis-state outcome.
 OUTCOME_THRESHOLD = 1e-9
@@ -132,11 +131,26 @@ def unitary_of(program: RomProgram, assignment: int) -> Unitary2:
     return Unitary2(a, b, c, d)
 
 
-def _rotate(gate: Gate) -> Callable[[np.ndarray], np.ndarray]:
+def _rotate(gate: Gate) -> Act:
     """Maps amplitude rows to ``rows @ mat^T``, mat the gate's matrix."""
     mat = matrix_of_gate(gate)
     mat_t = np.array([[mat.a, mat.c], [mat.b, mat.d]])
     return lambda rows: (rows.reshape(-1, 2) @ mat_t).reshape(rows.shape)
+
+
+def _combine(columns: np.ndarray) -> Apply:
+    """Maps amplitude rows to ``mat[sub] @ row``, where ``columns[sub]`` holds
+    the columns of ``mat[sub]``; 1-D gathers beat fancy indexing here."""
+    m00, m10, m01, m11 = columns.reshape(-1, 4).T.copy()
+
+    def combine(sub: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        a0, a1 = rows[:, 0], rows[:, 1]
+        out = np.empty_like(rows)
+        out[:, 0] = m00.take(sub) * a0 + m01.take(sub) * a1
+        out[:, 1] = m10.take(sub) * a0 + m11.take(sub) * a1
+        return out
+
+    return combine
 
 
 def extract_boolean(program: RomProgram) -> TruthTable:
@@ -146,7 +160,10 @@ def extract_boolean(program: RomProgram) -> TruthTable:
     """
     require_kind(program, QUANTUM)
     bits = []
-    for first, amps in sweep(program, np.array([1, 0], dtype=complex), _rotate):
+    blocks = sweep(
+        program, np.array([1, 0], dtype=complex), _rotate, np.eye(2, dtype=complex), _combine,
+    )
+    for first, amps in blocks:
         p1 = amps[:, 1].real ** 2 + amps[:, 1].imag ** 2
         unsure = np.flatnonzero((p1 > OUTCOME_THRESHOLD) & (p1 < 1.0 - OUTCOME_THRESHOLD))
         if unsure.size:

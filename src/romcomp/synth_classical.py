@@ -196,8 +196,17 @@ def balanced_and_circuit(num_inputs: int) -> CircuitNode:
     return _balanced([InputNode(i) for i in range(1, num_inputs + 1)], AndNode)
 
 
+# Deepest nesting of parenthesised gates that ``parse_circuit`` accepts.  The
+# parser and ``_fold`` take one frame per level and ``barrington`` two (eight
+# per OR, which the ROM-call budget keeps at most 17 deep).  At this cap
+# compiling the worst case needs a recursion limit of about 520, inside
+# Python's default of 1000.
+MAX_CIRCUIT_DEPTH = 200
+
+
 def parse_circuit(text: str) -> CircuitNode:
-    """Parse prefix form like ``(and (or x1 x2) (not x3))``."""
+    """Parse prefix form like ``(and (or x1 x2) (not x3))``, nested at most
+    ``MAX_CIRCUIT_DEPTH`` deep."""
     tokens: list[tuple[str, int]] = []
     pos = 0
     for raw in text.replace("(", " ( ").replace(")", " ) ").split():
@@ -206,21 +215,23 @@ def parse_circuit(text: str) -> CircuitNode:
         pos = (found if found >= 0 else pos) + len(raw)
     cursor = 0
 
-    def parse() -> CircuitNode:
+    def parse(depth: int) -> CircuitNode:
         nonlocal cursor
         if cursor >= len(tokens):
             raise ParseError("unexpected end of circuit", len(text))
         token, at = tokens[cursor]
         cursor += 1
         if token == "(":
+            if depth == MAX_CIRCUIT_DEPTH:
+                raise ParseError(f"circuit nested deeper than {MAX_CIRCUIT_DEPTH} levels", at)
             if cursor >= len(tokens):
                 raise ParseError("unexpected end of circuit", len(text))
             op, op_at = tokens[cursor]
             cursor += 1
             if op == "not":
-                node: CircuitNode = NotNode(parse())
+                node: CircuitNode = NotNode(parse(depth + 1))
             elif op in ("and", "or"):
-                left, right = parse(), parse()
+                left, right = parse(depth + 1), parse(depth + 1)
                 node = AndNode(left, right) if op == "and" else OrNode(left, right)
             else:
                 raise ParseError(f"expected and/or/not, got {op!r}", op_at)
@@ -234,7 +245,7 @@ def parse_circuit(text: str) -> CircuitNode:
             return InputNode(int(token[1:]))
         raise ParseError(f"expected a variable like x1, got {token!r}", at)
 
-    node = parse()
+    node = parse(0)
     if cursor != len(tokens):
         raise ParseError("trailing input after circuit", tokens[cursor][1])
     return node

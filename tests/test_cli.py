@@ -11,9 +11,11 @@ from romcomp import (
     balanced_and_circuit,
     circuit_to_three_bit,
     dumps,
+    extract_function,
     loads,
 )
 from romcomp.cli import main
+from romcomp.synth_classical import MAX_CIRCUIT_DEPTH
 
 from test_sim_classical import worked_example_program
 from test_sim_quantum import two_control_flip_program
@@ -562,3 +564,30 @@ def test_verify_refuses_a_wide_program_before_building_the_expected_table(capsys
     code, out, err = run(capsys, "verify", str(path), *flag)
     assert_one_error_line(code, out, err)
     assert "sweep limit" in err
+
+
+def nested_nots(depth):
+    return "(not " * depth + "x1" + ")" * depth
+
+
+@pytest.mark.parametrize("depth", [MAX_CIRCUIT_DEPTH + 1, 1200])
+def test_compile_refuses_circuits_nested_past_the_cap(capsys, depth):
+    # 1,200 levels used to end in a RecursionError traceback.
+    code, out, err = run(capsys, "compile", "--backend", "classical3", "--circuit", nested_nots(depth))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"parse error: circuit nested deeper than {MAX_CIRCUIT_DEPTH} levels"
+        f" (at position {5 * MAX_CIRCUIT_DEPTH})"
+    ]
+
+
+def test_compile_accepts_circuits_nested_to_the_cap(capsys):
+    # Ten ORs around NOTs up to the cap: barrington recurses deepest through
+    # the OR rewrite, and the whole circuit is the OR of x1..x11.
+    circuit = nested_nots(MAX_CIRCUIT_DEPTH - 10)
+    for index in range(2, 12):
+        circuit = f"(or {circuit} x{index})"
+    code, out, _ = run(capsys, "compile", "--backend", "classical3", "--circuit", circuit)
+    assert code == 0
+    (table, _, _) = extract_function(loads(out)).components
+    assert table.bits == (0,) + (1,) * ((1 << 11) - 1)

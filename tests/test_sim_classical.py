@@ -19,10 +19,35 @@ from romcomp import (
     rom_call_count,
     truth_table_of,
 )
-from romcomp.sweep import BLOCK_BITS
+import romcomp.sweep as sweep_module
+from romcomp.sweep import BLOCK_BITS, FUSE_BITS, segments
 from romcomp.synth_classical import cnot_gate, compile_pair, not_gate
 
 from test_program import random_classical_program
+
+
+def cut(instructions):
+    """``instructions`` split into the runs that ``segments`` cuts."""
+    instructions = list(instructions)
+    controls = [inst.control or 0 for inst in instructions]
+    return [instructions[first:stop] for first, stop, _ in segments(controls)]
+
+
+# Settings of the sweep's choice of segments to fold.
+FOLD_MODES = {
+    "estimate": {},
+    "never": {"GATHER_PASSES": float("inf")},
+    "every": {"GATHER_PASSES": float("-inf")},
+    # Every segment is worth a fold, but only the first few fit.
+    "budget": {"GATHER_PASSES": float("-inf"), "FOLD_BYTES": 1 << 15},
+}
+
+
+@pytest.fixture(params=FOLD_MODES)
+def fold_mode(request, monkeypatch):
+    for name, value in FOLD_MODES[request.param].items():
+        monkeypatch.setattr(sweep_module, name, value)
+    return request.param
 
 
 def worked_example_program():
@@ -167,6 +192,7 @@ def test_sweep_builds_one_action_per_distinct_gate_object():
     import numpy as np
 
     from romcomp import and_barrington
+    from romcomp.sim_classical import _gather
     from romcomp.sweep import sweep
 
     program = and_barrington(8)
@@ -176,7 +202,138 @@ def test_sweep_builds_one_action_per_distinct_gate_object():
         made.append(gate)
         return np.array(gate.perm.images, dtype=np.uint8).take
 
-    (_, rows), = sweep(program, np.zeros(1, dtype=np.uint8), act_of)
+    (_, rows), = sweep(
+        program, np.zeros(1, dtype=np.uint8), act_of,
+        np.arange(program.space.num_states, dtype=np.uint8), _gather,
+    )
     assert rows[:, 0].tolist() == [0] * 255 + [1]
     distinct = {id(inst.gate) for inst in program.instructions}
     assert len(made) == len({id(gate) for gate in made}) == len(distinct) < len(program)
+
+
+def test_segments_cut_greedily_at_the_first_bit_past_the_limit():
+    first = [0, *range(1, FUSE_BITS + 1), 1, 0]
+    second = [FUSE_BITS + 1, 2, 0, FUSE_BITS + 1]
+    assert segments(first + second) == [
+        (0, len(first), list(range(1, FUSE_BITS + 1))),
+        (len(first), len(first) + len(second), [2, FUSE_BITS + 1]),
+    ]
+    assert segments([]) == [(0, 0, [])]
+    assert segments([0, 0]) == [(0, 2, [])]
+
+
+def counting(apply_of):
+    """``apply_of`` that records each fold it is given."""
+    folds = []
+
+    def record(folded):
+        folds.append(folded)
+        return apply_of(folded)
+
+    return folds, record
+
+
+def test_fused_sweep_builds_one_action_per_distinct_gate_object():
+    import numpy as np
+
+    from romcomp import and_barrington
+    from romcomp.sim_classical import _gather
+    from romcomp.sweep import sweep
+
+    program = and_barrington(13)
+    made = []
+
+    def act_of(gate):
+        made.append(gate)
+        return np.array(gate.perm.images, dtype=np.uint8).take
+
+    folds, apply_of = counting(_gather)
+    blocks = sweep(
+        program, np.zeros(1, dtype=np.uint8), act_of,
+        np.arange(program.space.num_states, dtype=np.uint8), apply_of,
+    )
+    states = np.concatenate([rows[:, 0] for _, rows in blocks])
+    assert states.tolist() == [0] * ((1 << 13) - 1) + [1]
+    assert len(folds) == len(cut(program.instructions)) > 1
+    distinct = {id(inst.gate) for inst in program.instructions}
+    assert len(made) == len({id(gate) for gate in made}) == len(distinct) < len(program)
+
+
+def random_gate(rng):
+    return PermutationGate(Permutation(tuple(rng.sample(range(8), 8))))
+
+
+@pytest.mark.parametrize("j", [FUSE_BITS, FUSE_BITS + 1, BLOCK_BITS, BLOCK_BITS + 2])
+@pytest.mark.parametrize("seed", range(2))
+def test_fused_sweep_matches_evaluate(j, seed, fold_mode):
+    # Three random 3-bit gates on every bit in shuffled order, so segments end
+    # mid-run, and an uncontrolled gate at every segment boundary.
+    rng = random.Random(seed)
+    controls = [*range(1, j + 1)] * 3
+    rng.shuffle(controls)
+    instructions = []
+    for run in cut(Instruction(random_gate(rng), c) for c in controls):
+        instructions += [Instruction(random_gate(rng), None), *run]
+    prog = RomProgram(RomSpace(j, 3, CLASSICAL), tuple(instructions))
+    assert (len(cut(prog.instructions)) > 1) == (j > FUSE_BITS)
+    vf = extract_function(prog)
+    edges = [u for u in (0, 1 << FUSE_BITS, 1 << BLOCK_BITS, (1 << j) - 1) if u < 1 << j]
+    for u in edges + rng.sample(range(1 << j), 200):
+        state = evaluate(prog, u, 0)
+        assert [table.bits[u] for table in vf.components] == [state >> b & 1 for b in range(3)]
+
+
+def test_sweep_folds_long_segments_and_runs_short_ones_gate_by_gate(monkeypatch):
+    import romcomp.sim_classical as sim_classical
+
+    # One block of 2^BLOCK_BITS rows; segments alternate between 40 gates on
+    # bits 1-8 and 8 gates on bits 9-12 then 5-8.  Only the long ones save
+    # more gate passes than their gather costs.
+    rng = random.Random(3)
+    j = BLOCK_BITS
+    long_bits = range(1, FUSE_BITS + 1)
+    short_bits = [*range(FUSE_BITS + 1, j + 1), *range(j - FUSE_BITS + 1, FUSE_BITS + 1)]
+    controls = []
+    for _ in range(3):
+        controls += [*long_bits, *rng.choices(long_bits, k=40 - FUSE_BITS), *short_bits]
+    prog = RomProgram(RomSpace(j, 3, CLASSICAL), tuple(
+        Instruction(random_gate(rng), c) for c in controls
+    ))
+    assert [len(run) for run in cut(prog.instructions)] == [40, 8] * 3
+    folds, record = counting(sim_classical._gather)
+    monkeypatch.setattr(sim_classical, "_gather", record)
+    vf = extract_function(prog)
+    assert len(folds) == 3
+    for u in [0, (1 << j) - 1] + rng.sample(range(1 << j), 300):
+        state = evaluate(prog, u, 0)
+        assert [table.bits[u] for table in vf.components] == [state >> b & 1 for b in range(3)]
+
+
+def test_kept_folds_stay_within_the_budget(monkeypatch):
+    import romcomp.sim_classical as sim_classical
+
+    # 20 ROM bits and about 40 segments on ever new tuples of bits, inside
+    # and above the block: each would keep its own fold and index.
+    rng = random.Random(5)
+    j = 20
+    controls = []
+    for _ in range(40):
+        bits = rng.sample(range(1, j + 1), FUSE_BITS)
+        controls += bits + rng.choices(bits, k=4)
+    prog = RomProgram(RomSpace(j, 3, CLASSICAL), tuple(
+        Instruction(random_gate(rng), c) for c in controls
+    ))
+    assert len(cut(prog.instructions)) > 30
+    unbounded = extract_function(prog)
+    # Each fold keeps 8 states per sub-assignment and a one-byte index per row.
+    kept = (8 << FUSE_BITS) + (1 << BLOCK_BITS)
+    monkeypatch.setattr(sweep_module, "FOLD_BYTES", 3 * kept)
+    folds, record = counting(sim_classical._gather)
+    monkeypatch.setattr(sim_classical, "_gather", record)
+    bounded = extract_function(prog)
+    assert len(folds) == 3
+    assert sum(fold.nbytes for fold in folds) + 3 * (1 << BLOCK_BITS) <= 3 * kept
+    assert bounded == unbounded
+    for u in [0, (1 << j) - 1] + rng.sample(range(1 << j), 100):
+        state = evaluate(prog, u, 0)
+        assert [table.bits[u] for table in bounded.components] == [state >> b & 1 for b in range(3)]

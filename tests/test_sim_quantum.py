@@ -17,8 +17,10 @@ from romcomp import (
     gate_matrix,
     unitary_of,
 )
-from romcomp.sim_quantum import Unitary2
-from romcomp.sweep import BLOCK_BITS
+from romcomp.sim_quantum import OUTCOME_THRESHOLD, Unitary2
+from romcomp.sweep import BLOCK_BITS, FUSE_BITS
+
+from test_sim_classical import counting, cut, fold_mode  # noqa: F401 (a fixture)
 
 HALF = DyadicExponent(1, 1)
 ONE = DyadicExponent(1)
@@ -212,3 +214,96 @@ def test_extract_boolean_builds_one_action_per_shared_gate(monkeypatch):
     # X^(1/2) four times under u1 or u2: X when exactly one of them is set.
     assert extract_boolean(program).bits == (0, 1, 1, 0)
     assert len(rotated) == 1
+
+
+def test_fused_sweep_builds_one_action_per_shared_gate(monkeypatch):
+    import romcomp.sim_quantum as sim_quantum
+    from romcomp import and_fast
+
+    rotated = []
+    real_rotate = sim_quantum._rotate
+
+    def counting_rotate(gate):
+        rotated.append(gate)
+        return real_rotate(gate)
+
+    monkeypatch.setattr(sim_quantum, "_rotate", counting_rotate)
+    folds, record = counting(sim_quantum._combine)
+    monkeypatch.setattr(sim_quantum, "_combine", record)
+    program = and_fast(list(range(1, 14)), 13)
+    assert extract_boolean(program).bits == (0,) * ((1 << 13) - 1) + (1,)
+    assert len(folds) == len(cut(program.instructions)) > 1
+    distinct = {id(inst.gate) for inst in program.instructions}
+    assert len(rotated) == len({id(gate) for gate in rotated}) == len(distinct) < len(program)
+
+
+def random_classical_output_program(rng, j):
+    """Shuffled controls, every bit three times, over gates that keep |0> on a
+    basis state: phases Z^t, X, and X^(+-1/2) . P . X^(-+1/2) where P is a run
+    of Paulis, so superpositions open and close across segments.  An
+    uncontrolled X^(1/2) . X^(-1/2) pair sits at every segment boundary."""
+    controls = [*range(1, j + 1)] * 3
+    rng.shuffle(controls)
+    body = []
+    while controls:
+        if rng.random() < 0.3:
+            half, control = rng.choice([HALF, -HALF]), controls.pop()
+            paulis = [rot(rng.choice("XZ"), ONE, c) for c in controls[-rng.randint(1, 4):]]
+            del controls[-len(paulis):]
+            body += [rot("X", half, control), *paulis, rot("X", -half, control)]
+        elif rng.random() < 0.5:
+            body.append(rot("X", ONE, controls.pop()))
+        else:
+            t = DyadicExponent(rng.choice([-1, 1]), rng.randrange(4))
+            body.append(rot("Z", t, controls.pop()))
+    instructions = []
+    for run in cut(body):
+        instructions += [*run, rot("X", HALF), rot("X", -HALF)]
+    return RomProgram(RomSpace(j, 1, QUANTUM), tuple(instructions))
+
+
+@pytest.mark.parametrize("j", [FUSE_BITS, FUSE_BITS + 1, FUSE_BITS + 2, BLOCK_BITS + 2])
+@pytest.mark.parametrize("seed", range(2))
+def test_fused_sweep_matches_unitary_of(j, seed, fold_mode):
+    import numpy as np
+
+    from romcomp.sim_quantum import _combine, _rotate
+    from romcomp.sweep import sweep
+
+    rng = random.Random(seed)
+    prog = random_classical_output_program(rng, j)
+    assert (len(cut(prog.instructions)) > 1) == (j > FUSE_BITS)
+    amps = np.concatenate([rows for _, rows in sweep(
+        prog, np.array([1, 0], dtype=complex), _rotate, np.eye(2, dtype=complex), _combine,
+    )])
+    table = extract_boolean(prog)
+    edges = [u for u in (0, 1 << FUSE_BITS, 1 << BLOCK_BITS, (1 << j) - 1) if u < 1 << j]
+    for u in edges + rng.sample(range(1 << j), 200):
+        want = unitary_of(prog, u).apply(1, 0)
+        assert abs(amps[u] - want).max() < 1e-9
+        p1 = abs(want[1]) ** 2
+        assert p1 < OUTCOME_THRESHOLD or p1 > 1 - OUTCOME_THRESHOLD
+        assert table.bits[u] == int(p1 > 1 - OUTCOME_THRESHOLD)
+
+
+def test_fused_sweep_reports_first_superposition_of_a_later_segment_above_the_block(fold_mode):
+    # X^(1/2) . S . X^(-1/2) leaves |0> in superposition exactly when the top
+    # bit and u1 are set; it comes after a segment's worth of Z phases.
+    j = BLOCK_BITS + 2
+    s_gate = DyadicExponent(1, 1)
+    prog = RomProgram(RomSpace(j, 1, QUANTUM), (
+        *(rot("Z", s_gate, c) for c in range(1, j)),
+        rot("X", HALF, j), rot("Z", s_gate, 1), rot("X", -HALF, j),
+        *(rot("Z", s_gate, c) for c in range(2, j)),
+    ))
+    runs = cut(prog.instructions)
+    assert len(runs) > 1 and prog.instructions[j - 1] not in runs[0]
+    with pytest.raises(NonClassicalOutput) as info:
+        extract_boolean(prog)
+    first = 1 << (j - 1) | 1
+    assert info.value.assignment == first
+    want = unitary_of(prog, first).apply(1, 0)
+    assert max(abs(got - w) for got, w in zip(info.value.amplitudes, want)) < 1e-9
+    for u in (1 << (j - 1), 1, first - 2):
+        p1 = abs(unitary_of(prog, u).apply(1, 0)[1]) ** 2
+        assert p1 < OUTCOME_THRESHOLD or p1 > 1 - OUTCOME_THRESHOLD

@@ -36,7 +36,12 @@ from romcomp import (
     truth_table_of,
 )
 from romcomp.program import MAX_ROM_CALLS, doubling_calls
-from romcomp.synth_classical import anf_to_circuit, branching_length, circuit_inputs
+from romcomp.synth_classical import (
+    MAX_CIRCUIT_DEPTH,
+    anf_to_circuit,
+    branching_length,
+    circuit_inputs,
+)
 
 
 def and_bits(u, m):
@@ -417,3 +422,20 @@ def test_circuit_walks_value_each_shared_node_once():
     assert circuit_depth(node) == 60
     assert branching_length(node) == 4 ** 60
     assert (eval_circuit(node, 0), eval_circuit(node, 1)) == (0, 1)
+
+
+def test_deepest_circuit_within_the_budget_compiles_at_the_nesting_cap():
+    # The recursion's worst case: nested ORs (eight frames each in barrington)
+    # around NOTs up to the cap.  Seventeen ORs are the most the ROM-call
+    # budget admits, since each doubles the branching length.
+    def nested(ors):
+        text = "(not " * (MAX_CIRCUIT_DEPTH - ors) + "x1" + ")" * (MAX_CIRCUIT_DEPTH - ors)
+        for index in range(2, ors + 2):
+            text = f"(or {text} x{index})"
+        return parse_circuit(text)
+
+    with pytest.raises(ValueError, match="ROM calls"):
+        circuit_to_three_bit(nested(18), 19)
+    circuit = nested(17)
+    program = circuit_to_three_bit(circuit, 18)
+    assert 4 * branching_length(circuit) == rom_call_count(program) <= MAX_ROM_CALLS

@@ -221,7 +221,34 @@ class DyadicGate:
             raise ProgramError(f"axis must be X or Z, got {self.axis!r}")
 
     def inverse(self) -> "DyadicGate":
-        return DyadicGate(self.axis, -self.exponent)
+        return dyadic_gate(self.axis, -self.exponent.num, self.exponent.log2den)
+
+
+# Most dyadic gates kept shared at once.  Loaded exponents come from outside
+# the program, so unlike permutation_gate's this cache needs a bound; the
+# compilers use a few dozen gates.
+MAX_SHARED_DYADIC_GATES = 4096
+
+
+def dyadic_gate(axis: str, num: int, log2den: int = 0) -> DyadicGate:
+    """The one gate for ``axis**(num / 2**log2den)``, shared like
+    ``permutation_gate``; unreduced exponents find the reduced one's gate."""
+    # Check the types before the lookup: a list axis is unhashable, and True
+    # would find the gate of 1.
+    if type(num) is not int or type(log2den) is not int:
+        raise ProgramError("dyadic gate needs integer num and log2den")
+    if type(axis) is not str:
+        # Uncached: DyadicGate refuses any axis but X and Z with its own message.
+        return DyadicGate(axis, DyadicExponent(num, log2den))
+    return _shared_dyadic_gate(axis, num, log2den)
+
+
+@functools.lru_cache(maxsize=MAX_SHARED_DYADIC_GATES)
+def _shared_dyadic_gate(axis: str, num: int, log2den: int) -> DyadicGate:
+    exponent = DyadicExponent(num, log2den)
+    if (exponent.num, exponent.log2den) != (num, log2den):
+        return _shared_dyadic_gate(axis, exponent.num, exponent.log2den)
+    return DyadicGate(axis, exponent)
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,6 +13,13 @@ where <gate> is one of
 
 Integer fields take JSON integers only: a JSON boolean is rejected, although
 Python counts ``bool`` as an ``int``, so every check is ``type(x) is int``.
+
+``dumps`` writes the canonical text, ``json.dumps(program_to_dict(program))``,
+rendering each distinct (gate, control) once.  ``loads`` reads canonical text
+per distinct instruction: it parses each distinct instruction text once and
+accepts the result only if it renders back to the same bytes.  Any other text
+goes through ``json.loads`` and ``program_from_dict``, which give every error
+its message.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ from typing import Any
 from .program import (
     CLASSICAL,
     QUANTUM,
-    DyadicExponent,
     DyadicGate,
     Gate,
     Instruction,
@@ -32,6 +38,7 @@ from .program import (
     RomProgram,
     RomSpace,
     UnitaryGate,
+    dyadic_gate,
     permutation_gate,
 )
 
@@ -49,25 +56,52 @@ def gate_to_dict(gate: Gate) -> dict[str, Any]:
 
 
 def program_to_dict(program: RomProgram) -> dict[str, Any]:
-    """The wire-format document.  Instructions that share a gate object share
-    its gate dict, so compiled programs cost one dict per distinct gate."""
-    gate_dicts: dict[int, dict[str, Any]] = {}
-    instructions = []
-    for inst in program.instructions:
-        gate_dict = gate_dicts.get(id(inst.gate))
-        if gate_dict is None:
-            gate_dict = gate_dicts[id(inst.gate)] = gate_to_dict(inst.gate)
-        instructions.append({"control": inst.control, "gate": gate_dict})
+    """The wire-format document, the reference for ``dumps``."""
     return {
         "num_rom_bits": program.space.num_rom_bits,
         "num_writable": program.space.num_writable,
         "kind": program.space.kind,
-        "instructions": instructions,
+        "instructions": [
+            {"control": inst.control, "gate": gate_to_dict(inst.gate)}
+            for inst in program.instructions
+        ],
     }
 
 
+# Text of every instruction but the first begins with ", " + _ITEM.
+_ITEM = '{"control": '
+_NEXT_ITEM = ", " + _ITEM
+
+
+def _head_text(space: RomSpace) -> str:
+    """What ``dumps`` writes before the first instruction."""
+    return json.dumps(program_to_dict(RomProgram(space)))[:-2]
+
+
+def _instruction_text(inst: Instruction, gate_texts: dict[int, str]) -> str:
+    """``json.dumps({"control": inst.control, "gate": gate_to_dict(inst.gate)})``;
+    ``gate_texts`` holds the text of each gate object seen so far."""
+    gate_text = gate_texts.get(id(inst.gate))
+    if gate_text is None:
+        gate_text = gate_texts[id(inst.gate)] = json.dumps(gate_to_dict(inst.gate))
+    # str() writes a plain int as json.dumps does, at a tenth of the cost.
+    control = str(inst.control) if type(inst.control) is int else json.dumps(inst.control)
+    return f'{_ITEM}{control}, "gate": {gate_text}}}'
+
+
 def dumps(program: RomProgram) -> str:
-    return json.dumps(program_to_dict(program))
+    """``json.dumps(program_to_dict(program))``, each distinct (gate, control)
+    rendered once.  The program keeps its gates alive, so ids stay unique."""
+    gate_texts: dict[int, str] = {}
+    texts: dict[tuple[int, int | None], str] = {}
+    parts = []
+    for inst in program.instructions:
+        key = (id(inst.gate), inst.control)
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = _instruction_text(inst, gate_texts)
+        parts.append(text)
+    return _head_text(program.space) + ", ".join(parts) + "]}"
 
 
 def _require(condition: bool, message: str) -> None:
@@ -89,7 +123,7 @@ def gate_from_dict(data: Any) -> Gate:
     if "axis" in data:
         _require(type(data.get("num")) is int and type(data.get("log2den")) is int,
                  "dyadic gate needs integer num and log2den")
-        return DyadicGate(data["axis"], DyadicExponent(data["num"], data["log2den"]))
+        return dyadic_gate(data["axis"], data["num"], data["log2den"])
     if "matrix" in data:
         rows = data["matrix"]
         _require(
@@ -98,9 +132,30 @@ def gate_from_dict(data: Any) -> Gate:
             and all(type(x) in (int, float) for e in rows for x in e),
             "matrix must be four [re, im] pairs of numbers",
         )
-        entries = tuple(complex(re, im) for re, im in rows)
+        try:
+            entries = tuple(complex(re, im) for re, im in rows)
+        except OverflowError:  # an integer too large for a float
+            raise ProgramFormatError("matrix entries must be finite") from None
         return UnitaryGate(entries)  # type: ignore[arg-type]
     raise ProgramFormatError(f"unrecognized gate object with keys {sorted(data)}")
+
+
+def _instruction(item: Any, pos: int,
+                 interned: dict[tuple[int, int | None], Instruction]) -> Instruction:
+    """One instruction object per distinct (gate, control): the gates are
+    shared, so the program checks each pair once."""
+    # Plain ifs, not _require: its message would be formatted every time.
+    if not (isinstance(item, dict) and "gate" in item):
+        raise ProgramFormatError(f"instruction {pos} must be an object with a gate")
+    control = item.get("control")
+    if not (control is None or type(control) is int):
+        raise ProgramFormatError(f"instruction {pos}: control must be an integer or null")
+    gate = gate_from_dict(item["gate"])
+    key = (id(gate), control)
+    inst = interned.get(key)
+    if inst is None:
+        inst = interned[key] = Instruction(gate, control)
+    return inst
 
 
 def program_from_dict(data: Any) -> RomProgram:
@@ -113,33 +168,69 @@ def program_from_dict(data: Any) -> RomProgram:
     space = RomSpace(data["num_rom_bits"], data["num_writable"], data["kind"])
     raw = data["instructions"]
     _require(isinstance(raw, list), "instructions must be a list")
-    instructions = []
-    # Compiled classical programs repeat a few dozen gates, each shared by
-    # permutation_gate: build one instruction per distinct (gate, control).
     interned: dict[tuple[int, int | None], Instruction] = {}
-    for pos, item in enumerate(raw):
-        # Plain ifs, not _require: its message would be formatted every time.
-        if not (isinstance(item, dict) and "gate" in item):
-            raise ProgramFormatError(f"instruction {pos} must be an object with a gate")
-        control = item.get("control")
-        if not (control is None or type(control) is int):
-            raise ProgramFormatError(f"instruction {pos}: control must be an integer or null")
-        gate = gate_from_dict(item["gate"])
-        key = (id(gate), control)
-        if key not in interned:
-            interned[key] = Instruction(gate, control)
-        instructions.append(interned[key])
-    return RomProgram(space, tuple(instructions))
+    return RomProgram(space, tuple(_instruction(item, pos, interned)
+                                   for pos, item in enumerate(raw)))
+
+
+# What reading a document can raise: ValueError covers JSON syntax,
+# ProgramError and integers past Python's digit limit; RecursionError covers
+# nesting past the recursion limit.
+_REJECTIONS = (ValueError, RecursionError)
+
+
+def _loads_canonical(text: str) -> RomProgram | None:
+    """The program if ``text`` is ``dumps`` of it plus trailing whitespace,
+    else None.
+
+    The distinct instruction texts are parsed together and checked once each.
+    The head and every piece must render back to the same bytes, which proves
+    that the general path would read an equal program from ``text``."""
+    head, sep, rest = text.partition('"instructions": [')
+    # JSON whitespace may follow: the CLI prints the text with a newline.
+    rest = rest.rstrip(" \t\n\r")
+    if not sep or not rest.endswith("]}"):
+        return None
+    head, body = head + sep, rest[:-2]
+    space = program_from_dict(json.loads(head + "]}")).space
+    if _head_text(space) != head:
+        return None
+    if not body:
+        return RomProgram(space)
+    if not body.startswith(_ITEM):
+        return None
+    pieces = body[len(_ITEM):].split(_NEXT_ITEM)
+    distinct = list(set(pieces))
+    items = json.loads("[" + _ITEM + _NEXT_ITEM.join(distinct) + "]")
+    if len(items) != len(distinct):
+        return None
+    interned: dict[tuple[int, int | None], Instruction] = {}
+    gate_texts: dict[int, str] = {}
+    by_piece: dict[str, Instruction] = {}
+    for piece, item in zip(distinct, items):
+        # On a rejection the general path reports the real position.
+        inst = _instruction(item, 0, interned)
+        if _instruction_text(inst, gate_texts) != _ITEM + piece:
+            return None
+        by_piece[piece] = inst
+    return RomProgram(space, tuple(map(by_piece.__getitem__, pieces)))
 
 
 def loads(text: str) -> RomProgram:
     """Parse a wire-format document; every rejection is a ProgramFormatError."""
+    try:
+        program = _loads_canonical(text)
+    except _REJECTIONS:
+        program = None
+    if program is not None:
+        return program
     try:
         return program_from_dict(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ProgramFormatError(f"invalid JSON: {exc}") from exc
     except ProgramFormatError:
         raise
-    except ProgramError as exc:
-        # The model's own checks (widths, permutations, unitarity, controls).
+    except _REJECTIONS as exc:
+        # The model's own checks (widths, permutations, unitarity, controls),
+        # and JSON past Python's nesting or integer-digit limits.
         raise ProgramFormatError(str(exc)) from exc

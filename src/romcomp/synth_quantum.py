@@ -24,12 +24,12 @@ from .program import (
     AXIS_X,
     AXIS_Z,
     DyadicExponent,
-    DyadicGate,
     Instruction,
     RomProgram,
     RomSpace,
     check_rom_calls,
     doubling_calls,
+    dyadic_gate,
 )
 
 _ONE = DyadicExponent(1)
@@ -46,7 +46,7 @@ def _check_controls(controls: list[int], num_rom_bits: int) -> None:
 
 
 def _rotation(axis: str, exponent: DyadicExponent, control: int | None) -> Instruction:
-    return Instruction(DyadicGate(axis, exponent), control)
+    return Instruction(dyadic_gate(axis, exponent.num, exponent.log2den), control)
 
 
 def _naive_block(axis: str, controls: list[int]) -> list[Instruction]:

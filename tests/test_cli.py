@@ -4,6 +4,7 @@ import json
 import pytest
 
 from romcomp import (
+    ProgramFormatError,
     and_barrington,
     and_fast,
     and_naive,
@@ -242,6 +243,23 @@ def test_verify_rejects_huge_log2den_on_stdin(capsys, monkeypatch):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+HEAD = '{"num_rom_bits": 1, "num_writable": 1, "kind": "quantum", "instructions": '
+
+
+@pytest.mark.parametrize("text", [
+    HEAD + "[" * 100_000 + "]" * 100_000 + "}",
+    HEAD + '[{"control": 1, "gate": {"axis": "X", "num": 1' + "0" * 5000 + ', "log2den": 0}}]}',
+    HEAD + '[{"control": null, "gate": {"matrix": [[1' + "0" * 400 + ', 0], [0, 0], [0, 0], [1, 0]]}}]}',
+], ids=["nested-100000-deep", "integer-of-5001-digits", "integer-too-large-for-a-float"])
+def test_verify_refuses_unreadable_json_with_one_error_line(capsys, monkeypatch, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "verify", "-")
+    assert_one_error_line(code, out, err)
+    assert "Traceback" not in err
+    with pytest.raises(ProgramFormatError):
+        loads(text)
 
 
 def test_verify_rejects_string_width(capsys, tmp_path):

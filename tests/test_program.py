@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,7 +23,13 @@ from romcomp import (
     rom_call_count,
     unitary_of,
 )
-from romcomp.program import permutation_gate
+from romcomp.program import (
+    MAX_LOG2DEN,
+    MAX_SHARED_DYADIC_GATES,
+    _shared_dyadic_gate,
+    dyadic_gate,
+    permutation_gate,
+)
 from romcomp.sim_quantum import Unitary2
 from romcomp.synth_classical import cnot_gate, not_gate
 
@@ -232,3 +239,36 @@ def test_permutation_gate_refuses_other_widths_without_caching(images):
     with pytest.raises(ProgramError, match="2, 4 or 8 states"):
         permutation_gate(images)
     assert permutation_gate.cache_info().currsize == before
+
+
+def test_dyadic_gates_are_shared():
+    gate = dyadic_gate("X", 1, 1)
+    assert gate is dyadic_gate("X", 1, 1) == DyadicGate("X", DyadicExponent(1, 1))
+    # An unreduced exponent finds the gate of the reduced one.
+    assert dyadic_gate("X", 2, 2) is dyadic_gate("X", 4, 3) is gate
+    assert dyadic_gate("Z", 1, 1) is not gate
+    assert gate.inverse() is dyadic_gate("X", -1, 1)
+    assert gate.inverse().inverse() is gate
+
+
+@pytest.mark.parametrize("args,message", [
+    ((["X"], 1, 0), "axis must be X or Z, got ['X']"),
+    (("Y", 1, 0), "axis must be X or Z, got 'Y'"),
+    ((["X"], 1, 10**9), f"log2den must be in 0..{MAX_LOG2DEN}, got {10**9}"),
+    (("X", True, 0), "dyadic gate needs integer num and log2den"),
+    (("X", 1, False), "dyadic gate needs integer num and log2den"),
+    (("X", 1.0, 0), "dyadic gate needs integer num and log2den"),
+    (("X", 5, 1), "|5/2^1| exceeds 2"),
+])
+def test_dyadic_gate_checks_its_key_before_the_cache(args, message):
+    # A list axis is unhashable and True == 1 would find the gate of 1.
+    before = _shared_dyadic_gate.cache_info().currsize
+    with pytest.raises(ProgramError, match="^" + re.escape(message) + "$"):
+        dyadic_gate(*args)
+    assert _shared_dyadic_gate.cache_info().currsize == before
+
+
+def test_dyadic_gate_cache_is_bounded():
+    for num in range(MAX_SHARED_DYADIC_GATES + 100):
+        dyadic_gate("Z", 2 * num + 1, MAX_LOG2DEN)
+    assert _shared_dyadic_gate.cache_info().currsize == MAX_SHARED_DYADIC_GATES

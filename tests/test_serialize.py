@@ -4,15 +4,29 @@ import random
 import pytest
 
 from romcomp import (
+    QUANTUM,
+    Anf,
+    Instruction,
     ProgramFormatError,
+    RomProgram,
+    RomSpace,
+    UnitaryGate,
     dumps,
+    inverse,
     loads,
     program_from_dict,
     program_to_dict,
+    serialize,
 )
 from romcomp.program import permutation_gate
-from romcomp.synth_classical import and_barrington, compile_pair
-from romcomp.synth_quantum import and_fast
+from romcomp.search import SearchTarget, minimal_program
+from romcomp.synth_classical import (
+    and_barrington,
+    anf_to_circuit,
+    circuit_to_three_bit,
+    compile_pair,
+)
+from romcomp.synth_quantum import and_fast, compile_function
 
 from test_program import random_classical_program, random_quantum_program
 from test_sim_classical import worked_example_program
@@ -173,3 +187,37 @@ def test_loads_returns_the_compilers_own_gates():
     program = and_barrington(3)
     loaded = loads(dumps(program))
     assert all(a.gate is b.gate for a, b in zip(program.instructions, loaded.instructions))
+
+
+def _references():
+    f = Anf(4, frozenset({0b0000, 0b0011, 0b0101, 0b1110, 0b1111}))
+    g = Anf(4, frozenset({0b0110, 0b1001}))
+    half = 2 ** -0.5 + 0j
+    hadamard = UnitaryGate((half, half, half, -half))
+    yield compile_function(f, 4, method="fast")
+    yield compile_function(f, 4, method="naive")
+    yield RomProgram(RomSpace(2, 1, QUANTUM), (Instruction(hadamard, None),
+                                               Instruction(hadamard, 2)))
+    yield compile_pair(f, g, 4)
+    yield circuit_to_three_bit(anf_to_circuit(f), 4)
+    yield minimal_program(SearchTarget.all_bits_and(3), max_depth=12).witness
+    yield RomProgram(RomSpace(3, 2, "classical"))
+
+
+@pytest.mark.parametrize("program", list(_references()),
+                         ids=["fast", "naive", "matrix", "classical2", "classical3",
+                              "witness", "empty"])
+def test_dumps_is_json_dumps_of_the_reference_document(program):
+    text = dumps(program)
+    assert text == json.dumps(program_to_dict(program))
+    assert serialize._loads_canonical(text) == program
+    assert serialize._loads_canonical(text + "\n") == program
+
+
+def test_dyadic_gates_are_shared_across_compile_load_and_inverse():
+    program = and_fast(list(range(1, 17)), 16)
+    gates = [inst.gate for p in (program, loads(dumps(program)), inverse(program))
+             for inst in p.instructions]
+    values = {(g.axis, g.exponent.num, g.exponent.log2den) for g in gates}
+    assert len({id(g) for g in gates}) == len(values) < len(program)
+

@@ -11,6 +11,8 @@ import argparse
 import re
 import sys
 
+import numpy as np
+
 from . import serialize
 from .boolfunc import (
     Anf,
@@ -183,12 +185,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         actual = list(extract_function(program).components)
     expected = [truth_table_of(_parse_component(spec, j)) for spec in specs]
 
-    for u in range(1 << j):
-        for comp, (got, want) in enumerate(zip(actual, expected), start=1):
-            if got.bits[u] != want.bits[u]:
-                bits = ",".join(str(u >> b & 1) for b in range(j))
-                print(f"mismatch at u=({bits}) component {comp}: got {got.bits[u]} expected {want.bits[u]}")
-                return EXIT_MISMATCH
+    if any(got.bits != want.bits for got, want in zip(actual, expected)):
+        # The first mismatch by lowest u, then lowest component: flat indices
+        # of the (u, component) table run in that order.
+        differs = np.not_equal([t.bits for t in actual], [t.bits for t in expected])
+        u, comp = divmod(int(np.flatnonzero(differs.T)[0]), len(actual))
+        bits = ",".join(str(u >> b & 1) for b in range(j))
+        print(f"mismatch at u=({bits}) component {comp + 1}: "
+              f"got {actual[comp].bits[u]} expected {expected[comp].bits[u]}")
+        return EXIT_MISMATCH
     print(f"ok: all {1 << j} assignments match")
     return EXIT_OK
 

@@ -63,6 +63,8 @@ class RomSpace:
     kind: str
 
     def __post_init__(self) -> None:
+        if type(self.num_rom_bits) is not int or type(self.num_writable) is not int:
+            raise ProgramError("num_rom_bits and num_writable must be integers")
         if self.num_rom_bits < 1:
             raise ProgramError(f"need at least one ROM bit, got {self.num_rom_bits}")
         if self.num_writable not in (1, 2, 3):
@@ -153,6 +155,8 @@ class DyadicExponent:
 
     def __post_init__(self) -> None:
         num, log2den = self.num, self.log2den
+        if type(num) is not int or type(log2den) is not int:
+            raise ProgramError("exponent needs integer num and log2den")
         if not 0 <= log2den <= MAX_LOG2DEN:
             raise ProgramError(f"log2den must be in 0..{MAX_LOG2DEN}, got {log2den}")
         while log2den > 0 and num % 2 == 0:
@@ -202,10 +206,13 @@ class PermutationGate:
 @functools.cache
 def permutation_gate(images: tuple[int, ...]) -> PermutationGate:
     """The one gate for ``images``, shared so that per-gate caches work once
-    per distinct gate.  Pass plain ints: (True, False) would find (1, 0)'s
-    gate.  Only 2, 4 or 8 states are cached, at most 2! + 4! + 8! gates."""
+    per distinct gate.  A miss refuses non-int images, so (True, False) finds
+    (1, 0)'s gate but is never cached as its own.  Only 2, 4 or 8 states are
+    cached, at most 2! + 4! + 8! gates."""
     if len(images) not in (2, 4, 8):
         raise ProgramError(f"a gate acts on 2, 4 or 8 states, got {len(images)}")
+    if set(map(type, images)) != {int}:
+        raise ProgramError(f"permutation images must be integers, got {images}")
     return PermutationGate(Permutation(images))
 
 
@@ -252,6 +259,50 @@ def _shared_dyadic_gate(axis: str, num: int, log2den: int) -> DyadicGate:
 
 
 @dataclass(frozen=True, slots=True)
+class Unitary2:
+    """A 2x2 complex matrix [[a, b], [c, d]]: ``UnitaryGate``'s checks and the
+    quantum simulator's products."""
+
+    a: complex
+    b: complex
+    c: complex
+    d: complex
+
+    @classmethod
+    def identity(cls) -> "Unitary2":
+        return cls(1.0, 0.0, 0.0, 1.0)
+
+    def __matmul__(self, other: "Unitary2") -> "Unitary2":
+        return Unitary2(
+            self.a * other.a + self.b * other.c,
+            self.a * other.b + self.b * other.d,
+            self.c * other.a + self.d * other.c,
+            self.c * other.b + self.d * other.d,
+        )
+
+    def adjoint(self) -> "Unitary2":
+        return Unitary2(
+            self.a.conjugate(), self.c.conjugate(),
+            self.b.conjugate(), self.d.conjugate(),
+        )
+
+    def apply(self, amp0: complex, amp1: complex) -> tuple[complex, complex]:
+        return (self.a * amp0 + self.b * amp1, self.c * amp0 + self.d * amp1)
+
+    def max_entry_distance(self, other: "Unitary2") -> float:
+        return max(
+            abs(self.a - other.a), abs(self.b - other.b),
+            abs(self.c - other.c), abs(self.d - other.d),
+        )
+
+    def unitarity_residual(self) -> float:
+        return (self @ self.adjoint()).max_entry_distance(Unitary2.identity())
+
+    def scaled(self, factor: complex) -> "Unitary2":
+        return Unitary2(factor * self.a, factor * self.b, factor * self.c, factor * self.d)
+
+
+@dataclass(frozen=True, slots=True)
 class UnitaryGate:
     """An arbitrary single-qubit gate, four row-major complex entries."""
 
@@ -261,22 +312,13 @@ class UnitaryGate:
         # A NaN residual compares false against the tolerance, so check first.
         if not all(cmath.isfinite(z) for z in self.entries):
             raise ProgramError("matrix entries must be finite")
-        a, b, c, d = self.entries
-        # Entrywise residual of U*U^dagger against the identity.
-        residual = max(
-            abs(a * a.conjugate() + b * b.conjugate() - 1),
-            abs(a * c.conjugate() + b * d.conjugate()),
-            abs(c * a.conjugate() + d * b.conjugate()),
-            abs(c * c.conjugate() + d * d.conjugate() - 1),
-        )
+        residual = Unitary2(*self.entries).unitarity_residual()
         if residual > UNITARITY_TOL:
             raise ProgramError(f"matrix is not unitary (residual {residual:.3e})")
 
     def inverse(self) -> "UnitaryGate":
-        a, b, c, d = self.entries
-        return UnitaryGate(
-            (a.conjugate(), c.conjugate(), b.conjugate(), d.conjugate())
-        )
+        adjoint = Unitary2(*self.entries).adjoint()
+        return UnitaryGate((adjoint.a, adjoint.b, adjoint.c, adjoint.d))
 
 
 Gate = PermutationGate | DyadicGate | UnitaryGate
@@ -290,7 +332,7 @@ class Instruction:
     control: int | None = None
 
     def __post_init__(self) -> None:
-        if self.control is not None and self.control < 1:
+        if self.control is not None and (type(self.control) is not int or self.control < 1):
             raise ProgramError(f"ROM indices are 1-based, got control {self.control}")
 
     def inverse(self) -> "Instruction":

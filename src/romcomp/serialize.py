@@ -140,22 +140,14 @@ def gate_from_dict(data: Any) -> Gate:
     raise ProgramFormatError(f"unrecognized gate object with keys {sorted(data)}")
 
 
-def _instruction(item: Any, pos: int,
-                 interned: dict[tuple[int, int | None], Instruction]) -> Instruction:
-    """One instruction object per distinct (gate, control): the gates are
-    shared, so the program checks each pair once."""
+def _instruction(item: Any, pos: int) -> Instruction:
     # Plain ifs, not _require: its message would be formatted every time.
     if not (isinstance(item, dict) and "gate" in item):
         raise ProgramFormatError(f"instruction {pos} must be an object with a gate")
     control = item.get("control")
     if not (control is None or type(control) is int):
         raise ProgramFormatError(f"instruction {pos}: control must be an integer or null")
-    gate = gate_from_dict(item["gate"])
-    key = (id(gate), control)
-    inst = interned.get(key)
-    if inst is None:
-        inst = interned[key] = Instruction(gate, control)
-    return inst
+    return Instruction(gate_from_dict(item["gate"]), control)
 
 
 def program_from_dict(data: Any) -> RomProgram:
@@ -168,9 +160,7 @@ def program_from_dict(data: Any) -> RomProgram:
     space = RomSpace(data["num_rom_bits"], data["num_writable"], data["kind"])
     raw = data["instructions"]
     _require(isinstance(raw, list), "instructions must be a list")
-    interned: dict[tuple[int, int | None], Instruction] = {}
-    return RomProgram(space, tuple(_instruction(item, pos, interned)
-                                   for pos, item in enumerate(raw)))
+    return RomProgram(space, tuple(_instruction(item, pos) for pos, item in enumerate(raw)))
 
 
 # What reading a document can raise: ValueError covers JSON syntax,
@@ -204,12 +194,11 @@ def _loads_canonical(text: str) -> RomProgram | None:
     items = json.loads("[" + _ITEM + _NEXT_ITEM.join(distinct) + "]")
     if len(items) != len(distinct):
         return None
-    interned: dict[tuple[int, int | None], Instruction] = {}
     gate_texts: dict[int, str] = {}
     by_piece: dict[str, Instruction] = {}
     for piece, item in zip(distinct, items):
         # On a rejection the general path reports the real position.
-        inst = _instruction(item, 0, interned)
+        inst = _instruction(item, 0)
         if _instruction_text(inst, gate_texts) != _ITEM + piece:
             return None
         by_piece[piece] = inst

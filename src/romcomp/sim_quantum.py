@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .program import (
     Gate,
     KindMismatchError,
     RomProgram,
+    Unitary2,
     UnitaryGate,
     require_kind,
 )
@@ -45,49 +45,6 @@ class NonClassicalOutput(Exception):
         )
         self.assignment = assignment
         self.amplitudes = amplitudes
-
-
-@dataclass(frozen=True, slots=True)
-class Unitary2:
-    """A 2x2 complex matrix [[a, b], [c, d]]."""
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-
-    @classmethod
-    def identity(cls) -> "Unitary2":
-        return cls(1.0, 0.0, 0.0, 1.0)
-
-    def __matmul__(self, other: "Unitary2") -> "Unitary2":
-        return Unitary2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def adjoint(self) -> "Unitary2":
-        return Unitary2(
-            self.a.conjugate(), self.c.conjugate(),
-            self.b.conjugate(), self.d.conjugate(),
-        )
-
-    def apply(self, amp0: complex, amp1: complex) -> tuple[complex, complex]:
-        return (self.a * amp0 + self.b * amp1, self.c * amp0 + self.d * amp1)
-
-    def max_entry_distance(self, other: "Unitary2") -> float:
-        return max(
-            abs(self.a - other.a), abs(self.b - other.b),
-            abs(self.c - other.c), abs(self.d - other.d),
-        )
-
-    def unitarity_residual(self) -> float:
-        return (self @ self.adjoint()).max_entry_distance(Unitary2.identity())
-
-    def scaled(self, factor: complex) -> "Unitary2":
-        return Unitary2(factor * self.a, factor * self.b, factor * self.c, factor * self.d)
 
 
 def gate_matrix(axis: str, exponent: DyadicExponent) -> Unitary2:
@@ -114,8 +71,7 @@ def matrix_of_gate(gate: Gate) -> Unitary2:
     if isinstance(gate, DyadicGate):
         return _rotation_matrix(gate.axis, gate.exponent.num, gate.exponent.log2den)
     if isinstance(gate, UnitaryGate):
-        a, b, c, d = gate.entries
-        return Unitary2(a, b, c, d)
+        return Unitary2(*gate.entries)
     raise KindMismatchError("classical gate has no matrix")
 
 

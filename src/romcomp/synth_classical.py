@@ -18,6 +18,7 @@ flips the bit exactly when the circuit accepts.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, TypeVar
@@ -207,12 +208,7 @@ MAX_CIRCUIT_DEPTH = 200
 def parse_circuit(text: str) -> CircuitNode:
     """Parse prefix form like ``(and (or x1 x2) (not x3))``, nested at most
     ``MAX_CIRCUIT_DEPTH`` deep."""
-    tokens: list[tuple[str, int]] = []
-    pos = 0
-    for raw in text.replace("(", " ( ").replace(")", " ) ").split():
-        found = text.find(raw, pos)
-        tokens.append((raw, found if found >= 0 else pos))
-        pos = (found if found >= 0 else pos) + len(raw)
+    tokens = [(match.group(), match.start()) for match in re.finditer(r"[()]|[^\s()]+", text)]
     cursor = 0
 
     def parse(depth: int) -> CircuitNode:

@@ -189,6 +189,23 @@ def test_verify_mismatch_reports_first_point(capsys, tmp_path):
     assert "u=(1,0)" in out
 
 
+@pytest.mark.parametrize("f1,f2,line", [
+    # Component 1 differs only at u = 7, component 2 first at u = 2.
+    ("1,3,1.2.3", "1,1.2,2", "mismatch at u=(0,1,0) component 2: got 0 expected 1"),
+    # Both differ first at u = 1: the lower component is named.
+    ("3", "1.2", "mismatch at u=(1,0,0) component 1: got 1 expected 0"),
+    # Only the last assignment differs.
+    ("1,3,1.2.3", "1,1.2", "mismatch at u=(1,1,1) component 1: got 0 expected 1"),
+])
+def test_verify_names_the_lowest_assignment_then_the_lowest_component(capsys, tmp_path, f1, f2,
+                                                                       line):
+    # The worked example computes (u1 XOR u3, u1 XOR u1u2).
+    path = tmp_path / "example.json"
+    path.write_text(dumps(worked_example_program()))
+    code, out, _ = run(capsys, "verify", str(path), "--f1", f1, "--f2", f2)
+    assert (code, out) == (1, line + "\n")
+
+
 def test_verify_nonclassical_exit_code(capsys, tmp_path):
     from romcomp import DyadicExponent, DyadicGate, Instruction, RomProgram, RomSpace
 

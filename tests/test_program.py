@@ -241,6 +241,37 @@ def test_permutation_gate_refuses_other_widths_without_caching(images):
     assert permutation_gate.cache_info().currsize == before
 
 
+@pytest.mark.parametrize("images", [(True, False, 3, 2), (1, 0, 3.0, 2), (1.0, 0.0)])
+def test_permutation_gate_refuses_non_int_images_on_a_miss(images):
+    # (True, False, 3, 2) == (1, 0, 3, 2), so a cached miss would hand its
+    # bool images to every later caller; __wrapped__ is the miss path.
+    with pytest.raises(ProgramError, match="^permutation images must be integers"):
+        permutation_gate.__wrapped__(images)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Instruction(NOT1, True),
+    lambda: Instruction(NOT1, 1.0),
+    lambda: RomSpace(True, 1, QUANTUM),
+    lambda: RomSpace(2, 2.0, CLASSICAL),
+    lambda: DyadicExponent(True),
+    lambda: DyadicExponent(1, True),
+], ids=["bool-control", "float-control", "bool-rom-width", "float-writable-width",
+        "bool-num", "bool-log2den"])
+def test_the_model_refuses_what_loads_refuses(build):
+    # Each of these used to build, and dumps then wrote text its loads refused.
+    with pytest.raises(ProgramError):
+        build()
+
+
+def test_unitary2_is_one_class():
+    import romcomp
+    import romcomp.program
+    import romcomp.sim_quantum
+
+    assert romcomp.Unitary2 is romcomp.sim_quantum.Unitary2 is romcomp.program.Unitary2
+
+
 def test_dyadic_gates_are_shared():
     gate = dyadic_gate("X", 1, 1)
     assert gate is dyadic_gate("X", 1, 1) == DyadicGate("X", DyadicExponent(1, 1))

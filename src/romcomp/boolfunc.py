@@ -63,26 +63,16 @@ class TruthTable:
         return format(numeral, f"0{max(1, (length + 3) // 4)}x")
 
     @classmethod
-    def from_bit_string(cls, text: str) -> "TruthTable":
-        for pos, ch in enumerate(text):
-            if ch not in "01":
-                raise ParseError(f"expected 0 or 1, got {ch!r}", pos)
-        length = len(text)
-        if length < 2 or length & (length - 1):
-            raise ParseError(f"table length {length} is not a power of two >= 2", 0)
-        return cls(length.bit_length() - 1, tuple(int(ch) for ch in text))
-
-    @classmethod
     def from_hex(cls, text: str, num_vars: int) -> "TruthTable":
         length = 1 << num_vars
         expected = max(1, (length + 3) // 4)
         if len(text) != expected:
             raise ParseError(f"hex table for {num_vars} vars needs {expected} digits", 0)
-        try:
-            numeral = int(text, 16)
-        except ValueError:
-            bad = next(pos for pos, ch in enumerate(text) if ch not in "0123456789abcdefABCDEF")
-            raise ParseError(f"invalid hex digit {text[bad]!r}", bad) from None
+        # int() would also take signs, spaces, underscores and non-ASCII digits.
+        for pos, ch in enumerate(text):
+            if ch not in "0123456789abcdefABCDEF":
+                raise ParseError(f"invalid hex digit {ch!r}", pos)
+        numeral = int(text, 16)
         if numeral >= 1 << length:
             raise ParseError(f"hex value too large for {length} table bits", 0)
         return cls(num_vars, tuple((numeral >> (length - 1 - u)) & 1 for u in range(length)))
@@ -192,7 +182,7 @@ def parse_monomials(text: str, num_vars: int | None = None) -> Anf:
                 mask = 0
                 sub = pos
                 for part in token.split("."):
-                    if not part.isdigit() or int(part) < 1:
+                    if not (part.isascii() and part.isdigit()) or int(part) < 1:
                         raise ParseError(f"expected a variable index, got {part!r}", sub)
                     var = int(part)
                     if num_vars is not None and var > num_vars:
@@ -231,12 +221,10 @@ def parse_table(text: str, num_vars: int | None = None) -> TruthTable:
     if text and all(ch in "01" for ch in text):
         length = len(text)
         if length >= 2 and not (length & (length - 1)):
-            table = TruthTable.from_bit_string(text)
-            if num_vars is not None and table.num_vars != num_vars:
-                raise ParseError(
-                    f"bit string has {table.num_vars} vars, expected {num_vars}", 0
-                )
-            return table
+            width = length.bit_length() - 1
+            if num_vars is not None and width != num_vars:
+                raise ParseError(f"bit string has {width} vars, expected {num_vars}", 0)
+            return TruthTable(width, tuple(map(int, text)))
     return _table_from_hex(text, num_vars)
 
 

@@ -77,7 +77,7 @@ def _check_width(limit: int, texts: list[str | None], *widths: int | None) -> No
     mask or table is built; ``t:`` tables are skipped, as their length bounds
     their width."""
     indices = [int(index) for text in texts if text and not text.startswith("t:")
-               for index in re.findall(r"\d+", text)]
+               for index in re.findall(r"[0-9]+", text)]
     widest = max([width for width in widths if width is not None] + indices, default=0)
     if widest > limit:
         raise CliError(f"{widest} variables exceed the limit ({limit})")

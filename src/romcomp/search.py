@@ -107,33 +107,21 @@ def conjectured_minimal_calls(num_rom_bits: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def _gather_tables(num_rom_bits: int, enable: bool) -> tuple[tuple[int, ...], ...]:
-    """Position maps canon-index -> source-index, one per ROM-bit relabeling.
-
-    Table g for bit map pi satisfies: canonical[m] = vector[g[m]] where bit
-    pi[b] of m equals bit b of g[m].  Without symmetry only the identity map
-    is used.
-    """
-    length = 1 << num_rom_bits
-    perms = itertools.permutations(range(num_rom_bits)) if enable else [tuple(range(num_rom_bits))]
-    tables = []
-    for pi in perms:
-        gather = [0] * length
-        for src in range(length):
-            dst = 0
-            for b in range(num_rom_bits):
-                if src >> b & 1:
-                    dst |= 1 << pi[b]
-            gather[dst] = src
-        tables.append(tuple(gather))
-    return tuple(tables)
-
-
 def _frozen(table: np.ndarray) -> np.ndarray:
     """Mark a lookup table read-only; the cached ones are shared by pipelines."""
     table.flags.writeable = False
     return table
+
+
+@functools.cache
+def _relabelings(num_rom_bits: int, enable: bool) -> np.ndarray:
+    """Every ROM-bit relabeling as the image of each position: row r maps
+    position u to u with bit b moved to bit pi[b], for the r-th bit
+    permutation pi.  Without symmetry only the identity is used."""
+    perms = itertools.permutations(range(num_rom_bits)) if enable else [range(num_rom_bits)]
+    pis = np.array(list(perms), dtype=np.intp)
+    bits = np.arange(1 << num_rom_bits)[:, None] >> np.arange(num_rom_bits) & 1
+    return _frozen((bits[None] << pis[:, None, :]).sum(axis=2))
 
 
 @functools.cache
@@ -199,11 +187,10 @@ def _move_tables(num_rom_bits: int) -> tuple[np.ndarray, np.ndarray]:
     return _half_tables(cols[:_HALF_WIDTH]), _half_tables(cols[_HALF_WIDTH:])
 
 
-def _gather_half_tables(gathers: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.ndarray]:
+def _gather_half_tables(relabelings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Low and high halves of every position permutation: each source half's
     contribution to the permuted packed value."""
-    destinations = np.argsort(np.array(gathers), axis=1).T
-    cols = np.arange(_STATES, dtype=np.uint32) << (2 * destinations).astype(np.uint32)[:, :, None]
+    cols = np.arange(_STATES, dtype=np.uint32) << (2 * relabelings.T).astype(np.uint32)[:, :, None]
     return _half_tables(cols[:_HALF_WIDTH]), _half_tables(cols[_HALF_WIDTH:])
 
 
@@ -220,7 +207,6 @@ class _TablePipeline:
     """
 
     def __init__(self, num_rom_bits: int, use_symmetry: bool) -> None:
-        self.gathers = _gather_tables(num_rom_bits, use_symmetry)
         self.moves = _moves(num_rom_bits)
         length = 1 << num_rom_bits
         self.low_width = min(length, _HALF_WIDTH)
@@ -234,7 +220,8 @@ class _TablePipeline:
         self.relabel_low = _relabel_table(self.low_width)
         self.relabel_high = _relabel_table(self.high_width)
         self.move_low, self.move_high = _move_tables(num_rom_bits)
-        self.gather_low, self.gather_high = _gather_half_tables(self.gathers)
+        self.gather_low, self.gather_high = _gather_half_tables(
+            _relabelings(num_rom_bits, use_symmetry))
 
     def split(self, encs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return encs & self.low_mask, encs >> self.low_bits
@@ -243,10 +230,6 @@ class _TablePipeline:
         """Raw encodings of every move applied to ``encs``: shape (moves,) + encs.shape."""
         low, high = self.split(encs)
         return self.move_low[:, low] | (self.move_high[:, high] << self.low_bits)
-
-    def neighbours(self, enc: int) -> np.ndarray:
-        """Canonical encodings of every move applied to one encoding, in move order."""
-        return self.canonize(self.moved(np.uint32(enc)))
 
     def expand(self, encs: np.ndarray) -> np.ndarray:
         """Sorted distinct classes one move away from any of ``encs``."""
@@ -293,12 +276,6 @@ def _moves(num_rom_bits: int) -> list[tuple[int, tuple[int, ...]]]:
     return [(i, p) for i in range(1, num_rom_bits + 1) for p in perms]
 
 
-def _symmetric_target(target: SearchTarget, gathers: tuple[tuple[int, ...], ...]) -> bool:
-    return all(
-        tuple(target.targets[g] for g in gather) == target.targets for gather in gathers
-    )
-
-
 # ---------------------------------------------------------------------------
 # Bidirectional level expansion
 # ---------------------------------------------------------------------------
@@ -317,10 +294,11 @@ def minimal_program(
     j = target.num_rom_bits
     if j > 4:
         raise ValueError("the exhaustive search is capped at 4 ROM bits")
-    sym_gathers = _gather_tables(j, True)
+    targets = np.array(target.targets)
+    symmetric = bool((targets[_relabelings(j, True)] == targets).all())
     if use_symmetry is None:
-        use_symmetry = _symmetric_target(target, sym_gathers)
-    elif use_symmetry and not _symmetric_target(target, sym_gathers):
+        use_symmetry = symmetric
+    elif use_symmetry and not symmetric:
         raise ValueError("symmetry pruning requires a bit-relabeling-invariant target")
     pipeline = _pipeline_for(j, use_symmetry)
 

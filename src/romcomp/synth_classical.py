@@ -58,15 +58,14 @@ def cnot_gate(target: int, rom_bit: int | None) -> Instruction:
     )
 
 
-def _monomial_block(variables: list[int], target: int) -> list[Instruction]:
-    """Operator-ordered gates XOR-ing the product of ``variables`` into
-    register ``target`` while restoring the other register."""
-    if len(variables) == 1:
-        return [not_gate(target, variables[0])]
-    other = 3 - target
-    inner = _monomial_block(variables[:-1], other)
+def _monomial_ops(variables: list[int], target: int) -> list[Instruction]:
+    """Gates in time order XOR-ing the product of ``variables`` (1 if there
+    are none) into register ``target`` while restoring the other register."""
+    if len(variables) <= 1:
+        return [not_gate(target, variables[0] if variables else None)]
+    inner = _monomial_ops(variables[:-1], 3 - target)
     bracket = cnot_gate(target, variables[-1])
-    return [bracket] + inner + [bracket] + inner
+    return inner + [bracket] + inner + [bracket]
 
 
 def monomial_into_register(variables: list[int], target: int, num_rom_bits: int) -> RomProgram:
@@ -79,11 +78,7 @@ def monomial_into_register(variables: list[int], target: int, num_rom_bits: int)
         if not 1 <= v <= num_rom_bits:
             raise ValueError(f"variable u_{v} out of range for {num_rom_bits} ROM bits")
     doubling_calls(len(variables))
-    space = RomSpace(num_rom_bits, 2, CLASSICAL)
-    if not variables:
-        return RomProgram(space, (not_gate(target, None),))
-    ops = _monomial_block(list(variables), target)
-    return RomProgram(space, tuple(reversed(ops)))
+    return RomProgram(RomSpace(num_rom_bits, 2, CLASSICAL), tuple(_monomial_ops(variables, target)))
 
 
 def and_sequence(m: int, num_rom_bits: int) -> tuple[RomProgram, int]:
@@ -105,8 +100,7 @@ def compile_pair(f1: Anf, f2: Anf, num_rom_bits: int) -> RomProgram:
         raise ValueError("component arities must match num_rom_bits")
     products = [(vars_, 1) for vars_ in f1.var_lists()] + [(vars_, 2) for vars_ in f2.var_lists()]
     check_rom_calls(sum(doubling_calls(len(vars_)) for vars_, _ in products))
-    instructions = [inst for vars_, register in products
-                    for inst in monomial_into_register(vars_, register, num_rom_bits).instructions]
+    instructions = [op for vars_, register in products for op in _monomial_ops(vars_, register)]
     return RomProgram(RomSpace(num_rom_bits, 2, CLASSICAL), tuple(instructions))
 
 
@@ -237,7 +231,7 @@ def parse_circuit(text: str) -> CircuitNode:
             return node
         if token == ")":
             raise ParseError("unexpected ')'", at)
-        if token.startswith("x") and token[1:].isdigit() and int(token[1:]) >= 1:
+        if re.fullmatch(r"x[0-9]+", token) and int(token[1:]) >= 1:
             return InputNode(int(token[1:]))
         raise ParseError(f"expected a variable like x1, got {token!r}", at)
 
@@ -429,32 +423,18 @@ def and_barrington(num_rom_bits: int) -> RomProgram:
 def one_bit_reachable(num_rom_bits: int, max_controls: int = 1) -> set[TruthTable]:
     """Closure of the functions a one-writable-bit machine can compute.
 
-    The only reversible one-bit gate is NOT, so the generators are "toggle
-    everywhere" and "toggle where a product of up to max_controls ROM bits is
-    1".  Enumerated as a breadth-first closure from the constant-0 function.
+    The only reversible one-bit gate is NOT, so every program toggles the bit
+    by an XOR of its generators: "toggle everywhere" and "toggle where a
+    product of up to max_controls ROM bits is 1".  The closure is their span.
     """
     if num_rom_bits > 4:
         raise ValueError("closure enumeration is exhaustive; capped at 4 ROM bits")
     if max_controls < 1:
         raise ValueError("max_controls must be at least 1")
     length = 1 << num_rom_bits
-    generators = []
-    for mask in range(1 << num_rom_bits):
+    span = {0}
+    for mask in range(length):
         if bin(mask).count("1") <= max_controls:
-            pattern = 0
-            for u in range(length):
-                if u & mask == mask:
-                    pattern |= 1 << u
-            generators.append(pattern)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for packed in frontier:
-            for gen in generators:
-                child = packed ^ gen
-                if child not in seen:
-                    seen.add(child)
-                    nxt.append(child)
-        frontier = nxt
-    return {TruthTable.from_int(num_rom_bits, packed) for packed in seen}
+            generator = sum(1 << u for u in range(length) if u & mask == mask)
+            span |= {packed ^ generator for packed in span}
+    return {TruthTable.from_int(num_rom_bits, packed) for packed in span}

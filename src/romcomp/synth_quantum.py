@@ -68,9 +68,7 @@ def and_naive(controls: list[int], num_rom_bits: int) -> RomProgram:
     """XOR the AND of the given ROM bits into the qubit, doubling recursion."""
     _check_controls(controls, num_rom_bits)
     doubling_calls(len(controls))
-    ops = _naive_block(AXIS_X, list(controls))
-    space = RomSpace(num_rom_bits, 1, QUANTUM)
-    return RomProgram(space, tuple(reversed(ops)))
+    return RomProgram(RomSpace(num_rom_bits, 1, QUANTUM), tuple(_and_ops(controls, "naive")))
 
 
 def _fast_block(axis: str, exponent: DyadicExponent, leaves: list[int | None]) -> list[Instruction]:
@@ -101,27 +99,32 @@ def _fast_block(axis: str, exponent: DyadicExponent, leaves: list[int | None]) -
     )
 
 
-def and_fast(controls: list[int], num_rom_bits: int) -> RomProgram:
-    """XOR the AND of the given ROM bits into the qubit in 4^ceil(log2 m) gates.
+def _and_ops(controls: list[int], method: str) -> list[Instruction]:
+    """Gates in time order XOR-ing the AND of ``controls`` into the qubit by
+    the ``naive`` or ``fast`` block; no controls is an uncontrolled bit flip.
 
-    Control lists that are not a power of two long are padded with dummy
-    slots; a dummy compiles to an uncontrolled gate, which is always active
-    and costs no ROM call.
+    ``fast`` pads the controls to a power of two with dummy slots; a dummy
+    compiles to an uncontrolled gate, which is always active and costs no ROM
+    call.
     """
-    _check_controls(controls, num_rom_bits)
-    if len(controls) == 1:
-        ops = [_rotation(AXIS_X, _ONE, controls[0])]
+    if len(controls) <= 1:
+        return [_rotation(AXIS_X, _ONE, controls[0] if controls else None)]
+    if method == "naive":
+        ops = _naive_block(AXIS_X, controls)
     else:
-        width = 1
-        while width < len(controls):
-            width *= 2
+        width = 1 << (len(controls) - 1).bit_length()
         leaves: list[int | None] = list(controls) + [None] * (width - len(controls))
         # Exponent -1 at the root makes the top level come out as the
         # half-rotation bracket A^(-1/2) ... A^(1/2) ...; X^(-1) is still a
         # bit flip.
         ops = _fast_block(AXIS_X, DyadicExponent(-1), leaves)
-    space = RomSpace(num_rom_bits, 1, QUANTUM)
-    return RomProgram(space, tuple(reversed(ops)))
+    return ops[::-1]
+
+
+def and_fast(controls: list[int], num_rom_bits: int) -> RomProgram:
+    """XOR the AND of the given ROM bits into the qubit in 4^ceil(log2 m) gates."""
+    _check_controls(controls, num_rom_bits)
+    return RomProgram(RomSpace(num_rom_bits, 1, QUANTUM), tuple(_and_ops(controls, "fast")))
 
 
 def compile_function(anf: Anf, num_rom_bits: int, method: str = "fast") -> RomProgram:
@@ -133,17 +136,11 @@ def compile_function(anf: Anf, num_rom_bits: int, method: str = "fast") -> RomPr
         raise ValueError(f"function has {anf.num_vars} vars, space has {num_rom_bits}")
     if method not in ("fast", "naive"):
         raise ValueError(f"method must be 'fast' or 'naive', got {method!r}")
-    build = and_fast if method == "fast" else and_naive
     var_lists = anf.var_lists()
     # and_fast's 4^ceil(log2 m) counts the free dummy slots of its padding.
     check_rom_calls(sum(
-        4 ** (len(v) - 1).bit_length() if build is and_fast and v else doubling_calls(len(v))
+        4 ** (len(v) - 1).bit_length() if method == "fast" and v else doubling_calls(len(v))
         for v in var_lists
     ))
-    instructions: list[Instruction] = []
-    for vars_ in var_lists:
-        if vars_:
-            instructions.extend(build(vars_, num_rom_bits).instructions)
-        else:
-            instructions.append(_rotation(AXIS_X, _ONE, None))
+    instructions = [op for vars_ in var_lists for op in _and_ops(vars_, method)]
     return RomProgram(RomSpace(num_rom_bits, 1, QUANTUM), tuple(instructions))

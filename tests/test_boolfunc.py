@@ -163,6 +163,22 @@ def test_table_text_errors():
         TruthTable.from_hex("ff", 2)
 
 
+@pytest.mark.parametrize("text,position", [("1_00", 1), ("+1", 0), (" 1", 0), ("-0", 0),
+                                           ("١", 0), ("0x1_00", 1)])
+def test_hex_tables_take_ascii_hex_digits_only(text, position):
+    # int(text, 16) would take each of these.
+    with pytest.raises(ParseError, match="invalid hex digit") as excinfo:
+        parse_table(text)
+    assert excinfo.value.position == position
+
+
+@pytest.mark.parametrize("text,position", [("١.2", 0), ("1.²", 2), ("1,2.٣", 4)])
+def test_monomials_take_ascii_digits_only(text, position):
+    with pytest.raises(ParseError, match="expected a variable index") as excinfo:
+        parse_monomials(text)
+    assert excinfo.value.position == position
+
+
 @given(st.integers(1, 4), st.data())
 def test_hex_round_trip(j, data):
     packed = data.draw(st.integers(0, (1 << (1 << j)) - 1))

@@ -71,6 +71,26 @@ def test_anf_parse_error_has_position(capsys):
     assert "position" in err
 
 
+@pytest.mark.parametrize("argv,position", [
+    (("anf", "--table", "1_00"), 1),
+    (("anf", "--table", "+1"), 0),
+    (("anf", "--table", " 1"), 0),
+    (("anf", "--table", "-0"), 0),
+    (("anf", "--table", "١"), 0),
+    (("anf", "--monomials", "1.²"), 2),
+    (("anf", "--monomials", "١.2"), 0),
+    (("compile", "--backend", "quantum1", "--monomials", "١.2"), 0),
+    (("compile", "--backend", "quantum1", "--f1", "t:1_00"), 1),
+    (("compile", "--backend", "classical3", "--circuit", "(not x²)"), 5),
+])
+def test_text_inputs_take_ascii_digits_only(capsys, argv, position):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("parse error:")
+    assert lines[0].endswith(f"(at position {position})")
+
+
 def test_anf_requires_exactly_one_input(capsys):
     code, _, err = run(capsys, "anf")
     assert code == 2

@@ -16,7 +16,7 @@ from romcomp import (
     minimal_program,
     rom_call_count,
 )
-from romcomp.search import _gather_tables, _moves, _pipeline_for
+from romcomp.search import _moves, _pipeline_for, _relabelings
 
 
 # Scalar reference canonizer for the table pipeline: the minimal encoding of
@@ -43,6 +43,34 @@ def _relabel(vector: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]
             mapping[v] = nxt
             nxt += 1
     return tuple(out), tuple(mapping)
+
+
+@functools.cache
+def _gather_tables(num_rom_bits: int, enable: bool) -> tuple[tuple[int, ...], ...]:
+    """Position maps canon-index -> source-index, one per ROM-bit relabeling.
+
+    Table g for bit map pi satisfies: canonical[m] = vector[g[m]] where bit
+    pi[b] of m equals bit b of g[m].  Without symmetry only the identity map
+    is used.
+    """
+    length = 1 << num_rom_bits
+    perms = itertools.permutations(range(num_rom_bits)) if enable else [tuple(range(num_rom_bits))]
+    tables = []
+    for pi in perms:
+        gather = [0] * length
+        for src in range(length):
+            dst = 0
+            for b in range(num_rom_bits):
+                if src >> b & 1:
+                    dst |= 1 << pi[b]
+            gather[dst] = src
+        tables.append(tuple(gather))
+    return tuple(tables)
+
+
+def _neighbours(pipeline, enc: int) -> np.ndarray:
+    """Canonical encodings of every move applied to one encoding, in move order."""
+    return pipeline.canonize(pipeline.moved(np.uint32(enc)))
 
 
 def _encode(vector: tuple[int, ...]) -> int:
@@ -298,13 +326,13 @@ def test_table_pipeline_matches_scalar_canonization(j, symmetric):
     # Each move lands in the class the scalar path computes, and the class
     # graph is undirected: every neighbour of a class leads back to it.
     for vector in vectors[:10]:
-        around = pipeline.neighbours(_encode(vector))
+        around = _neighbours(pipeline, _encode(vector))
         assert [int(n) for n in around] == [
             _canonize(_apply_move(vector, move), gathers)[0] for move in moves
         ]
         canon = _canonize(vector, gathers)[0]
-        for neighbour in pipeline.neighbours(canon):
-            assert canon in pipeline.neighbours(neighbour)
+        for neighbour in _neighbours(pipeline, canon):
+            assert canon in _neighbours(pipeline, neighbour)
 
 
 # Scalar references for the pipeline's lookup tables: the loops that built
@@ -398,9 +426,28 @@ def test_lookup_tables_match_scalar_loops(j):
         for k in sample:
             assert np.array_equal(table[k], reference_move(moves[k], base, width))
     symmetric = _pipeline_for(j, True)
+    gathers = _gather_tables(j, True)
     for (base, width), tables in zip(halves, (symmetric.gather_low, symmetric.gather_high)):
-        assert len(tables) == len(symmetric.gathers) == math.factorial(j)
-        for table, gather in zip(tables, symmetric.gathers):
+        assert len(tables) == len(gathers) == math.factorial(j)
+        for table, gather in zip(tables, gathers):
+            assert_same(table, reference_gather(gather, base, width))
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_relabelings_invert_the_scalar_gathers(j, symmetric):
+    relabelings = _relabelings(j, symmetric)
+    gathers = _gather_tables(j, symmetric)
+    assert relabelings.shape == (len(gathers), 1 << j)
+    assert not relabelings.flags.writeable
+    for images, gather in zip(relabelings, gathers):
+        assert [int(images[src]) for src in gather] == list(range(1 << j))
+    # Both pipelines' half tables are the scalar gathers' contributions.
+    pipeline = _pipeline_for(j, symmetric)
+    halves = [(0, pipeline.low_width), (pipeline.low_width, pipeline.high_width)]
+    for (base, width), tables in zip(halves, (pipeline.gather_low, pipeline.gather_high)):
+        assert tables.shape == (len(gathers), 1 << (2 * width))
+        for table, gather in zip(tables, gathers):
             assert_same(table, reference_gather(gather, base, width))
 
 

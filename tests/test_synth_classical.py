@@ -413,6 +413,29 @@ def test_one_bit_closure_with_wider_controls():
     assert len({t.bits for t in one_bit_reachable(3, max_controls=3)}) == 256
 
 
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_one_bit_closure_is_every_form_of_bounded_degree(j):
+    # Controls of width up to k reach exactly the ANFs of degree <= k; past
+    # k = j every function.
+    for k in range(1, j + 2):
+        masks = [mask for mask in range(1 << j) if bin(mask).count("1") <= k]
+        forms = {
+            truth_table_of(Anf(j, frozenset(chosen))).bits
+            for size in range(len(masks) + 1)
+            for chosen in itertools.combinations(masks, size)
+        }
+        assert {t.bits for t in one_bit_reachable(j, k)} == forms
+
+
+def test_circuit_variables_are_ascii_digits():
+    # A superscript two passes str.isdigit but not int(); an Arabic-Indic
+    # one would be read as x1.
+    for bad, position in (("(not x²)", 5), ("(not x١)", 5), ("x١", 0)):
+        with pytest.raises(ParseError) as excinfo:
+            parse_circuit(bad)
+        assert excinfo.value.position == position
+
+
 def test_circuit_walks_value_each_shared_node_once():
     # Sixty nested ANDs of a node with itself: 2^60 paths, 61 nodes.
     node = InputNode(1)

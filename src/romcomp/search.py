@@ -67,6 +67,8 @@ class SearchTarget:
     targets: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.num_rom_bits) is not int or self.num_rom_bits < 1:
+            raise ValueError(f"num_rom_bits must be an integer >= 1, got {self.num_rom_bits!r}")
         if len(self.targets) != 1 << self.num_rom_bits:
             raise ValueError("need one target state per ROM assignment")
         if any(not 0 <= t < _STATES for t in self.targets):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from typing import Callable, TypeVar
 
 from .boolfunc import Anf, ParseError, TruthTable
@@ -192,10 +192,10 @@ def balanced_and_circuit(num_inputs: int) -> CircuitNode:
 
 
 # Deepest nesting of parenthesised gates that ``parse_circuit`` accepts.  The
-# parser and ``_fold`` take one frame per level and ``barrington`` two (eight
-# per OR, which the ROM-call budget keeps at most 17 deep).  At this cap
-# compiling the worst case needs a recursion limit of about 520, inside
-# Python's default of 1000.
+# parser and ``_fold`` take one frame per level, and Barrington's recursion
+# one per NOT, two per AND and three per OR (which the ROM-call budget keeps
+# at most 17 deep).  At this cap compiling the worst case needs a recursion
+# limit of about 245, inside Python's default of 1000.
 MAX_CIRCUIT_DEPTH = 200
 
 
@@ -285,64 +285,87 @@ def _is_five_cycle(perm: Permutation) -> bool:
     return perm.size == 5 and len(cycles) == 1 and len(cycles[0]) == 5
 
 
-@lru_cache(maxsize=None)
-def _commutator_pair(target: Permutation) -> tuple[Permutation, Permutation]:
+# 5-state permutations as image tuples, composed (``_then``: ``first`` first)
+# through caches, since Barrington's recursion reuses a few dozen of them.
+Images = tuple[int, ...]
+_IDENTITY5: Images = tuple(range(5))
+
+
+@cache
+def _then(first: Images, second: Images) -> Images:
+    return tuple(second[s] for s in first)
+
+
+@cache
+def _inverse(images: Images) -> Images:
+    return tuple(images.index(s) for s in range(len(images)))
+
+
+@cache
+def _commutator_pair(target: Images) -> tuple[Images, Images]:
     """Lexicographically first 5-cycles (s, t) with t' s' t s = target,
     composing in application order (s first)."""
-    five_cycles = [
-        p for p in map(Permutation, itertools.permutations(range(5))) if _is_five_cycle(p)
-    ]
+    five_cycles = [p for p in itertools.permutations(range(5)) if _is_five_cycle(Permutation(p))]
     for sigma in five_cycles:
         for tau in five_cycles:
-            comm = sigma.then(tau).then(sigma.inverse()).then(tau.inverse())
-            if comm == target:
+            if _then(_then(_then(sigma, tau), _inverse(sigma)), _inverse(tau)) == target:
                 return sigma, tau
     raise ValueError(f"no 5-cycle commutator decomposition for {target}")
 
 
+def _barrington_run(circuit: CircuitNode, rho: Images,
+                    emit: Callable[[int, Images, Images], tuple[T, ...]]) -> list[T]:
+    """Barrington's program for ``rho`` as ``emit``'s items per step (bit,
+    if0, if1): AND is a commutator of recursive 5-cycles, NOT folds a fixup
+    into the last step (costing no length), OR is NOT(AND(NOT l, NOT r)).
+    Each (node, target) is built once, keyed by the node's id (XOR shares
+    subtrees; hashing a frozen tree recurses over all of it), as a run never
+    mutated: the items of all steps but the last, which a NOT above may still
+    fix up, and that last step.  ``emit`` is called per run: cache it."""
+    Run = tuple[list[T], tuple[int, Images, Images]]
+    memo: dict[tuple[int, Images], Run] = {}
+
+    def fixed(found: Run, target: Images) -> Run:
+        body, (bit, if0, if1) = found
+        return body, (bit, _then(if0, target), _then(if1, target))
+
+    def negated(node: CircuitNode, target: Images) -> Run:
+        return fixed(run(node, _inverse(target)), target)
+
+    def joined(part: Callable[..., Run], node: AndNode | OrNode, target: Images) -> Run:
+        sigma, tau = _commutator_pair(target)
+        (b1, s1), (b2, s2), (b3, s3), (b4, s4) = (
+            part(node.left, sigma), part(node.right, tau),
+            part(node.left, _inverse(sigma)), part(node.right, _inverse(tau)),
+        )
+        return [*b1, *emit(*s1), *b2, *emit(*s2), *b3, *emit(*s3), *b4], s4
+
+    def run(node: CircuitNode, target: Images) -> Run:
+        key = (id(node), target)
+        found = memo.get(key)
+        if found is None:
+            if isinstance(node, InputNode):
+                found = [], (node.index, _IDENTITY5, target)
+            elif isinstance(node, NotNode):
+                found = fixed(run(node.child, _inverse(target)), target)
+            elif isinstance(node, AndNode):
+                found = joined(run, node, target)
+            else:
+                found = fixed(joined(negated, node, _inverse(target)), target)
+            memo[key] = found
+        return found
+
+    body, last = run(circuit, rho)
+    return [*body, *emit(*last)]
+
+
 def barrington(circuit: CircuitNode, rho: Permutation) -> BranchingProgram:
     """Branching program of length <= 4^depth that applies ``rho`` exactly
-    when the circuit accepts and fixes every state otherwise.
-
-    AND compiles to a commutator of recursively computed 5-cycles; NOT folds
-    a fixup permutation into the final step (costing no length); OR goes
-    through De Morgan.
-    """
+    when the circuit accepts and fixes every state otherwise."""
     if not _is_five_cycle(rho):
         raise ValueError("rho must be a 5-cycle")
-    Steps = list[tuple[int, Permutation, Permutation]]
-    # Shared subtrees (XOR reads each operand twice) recur with the same
-    # targets, so each (node, target) is expanded once.  The key is the node's
-    # id, not its value: hashing a frozen tree recurses over all of it.  Each
-    # entry holds its node, so the fresh nodes of the OR rewrite stay alive
-    # and their ids are not reused.
-    memo: dict[tuple[int, tuple[int, ...]], tuple[CircuitNode, Steps]] = {}
-
-    def rec(node: CircuitNode, target: Permutation) -> Steps:
-        """The steps for ``node``; shared with the memo, so never mutated."""
-        key = (id(node), target.images)
-        if key not in memo:
-            memo[key] = (node, expand(node, target))
-        return memo[key][1]
-
-    def expand(node: CircuitNode, target: Permutation) -> Steps:
-        if isinstance(node, InputNode):
-            return [(node.index, Permutation.identity(5), target)]
-        if isinstance(node, NotNode):
-            *steps, (bit, if0, if1) = rec(node.child, target.inverse())
-            return steps + [(bit, if0.then(target), if1.then(target))]
-        if isinstance(node, OrNode):
-            rewritten = NotNode(AndNode(NotNode(node.left), NotNode(node.right)))
-            return rec(rewritten, target)
-        sigma, tau = _commutator_pair(target)
-        return (
-            rec(node.left, sigma)
-            + rec(node.right, tau)
-            + rec(node.left, sigma.inverse())
-            + rec(node.right, tau.inverse())
-        )
-
-    return BranchingProgram(tuple(rec(circuit, rho)))
+    emit = cache(lambda bit, if0, if1: ((bit, Permutation(if0), Permutation(if1)),))
+    return BranchingProgram(tuple(_barrington_run(circuit, rho.images, emit)))
 
 
 # Flipping writable bit 1 of three is the state permutation
@@ -395,24 +418,19 @@ def circuit_to_three_bit(circuit: CircuitNode, num_rom_bits: int) -> RomProgram:
     # of the four runs costs exactly one call per step.
     check_rom_calls(4 * branching_length(circuit))
     space = RomSpace(num_rom_bits, 3, CLASSICAL)
-    instructions: list[Instruction] = []
-    for cycle in BIT_FLIP_FIVE_CYCLES:
-        rho, support = five_cycle_on_support(cycle)
-        # Barrington's steps repeat a few dozen distinct steps: build each
-        # one's instructions once.
-        built: dict[tuple[int, tuple[int, ...], tuple[int, ...]], tuple[Instruction, ...]] = {}
-        for bit, if0, if1 in barrington(circuit, rho).steps:
-            key = (bit, if0.images, if1.images)
-            if key not in built:
-                always = embed_permutation(if0, support, 8)
-                conditional = embed_permutation(if0.inverse().then(if1), support, 8)
-                built[key] = tuple(
-                    Instruction(permutation_gate(perm.images), control)
-                    for perm, control in ((always, None), (conditional, bit))
-                    if not perm.is_identity()
-                )
-            instructions.extend(built[key])
-    return RomProgram(space, tuple(instructions))
+    runs = (_barrington_run(circuit, rho.images, partial(_embedded_step, support))
+            for rho, support in map(five_cycle_on_support, BIT_FLIP_FIVE_CYCLES))
+    return RomProgram(space, tuple(itertools.chain(*runs)))
+
+
+# Steps are keyed by their ROM bit, so unlike the gate caches this is bounded.
+@lru_cache(maxsize=4096)
+def _embedded_step(support: tuple[int, ...], bit: int, if0: Images,
+                   if1: Images) -> tuple[Instruction, ...]:
+    return tuple(
+        Instruction(permutation_gate(embed_permutation(Permutation(p), support, 8).images), control)
+        for p, control in ((if0, None), (_then(_inverse(if0), if1), bit)) if p != _IDENTITY5
+    )
 
 
 def and_barrington(num_rom_bits: int) -> RomProgram:

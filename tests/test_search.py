@@ -473,3 +473,11 @@ def test_target_validation():
     # j > 4 is refused outright.
     with pytest.raises(ValueError):
         minimal_program(SearchTarget(5, (0,) * 32), max_depth=3)
+
+
+@pytest.mark.parametrize("num_rom_bits,targets", [(0, (0,)), (-1, ()), (True, (0, 0))])
+def test_target_needs_at_least_one_rom_bit(num_rom_bits, targets):
+    # Zero bits used to reach numpy as an empty move list and end in a
+    # TypeError; a negative count in "negative shift count".
+    with pytest.raises(ValueError, match="num_rom_bits must be an integer >= 1"):
+        SearchTarget(num_rom_bits, targets)

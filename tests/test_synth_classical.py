@@ -35,7 +35,7 @@ from romcomp import (
     and_sequence,
     truth_table_of,
 )
-from romcomp.program import MAX_ROM_CALLS, doubling_calls
+from romcomp.program import MAX_ROM_CALLS, Instruction, doubling_calls, permutation_gate
 from romcomp.synth_classical import (
     MAX_CIRCUIT_DEPTH,
     anf_to_circuit,
@@ -363,6 +363,54 @@ def test_circuit_to_three_bit_general():
     assert vf.components[0].bits == tuple(eval_circuit(circuit, u) for u in range(8))
 
 
+def random_circuit(rng, j, depth):
+    """A seeded circuit over x1..xj with ORs and NOTs nested through it."""
+    if depth == 0:
+        return InputNode(rng.randrange(1, j + 1))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return NotNode(random_circuit(rng, j, depth - 1))
+    left, right = random_circuit(rng, j, depth - 1), random_circuit(rng, j, depth - 1)
+    return AndNode(left, right) if kind == 1 else OrNode(left, right)
+
+
+def embedded_steps(circuit):
+    """``circuit_to_three_bit``'s instructions, built from ``barrington``'s
+    steps one at a time: per bit-flip cycle, each step (if0, if1) as an
+    uncontrolled if0, then the controlled if0^-1 if1, identities dropped."""
+    instructions = []
+    for cycle in BIT_FLIP_FIVE_CYCLES:
+        rho, support = five_cycle_on_support(cycle)
+        for bit, if0, if1 in barrington(circuit, rho).steps:
+            for perm, control in ((if0, None), (if0.inverse().then(if1), bit)):
+                if not perm.is_identity():
+                    gate = permutation_gate(embed_permutation(perm, support, 8).images)
+                    instructions.append(Instruction(gate, control))
+    return tuple(instructions)
+
+
+@pytest.mark.parametrize("j", [3, 4, 5])
+def test_three_bit_compile_embeds_barrington_steps(j):
+    # Random circuits nest ORs and NOTs; anf_to_circuit's XORs read each
+    # operand twice, so their subtrees are shared.
+    rng = random.Random(j)
+    circuits = [random_circuit(rng, j, 4) for _ in range(6)]
+    circuits += [anf_to_circuit(Anf(j, frozenset(rng.sample(range(1 << j), 3)))) for _ in range(2)]
+    for circuit in circuits:
+        program = circuit_to_three_bit(circuit, j)
+        assert program.instructions == embedded_steps(circuit)
+        table = extract_function(program).components[0].bits
+        assert table == tuple(eval_circuit(circuit, u) for u in range(1 << j))
+
+
+def test_barrington_or_is_not_and_of_nots():
+    a = AndNode(InputNode(1), NotNode(InputNode(2)))
+    b = OrNode(InputNode(3), AndNode(InputNode(1), InputNode(3)))
+    de_morgan = NotNode(AndNode(NotNode(a), NotNode(b)))
+    for rho in (RHO, RHO.inverse(), Permutation((2, 0, 4, 1, 3))):
+        assert barrington(OrNode(a, b), rho).steps == barrington(de_morgan, rho).steps
+
+
 def test_anf_to_circuit():
     anf = Anf(3, frozenset({0b000, 0b011, 0b100}))
     circuit = anf_to_circuit(anf)
@@ -448,9 +496,10 @@ def test_circuit_walks_value_each_shared_node_once():
 
 
 def test_deepest_circuit_within_the_budget_compiles_at_the_nesting_cap():
-    # The recursion's worst case: nested ORs (eight frames each in barrington)
-    # around NOTs up to the cap.  Seventeen ORs are the most the ROM-call
-    # budget admits, since each doubles the branching length.
+    # The recursion's worst case: nested ORs (three frames each in
+    # Barrington's recursion) around NOTs up to the cap.  Seventeen ORs are
+    # the most the ROM-call budget admits, since each doubles the branching
+    # length.
     def nested(ors):
         text = "(not " * (MAX_CIRCUIT_DEPTH - ors) + "x1" + ")" * (MAX_CIRCUIT_DEPTH - ors)
         for index in range(2, ors + 2):

@@ -70,9 +70,7 @@ from .synth_classical import (
     circuit_to_three_bit,
     cnot_gate,
     compile_pair,
-    embed_permutation,
     eval_circuit,
-    five_cycle_on_support,
     monomial_into_register,
     not_gate,
     one_bit_reachable,

@@ -347,30 +347,28 @@ class RomProgram:
     instructions: tuple[Instruction, ...] = ()
 
     def __post_init__(self) -> None:
-        # Compiled programs repeat a few gates many times: check each
-        # (gate, control) at its first position only.  The program keeps its
-        # gates alive, so their ids stay unique.
-        checked: set[tuple[int, int | None]] = set()
-        for pos, inst in enumerate(self.instructions):
-            key = (id(inst.gate), inst.control)
-            if key in checked:
-                continue
-            checked.add(key)
+        # Compiled programs repeat a few instruction objects many times: check
+        # each object once, in order of first position, and look that
+        # position up only to report it.  The program keeps its instructions
+        # alive, so their ids stay unique.
+        def at(inst: Instruction) -> int:
+            return next(pos for pos, other in enumerate(self.instructions) if other is inst)
+
+        for inst in {id(inst): inst for inst in self.instructions}.values():
             if isinstance(inst.gate, PermutationGate):
                 if self.space.kind != CLASSICAL:
-                    raise KindMismatchError(f"classical gate at {pos} in a quantum program")
+                    raise KindMismatchError(f"classical gate at {at(inst)} in a quantum program")
                 if inst.gate.perm.size != self.space.num_states:
                     raise ProgramError(
-                        f"gate at {pos} acts on {inst.gate.perm.size} states, "
+                        f"gate at {at(inst)} acts on {inst.gate.perm.size} states, "
                         f"space has {self.space.num_states}"
                     )
             else:
                 if self.space.kind != QUANTUM:
-                    raise KindMismatchError(f"quantum gate at {pos} in a classical program")
+                    raise KindMismatchError(f"quantum gate at {at(inst)} in a classical program")
             if inst.control is not None and inst.control > self.space.num_rom_bits:
-                raise ProgramError(
-                    f"control u_{inst.control} at {pos} exceeds {self.space.num_rom_bits} ROM bits"
-                )
+                raise ProgramError(f"control u_{inst.control} at {at(inst)} exceeds "
+                                   f"{self.space.num_rom_bits} ROM bits")
 
     def __len__(self) -> int:
         return len(self.instructions)

@@ -14,6 +14,9 @@ from .program import (
     UnitaryGate,
 )
 
+# Most cells (rows times columns, labels included) a diagram may have.
+MAX_RENDER_CELLS = 2**24
+
 
 def _rotation_label(gate: DyadicGate) -> str:
     if gate.exponent.log2den == 0 and gate.exponent.num == 1:
@@ -51,9 +54,12 @@ def _wire_glyphs(inst: Instruction, num_writable: int) -> dict[int, str]:
 
 
 def render_program(program: RomProgram) -> str:
-    """Deterministic monospace diagram of a program."""
+    """Deterministic monospace diagram of a program, if within ``MAX_RENDER_CELLS``."""
     j = program.space.num_rom_bits
     n = program.space.num_writable
+    area = (j + n) * (len(program) + 1)
+    if area > MAX_RENDER_CELLS:
+        raise ValueError(f"the diagram needs {area} cells (limit {MAX_RENDER_CELLS})")
     kind_prefix = "q" if program.space.kind == "quantum" else "b"
     # Row order: u_j .. u_1 on top, then the writable wires.
     rom_row = {index: j - index for index in range(1, j + 1)}

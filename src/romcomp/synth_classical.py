@@ -11,8 +11,8 @@ AND/OR/NOT circuit becomes a width-5 permutation branching program of length
 at most 4^d that walks the workspace through the identity (circuit false) or
 a chosen 5-cycle (circuit true).  Flipping the first writable bit is the
 state permutation (0 1)(2 3)(4 5)(6 7), which factors into four 5-cycles;
-running the branching program once per factor, embedded into the 8 states,
-flips the bit exactly when the circuit accepts.
+running the branching program on the 8 states once per factor flips the bit
+exactly when the circuit accepts.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache
 from typing import Callable, TypeVar
 
 from .boolfunc import Anf, ParseError, TruthTable
@@ -264,7 +264,7 @@ def anf_to_circuit(anf: Anf) -> CircuitNode:
 
 @dataclass(frozen=True, slots=True)
 class BranchingProgram:
-    """Width-k permutation branching program: each step applies one of two
+    """Permutation branching program: each step applies one of two
     permutations of the workspace depending on one ROM bit."""
 
     steps: tuple[tuple[int, Permutation, Permutation], ...]
@@ -273,22 +273,16 @@ class BranchingProgram:
     def length(self) -> int:
         return len(self.steps)
 
-    def evaluate(self, assignment: int, width: int = 5) -> Permutation:
-        result = Permutation.identity(width)
+    def evaluate(self, assignment: int) -> Permutation:
+        result = Permutation.identity(self.steps[0][1].size)
         for bit, if0, if1 in self.steps:
             result = result.then(if1 if assignment >> (bit - 1) & 1 else if0)
         return result
 
 
-def _is_five_cycle(perm: Permutation) -> bool:
-    cycles = perm.cycles()
-    return perm.size == 5 and len(cycles) == 1 and len(cycles[0]) == 5
-
-
-# 5-state permutations as image tuples, composed (``_then``: ``first`` first)
-# through caches, since Barrington's recursion reuses a few dozen of them.
+# Permutations as image tuples, composed (``_then``: ``first`` first) through
+# caches, since Barrington's recursion reuses a few dozen of them per 5-cycle.
 Images = tuple[int, ...]
-_IDENTITY5: Images = tuple(range(5))
 
 
 @cache
@@ -303,9 +297,12 @@ def _inverse(images: Images) -> Images:
 
 @cache
 def _commutator_pair(target: Images) -> tuple[Images, Images]:
-    """Lexicographically first 5-cycles (s, t) with t' s' t s = target,
-    composing in application order (s first)."""
-    five_cycles = [p for p in itertools.permutations(range(5)) if _is_five_cycle(Permutation(p))]
+    """Lexicographically first 5-cycles (s, t) on the five states the
+    5-cycle ``target`` moves with t' s' t s = target, composing in
+    application order (s first)."""
+    first, *rest = (s for s, image in enumerate(target) if image != s)
+    five_cycles = sorted(Permutation.from_cycles(len(target), ((first, *order),)).images
+                         for order in itertools.permutations(rest))
     for sigma in five_cycles:
         for tau in five_cycles:
             if _then(_then(_then(sigma, tau), _inverse(sigma)), _inverse(tau)) == target:
@@ -324,6 +321,7 @@ def _barrington_run(circuit: CircuitNode, rho: Images,
     fix up, and that last step.  ``emit`` is called per run: cache it."""
     Run = tuple[list[T], tuple[int, Images, Images]]
     memo: dict[tuple[int, Images], Run] = {}
+    identity = tuple(range(len(rho)))
 
     def fixed(found: Run, target: Images) -> Run:
         body, (bit, if0, if1) = found
@@ -345,7 +343,7 @@ def _barrington_run(circuit: CircuitNode, rho: Images,
         found = memo.get(key)
         if found is None:
             if isinstance(node, InputNode):
-                found = [], (node.index, _IDENTITY5, target)
+                found = [], (node.index, identity, target)
             elif isinstance(node, NotNode):
                 found = fixed(run(node.child, _inverse(target)), target)
             elif isinstance(node, AndNode):
@@ -360,9 +358,10 @@ def _barrington_run(circuit: CircuitNode, rho: Images,
 
 
 def barrington(circuit: CircuitNode, rho: Permutation) -> BranchingProgram:
-    """Branching program of length <= 4^depth that applies ``rho`` exactly
-    when the circuit accepts and fixes every state otherwise."""
-    if not _is_five_cycle(rho):
+    """Branching program of length <= 4^depth that applies ``rho``, a
+    5-cycle on any number of states, exactly when the circuit accepts and
+    fixes every state otherwise."""
+    if [len(cycle) for cycle in rho.cycles()] != [5]:
         raise ValueError("rho must be a 5-cycle")
     emit = cache(lambda bit, if0, if1: ((bit, Permutation(if0), Permutation(if1)),))
     return BranchingProgram(tuple(_barrington_run(circuit, rho.images, emit)))
@@ -381,35 +380,13 @@ BIT_FLIP_FIVE_CYCLES: tuple[tuple[int, ...], ...] = (
 BIT_FLIP_PERMUTATION = Permutation.from_cycles(8, ((0, 1), (2, 3), (4, 5), (6, 7)))
 
 
-def five_cycle_on_support(cycle: tuple[int, ...]) -> tuple[Permutation, tuple[int, ...]]:
-    """Relabel a 5-cycle over arbitrary state labels onto {0..4}.
-
-    Returns the dense permutation and the sorted support used as the
-    relabeling table.
-    """
-    support = tuple(sorted(cycle))
-    position = {state: pos for pos, state in enumerate(support)}
-    images = list(range(5))
-    for pos, state in enumerate(cycle):
-        images[position[state]] = position[cycle[(pos + 1) % len(cycle)]]
-    return Permutation(tuple(images)), support
-
-
-def embed_permutation(perm: Permutation, support: tuple[int, ...], size: int) -> Permutation:
-    """Extend a permutation of ``support`` to ``size`` states, fixing the rest."""
-    images = list(range(size))
-    for pos, state in enumerate(support):
-        images[state] = support[perm.images[pos]]
-    return Permutation(tuple(images))
-
-
 def circuit_to_three_bit(circuit: CircuitNode, num_rom_bits: int) -> RomProgram:
     """Three-bit program XOR-ing a circuit's value into writable bit 1.
 
-    Runs Barrington's construction once per 5-cycle factor of the bit-flip
-    permutation, embedding each branching-program step into the 8 states.
-    A step (if0, if1) becomes an uncontrolled if0 followed by the controlled
-    difference if1 * if0^-1, so it costs at most one ROM call.
+    Runs Barrington's construction on the 8 states once per 5-cycle factor
+    of the bit-flip permutation.  A step (if0, if1) becomes an uncontrolled
+    if0 followed by the controlled difference if1 * if0^-1, so it costs at
+    most one ROM call.
     """
     for index in circuit_inputs(circuit):
         if index > num_rom_bits:
@@ -418,19 +395,17 @@ def circuit_to_three_bit(circuit: CircuitNode, num_rom_bits: int) -> RomProgram:
     # of the four runs costs exactly one call per step.
     check_rom_calls(4 * branching_length(circuit))
     space = RomSpace(num_rom_bits, 3, CLASSICAL)
-    runs = (_barrington_run(circuit, rho.images, partial(_embedded_step, support))
-            for rho, support in map(five_cycle_on_support, BIT_FLIP_FIVE_CYCLES))
+    targets = (Permutation.from_cycles(8, (cycle,)).images for cycle in BIT_FLIP_FIVE_CYCLES)
+    runs = (_barrington_run(circuit, rho, _step_instructions) for rho in targets)
     return RomProgram(space, tuple(itertools.chain(*runs)))
 
 
 # Steps are keyed by their ROM bit, so unlike the gate caches this is bounded.
 @lru_cache(maxsize=4096)
-def _embedded_step(support: tuple[int, ...], bit: int, if0: Images,
-                   if1: Images) -> tuple[Instruction, ...]:
-    return tuple(
-        Instruction(permutation_gate(embed_permutation(Permutation(p), support, 8).images), control)
-        for p, control in ((if0, None), (_then(_inverse(if0), if1), bit)) if p != _IDENTITY5
-    )
+def _step_instructions(bit: int, if0: Images, if1: Images) -> tuple[Instruction, ...]:
+    parts = ((if0, None), (_then(_inverse(if0), if1), bit))
+    return tuple(Instruction(permutation_gate(p), control)
+                 for p, control in parts if p != tuple(range(8)))
 
 
 def and_barrington(num_rom_bits: int) -> RomProgram:

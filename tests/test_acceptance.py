@@ -24,12 +24,10 @@ from romcomp import (
     compile_pair,
     conjectured_minimal_calls,
     dumps,
-    embed_permutation,
     eval_circuit,
     evaluate,
     extract_boolean,
     extract_function,
-    five_cycle_on_support,
     gate_matrix,
     minimal_program,
     one_bit_reachable,
@@ -151,8 +149,7 @@ def test_criterion_06_five_cycle_product():
     watch = Stopwatch(1.0)
     product = Permutation.identity(8)
     for cycle in BIT_FLIP_FIVE_CYCLES:
-        rho, support = five_cycle_on_support(cycle)
-        product = product.then(embed_permutation(rho, support, 8))
+        product = product.then(Permutation.from_cycles(8, (cycle,)))
     assert product == BIT_FLIP_PERMUTATION
     assert BIT_FLIP_PERMUTATION.images == (1, 0, 3, 2, 5, 4, 7, 6)
     watch.finish(6, "the four 5-cycles compose (first-listed first) to the bit flip")

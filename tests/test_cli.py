@@ -320,6 +320,22 @@ def test_render_worked_example(capsys, tmp_path):
     assert out2 == out
 
 
+def test_render_refuses_a_diagram_with_too_many_rom_rows(capsys, monkeypatch):
+    # One row per ROM bit: refused before any row is drawn.
+    doc = {"num_rom_bits": 30_000_000, "num_writable": 1, "kind": "quantum", "instructions": []}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert_one_error_line(*run(capsys, "render", "-"))
+
+
+def test_render_refuses_a_diagram_with_too_many_cells(capsys, monkeypatch):
+    # 257 rows by 65,537 columns is 16,843,009 cells, just past 2^24.
+    program = and_fast(list(range(1, 257)), 256)
+    monkeypatch.setattr("sys.stdin", io.StringIO(dumps(program)))
+    code, out, err = run(capsys, "render", "-")
+    assert_one_error_line(code, out, err)
+    assert "16843009 cells" in err
+
+
 def test_counts_table(capsys):
     code, out, _ = run(capsys, "counts", "--j-max", "4")
     assert code == 0

@@ -206,7 +206,7 @@ def test_quantum_program_is_unitary(seed):
 
 
 def test_repeated_checks_report_the_first_offending_position():
-    # The checks run once per distinct (gate, control); a pair that failed
+    # The checks run once per distinct instruction object; one that failed
     # must still be reported where it first occurs.
     ok, wide = Instruction(NOT1, 1), Instruction(NOT1, 3)
     with pytest.raises(ProgramError, match="^control u_3 at 2 exceeds 2 ROM bits$"):

@@ -21,11 +21,9 @@ from romcomp import (
     circuit_to_three_bit,
     cnot_gate,
     compile_pair,
-    embed_permutation,
     eval_circuit,
     evaluate,
     extract_function,
-    five_cycle_on_support,
     monomial_into_register,
     not_gate,
     one_bit_reachable,
@@ -258,8 +256,10 @@ def test_barrington_single_input():
 
 
 def test_barrington_requires_five_cycle():
-    with pytest.raises(ValueError):
-        barrington(InputNode(1), Permutation((1, 0, 2, 3, 4)))
+    six_cycle = Permutation.from_cycles(8, ((0, 1, 2, 3, 4, 5),))
+    for rho in (Permutation((1, 0, 2, 3, 4)), BIT_FLIP_PERMUTATION, six_cycle):
+        with pytest.raises(ValueError):
+            barrington(InputNode(1), rho)
 
 
 def check_theorem_contract(circuit, num_bits, rho=RHO):
@@ -319,30 +319,36 @@ def test_bit_flip_cycle_product():
     # The four 5-cycles, applied first-tuple-first, give (0 1)(2 3)(4 5)(6 7).
     product = Permutation.identity(8)
     for cycle in BIT_FLIP_FIVE_CYCLES:
-        rho, support = five_cycle_on_support(cycle)
-        product = product.then(embed_permutation(rho, support, 8))
+        product = product.then(Permutation.from_cycles(8, (cycle,)))
     assert product == BIT_FLIP_PERMUTATION
+    assert BIT_FLIP_PERMUTATION.images == (1, 0, 3, 2, 5, 4, 7, 6)
 
 
-def test_embedding_fixes_complement():
+def test_barrington_on_the_bit_flip_factors():
+    # Run on the 8 states, the program applies the factor exactly when the
+    # circuit accepts and fixes all 8 states otherwise.
+    circuits = [
+        AndNode(InputNode(1), InputNode(2)),
+        NotNode(AndNode(NotNode(InputNode(1)), OrNode(InputNode(2), InputNode(3)))),
+        balanced_and_circuit(4),
+    ]
     for cycle in BIT_FLIP_FIVE_CYCLES:
-        rho, support = five_cycle_on_support(cycle)
-        embedded = embed_permutation(rho, support, 8)
-        outside = set(range(8)) - set(support)
-        assert all(embedded.apply(s) == s for s in outside)
+        rho = Permutation.from_cycles(8, (cycle,))
+        for circuit in circuits:
+            check_theorem_contract(circuit, max(_inputs(circuit)), rho)
 
 
 def test_and_barrington_instructions_fix_inactive_states():
-    # Each instruction of the three-bit AND program touches only the five
-    # states of the cycle it was generated from.
+    # Each step of the three-bit AND's branching programs touches only the
+    # five states of the cycle it was generated from.
     for cycle in BIT_FLIP_FIVE_CYCLES:
-        rho, support = five_cycle_on_support(cycle)
-        bp = barrington(balanced_and_circuit(3), rho)
-        outside = set(range(8)) - set(support)
+        bp = barrington(balanced_and_circuit(3), Permutation.from_cycles(8, (cycle,)))
+        outside = set(range(8)) - set(cycle)
+        assert len(outside) == 3
         for _, if0, if1 in bp.steps:
             for perm in (if0, if1):
-                embedded = embed_permutation(perm, support, 8)
-                assert all(embedded.apply(s) == s for s in outside)
+                assert perm.size == 8
+                assert all(perm.apply(s) == s for s in outside)
 
 
 @pytest.mark.parametrize("j", range(1, 7))
@@ -375,17 +381,22 @@ def random_circuit(rng, j, depth):
 
 
 def embedded_steps(circuit):
-    """``circuit_to_three_bit``'s instructions, built from ``barrington``'s
-    steps one at a time: per bit-flip cycle, each step (if0, if1) as an
-    uncontrolled if0, then the controlled if0^-1 if1, identities dropped."""
+    """``circuit_to_three_bit``'s instructions, built from the steps of
+    ``barrington`` on 5 points one at a time: per bit-flip cycle, relabeled
+    onto {0..4} through its sorted support, each step (if0, if1) as an
+    uncontrolled if0, then the controlled if0^-1 if1, identities dropped,
+    embedded back into the 8 states."""
     instructions = []
     for cycle in BIT_FLIP_FIVE_CYCLES:
-        rho, support = five_cycle_on_support(cycle)
-        for bit, if0, if1 in barrington(circuit, rho).steps:
+        support = sorted(cycle)
+        dense_rho = Permutation.from_cycles(5, (tuple(map(support.index, cycle)),))
+        for bit, if0, if1 in barrington(circuit, dense_rho).steps:
             for perm, control in ((if0, None), (if0.inverse().then(if1), bit)):
                 if not perm.is_identity():
-                    gate = permutation_gate(embed_permutation(perm, support, 8).images)
-                    instructions.append(Instruction(gate, control))
+                    images = list(range(8))
+                    for pos, state in enumerate(support):
+                        images[state] = support[perm.images[pos]]
+                    instructions.append(Instruction(permutation_gate(tuple(images)), control))
     return tuple(instructions)
 
 

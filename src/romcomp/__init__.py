@@ -77,7 +77,7 @@ from .synth_classical import (
     parse_circuit,
     and_sequence,
 )
-from .synth_quantum import and_fast, and_naive, compile_function
+from .synth_quantum import and_fast, and_naive, circuit_to_qubit, compile_function
 from .render import render_program
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -43,7 +43,7 @@ from .synth_classical import (
     compile_pair,
     parse_circuit,
 )
-from .synth_quantum import and_fast, and_naive, compile_function
+from .synth_quantum import and_fast, and_naive, circuit_to_qubit, compile_function
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -126,29 +126,31 @@ def _parse_component(spec: str | None, num_vars: int | None) -> Anf:
     return parse_monomials(spec, num_vars)
 
 
-# Backend -> (writable registers its functions fill, the one flag only it reads).
-_BACKENDS = {"quantum1": (1, "naive"), "classical2": (2, None), "classical3": (1, "circuit")}
+# Backend -> (writable registers its functions fill, which of --naive and --circuit it reads).
+_BACKENDS = {"quantum1": (1, {"naive", "circuit"}), "classical2": (2, set()),
+             "classical3": (1, {"circuit"})}
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
-    registers, _ = _BACKENDS[args.backend]
-    for backend, (_, flag) in _BACKENDS.items():
-        if flag and backend != args.backend and getattr(args, flag) not in (None, False):
-            raise CliError(f"--{flag} applies only to --backend {backend}")
+    registers, reads = _BACKENDS[args.backend]
+    for flag in ("naive", "circuit"):
+        if flag not in reads and getattr(args, flag) not in (None, False):
+            raise CliError(f"--backend {args.backend} does not read --{flag}")
     _check_width(COMPILE_WIDTH_LIMIT, [args.monomials, args.f1, args.f2, args.circuit],
                  args.num_vars, args.and_of, args.num_rom_bits)
     specs = _component_specs(args, registers)
     circuit = None
     if args.circuit is not None:
-        if args.num_vars is not None or specs != [None]:
-            raise CliError("--circuit is the whole function: give no other function flag")
+        if args.num_vars is not None or specs != [None] or args.naive:
+            raise CliError("--circuit is the whole function: no other function flag, no --naive")
         circuit = parse_circuit(args.circuit)
     parsed = [_parse_component(spec, args.num_vars) for spec in specs]
     widths = [anf.num_vars for anf in parsed] if circuit is None else circuit_inputs(circuit)
     j = max(widths) if args.num_rom_bits is None else args.num_rom_bits
     anfs = [Anf(j, anf.monomials) for anf in parsed]
     if args.backend == "quantum1":
-        program = compile_function(anfs[0], j, method="naive" if args.naive else "fast")
+        program = (compile_function(anfs[0], j, method="naive" if args.naive else "fast")
+                   if circuit is None else circuit_to_qubit(circuit, j))
     elif args.backend == "classical2":
         program = compile_pair(anfs[0], anfs[1], j)
     else:
@@ -267,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--table", help="function as a truth table (same as --f1 t:...)")
     comp.add_argument("--f1", help="register 1's function (monomials, m:... or t:...)")
     comp.add_argument("--f2", help="classical2: register 2's function")
-    comp.add_argument("--circuit", help="classical3: the function as a circuit like '(and x1 x2)'")
+    comp.add_argument("--circuit", help="quantum1, classical3: the function as '(and x1 x2)'")
     comp.add_argument("--num-vars", type=int, default=None, help="variables in the function flags")
     comp.add_argument("--num-rom-bits", type=int, default=None, help="ROM width of the program")
     comp.add_argument("--naive", action="store_true", help="quantum1: doubling construction")

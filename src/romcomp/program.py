@@ -23,9 +23,9 @@ QUANTUM = "quantum"
 UNITARITY_TOL = 1e-12
 
 # Largest accepted exponent denominator 2**log2den.  It keeps |num| <= 2**52,
-# so ``DyadicExponent.value`` is exact.  The compilers need at most
-# ceil(log2 m) for an AND of m ROM bits (and_fast), so every program they
-# emit for fewer than 2**51 ROM bits fits.
+# so ``DyadicExponent.value`` is exact.  The compilers need ceil(log2 m) for
+# an AND of m ROM bits (and_fast), and for a circuit one per AND/OR level on
+# a left path: at most 19, as each level at least doubles the ROM calls.
 MAX_LOG2DEN = 51
 
 # Most ROM calls a compiler may spend on one program.  A product of m ROM

@@ -192,10 +192,11 @@ def balanced_and_circuit(num_inputs: int) -> CircuitNode:
 
 
 # Deepest nesting of parenthesised gates that ``parse_circuit`` accepts.  The
-# parser and ``_fold`` take one frame per level, and Barrington's recursion
-# one per NOT, two per AND and three per OR (which the ROM-call budget keeps
-# at most 17 deep).  At this cap compiling the worst case needs a recursion
-# limit of about 245, inside Python's default of 1000.
+# parser and ``_fold`` take one frame per level; Barrington's recursion one
+# per NOT, two per AND and three per OR (which the ROM-call budget keeps at
+# most 17 deep); the qubit's ``_block`` one per AND, four per OR (at most 19
+# deep) and one per two NOTs.  At this cap compiling the worst case needs a
+# recursion limit of about 245, inside Python's default of 1000.
 MAX_CIRCUIT_DEPTH = 200
 
 
@@ -296,13 +297,18 @@ def _inverse(images: Images) -> Images:
 
 
 @cache
+def _five_cycles(size: int, first: int, *rest: int) -> list[Images]:
+    """The 24 5-cycles on the states {first, *rest}, sorted."""
+    return sorted(Permutation.from_cycles(size, ((first, *order),)).images
+                  for order in itertools.permutations(rest))
+
+
+@cache
 def _commutator_pair(target: Images) -> tuple[Images, Images]:
     """Lexicographically first 5-cycles (s, t) on the five states the
     5-cycle ``target`` moves with t' s' t s = target, composing in
     application order (s first)."""
-    first, *rest = (s for s, image in enumerate(target) if image != s)
-    five_cycles = sorted(Permutation.from_cycles(len(target), ((first, *order),)).images
-                         for order in itertools.permutations(rest))
+    five_cycles = _five_cycles(len(target), *(s for s, image in enumerate(target) if image != s))
     for sigma in five_cycles:
         for tau in five_cycles:
             if _then(_then(_then(sigma, tau), _inverse(sigma)), _inverse(tau)) == target:

@@ -1,38 +1,30 @@
 """Compile boolean functions into one-qubit ROM programs.
 
-Both AND constructions hinge on the conjugation identities
-
-    Z X^t Z = e^(i*pi*t) X^(-t)        X Z^t X = e^(i*pi*t) Z^(-t)
-
-so a rotation bracketed by a conditionally-applied involution either cancels
-against its inverse (control inactive) or doubles (control active), up to a
-scalar phase.  Phases accumulate per assignment but are irrelevant to
-projective readout, since the controls are classical bits.
-
-``and_naive`` peels one control per level and doubles the remaining work:
-3 * 2^(m-1) - 2 controlled gates for an m-way AND.  ``and_fast`` instead
-splits the controls over a balanced binary tree, alternating the X and Z
-axes per level and halving the rotation exponent along each left spine,
-which brings the cost down to 4^ceil(log2 m).
+Every construction is one commutator recursion over an AND/OR/NOT circuit
+(``_block``), on the identities Z X^t Z = e^(i*pi*t) X^(-t) and
+X Z^t X = e^(i*pi*t) Z^(-t).  Phases are irrelevant to projective readout,
+since the controls are classical bits.  A circuit costs ``branching_length``
+ROM calls: 3 * 2^(m-1) - 2 for ``and_naive``'s right-deep chain of m
+controls, at most 4^ceil(log2 m) for ``and_fast``'s padded balanced tree.
 """
 
 from __future__ import annotations
 
+import functools
+
 from .boolfunc import Anf
 from .program import (
-    QUANTUM,
-    AXIS_X,
-    AXIS_Z,
-    DyadicExponent,
-    Instruction,
-    RomProgram,
-    RomSpace,
-    check_rom_calls,
-    doubling_calls,
-    dyadic_gate,
+    QUANTUM, AXIS_X, AXIS_Z, DyadicExponent, Instruction, RomProgram, RomSpace, check_rom_calls,
+    doubling_calls, dyadic_gate,
+)
+from .synth_classical import (
+    AndNode, CircuitNode, InputNode, NotNode, OrNode, _balanced, branching_length, circuit_inputs,
 )
 
 _ONE = DyadicExponent(1)
+# The root's exponent: X^(-1) is still a bit flip, and makes a top AND's
+# bracket come out as X^(-1/2) ... X^(1/2) ....
+_ROOT = DyadicExponent(-1)
 
 
 def _check_controls(controls: list[int], num_rom_bits: int) -> None:
@@ -49,19 +41,57 @@ def _rotation(axis: str, exponent: DyadicExponent, control: int | None) -> Instr
     return Instruction(dyadic_gate(axis, exponent.num, exponent.log2den), control)
 
 
-def _naive_block(axis: str, controls: list[int]) -> list[Instruction]:
-    """Operator-ordered gates flipping `axis` iff all controls are 1.
+def _block(axis: str, exponent: DyadicExponent, node: CircuitNode | None,
+           memo: dict) -> list[Instruction]:
+    """Operator-ordered gates realizing axis**(g * exponent) up to a phase,
+    for an integer g that is odd exactly when the circuit ``node`` is true:
+    at exponent +-1, a flip iff ``node`` is true, else the identity.
 
-    One level: A^(-1/2) on the first control around a full flip of the other
-    axis on the rest, which telescopes to identity unless every bit is set.
+    None is an always-true leaf, an uncontrolled gate.  AND runs its left
+    child at +-exponent/2 ((+, -) on X, (-, +) on Z, so g is 0 or 1 on X but
+    each AND on Z negates it) around a full flip of the other axis by its
+    right child; NOT pairs an uncontrolled axis**exponent with its child at
+    -exponent, and cancels a NOT below it; OR is NOT(AND(NOT l, NOT r)).
+    ``memo`` holds each block built by (node id, axis, exponent), with its
+    node kept alive so that no id is reused.
     """
-    other = AXIS_Z if axis == AXIS_X else AXIS_X
-    if len(controls) == 1:
-        return [_rotation(axis, _ONE, controls[0])]
-    half = DyadicExponent(1, 1)
-    inner = _naive_block(other, controls[1:])
-    head = controls[0]
-    return [_rotation(axis, -half, head)] + inner + [_rotation(axis, half, head)] + inner
+    if node is None or isinstance(node, InputNode):
+        return [_rotation(axis, exponent, node and node.index)]
+    key = (id(node), axis, exponent.num, exponent.log2den)
+    if key in memo:
+        return memo[key][1]
+    if isinstance(node, AndNode):
+        half = exponent.halved()
+        first, second = (half, -half) if axis == AXIS_X else (-half, half)
+        flip = _block(AXIS_Z if axis == AXIS_X else AXIS_X, _ONE, node.right, memo)
+        ops = _block(axis, first, node.left, memo) + flip
+        ops += _block(axis, second, node.left, memo) + flip
+    elif isinstance(node, OrNode):
+        ops = _block(axis, exponent, NotNode(AndNode(NotNode(node.left), NotNode(node.right))),
+                     memo)
+    elif isinstance(node.child, NotNode):
+        ops = _block(axis, exponent, node.child.child, memo)
+    else:
+        ops = [_rotation(axis, exponent, None)] + _block(axis, -exponent, node.child, memo)
+    memo[key] = node, ops
+    return ops
+
+
+# The AND of two or more controls as a circuit: "naive" peels one control
+# per level, "fast" balances them over leaves padded to a power of two.
+_AND_TREES = {
+    "naive": lambda leaves: functools.reduce(lambda tail, leaf: AndNode(leaf, tail), leaves[::-1]),
+    "fast": lambda leaves: _balanced(
+        leaves + [None] * ((1 << (len(leaves) - 1).bit_length()) - len(leaves)), AndNode),
+}
+
+
+def _and_ops(controls: list[int], method: str) -> list[Instruction]:
+    """Gates in time order XOR-ing the AND of ``controls`` into the qubit by
+    the ``naive`` or ``fast`` tree; no controls is an uncontrolled bit flip."""
+    if len(controls) <= 1:
+        return [_rotation(AXIS_X, _ONE, controls[0] if controls else None)]
+    return _block(AXIS_X, _ROOT, _AND_TREES[method]([InputNode(c) for c in controls]), {})[::-1]
 
 
 def and_naive(controls: list[int], num_rom_bits: int) -> RomProgram:
@@ -71,60 +101,21 @@ def and_naive(controls: list[int], num_rom_bits: int) -> RomProgram:
     return RomProgram(RomSpace(num_rom_bits, 1, QUANTUM), tuple(_and_ops(controls, "naive")))
 
 
-def _fast_block(axis: str, exponent: DyadicExponent, leaves: list[int | None]) -> list[Instruction]:
-    """Operator-ordered gates realizing axis**exponent iff all leaves are 1.
-
-    ``leaves`` has power-of-two length; None marks a dummy slot compiled as an
-    uncontrolled (always active) gate.  The left half carries the halved
-    exponents, the right half a full flip of the other axis; the sign order
-    of the halves differs between the axes so that each bracket cancels
-    exactly when inactive.
-    """
-    if len(leaves) == 1:
-        return [_rotation(axis, exponent, leaves[0])]
-    mid = len(leaves) // 2
-    left, right = leaves[:mid], leaves[mid:]
-    other = AXIS_Z if axis == AXIS_X else AXIS_X
-    half = exponent.halved()
-    flip = _fast_block(other, _ONE, right)
-    if axis == AXIS_X:
-        first, second = half, -half
-    else:
-        first, second = -half, half
-    return (
-        _fast_block(axis, first, left)
-        + flip
-        + _fast_block(axis, second, left)
-        + flip
-    )
-
-
-def _and_ops(controls: list[int], method: str) -> list[Instruction]:
-    """Gates in time order XOR-ing the AND of ``controls`` into the qubit by
-    the ``naive`` or ``fast`` block; no controls is an uncontrolled bit flip.
-
-    ``fast`` pads the controls to a power of two with dummy slots; a dummy
-    compiles to an uncontrolled gate, which is always active and costs no ROM
-    call.
-    """
-    if len(controls) <= 1:
-        return [_rotation(AXIS_X, _ONE, controls[0] if controls else None)]
-    if method == "naive":
-        ops = _naive_block(AXIS_X, controls)
-    else:
-        width = 1 << (len(controls) - 1).bit_length()
-        leaves: list[int | None] = list(controls) + [None] * (width - len(controls))
-        # Exponent -1 at the root makes the top level come out as the
-        # half-rotation bracket A^(-1/2) ... A^(1/2) ...; X^(-1) is still a
-        # bit flip.
-        ops = _fast_block(AXIS_X, DyadicExponent(-1), leaves)
-    return ops[::-1]
-
-
 def and_fast(controls: list[int], num_rom_bits: int) -> RomProgram:
     """XOR the AND of the given ROM bits into the qubit in 4^ceil(log2 m) gates."""
     _check_controls(controls, num_rom_bits)
     return RomProgram(RomSpace(num_rom_bits, 1, QUANTUM), tuple(_and_ops(controls, "fast")))
+
+
+def circuit_to_qubit(circuit: CircuitNode, num_rom_bits: int) -> RomProgram:
+    """One-qubit program XOR-ing a circuit's value into the qubit, at exactly
+    ``branching_length(circuit)`` ROM calls."""
+    for index in circuit_inputs(circuit):
+        if index > num_rom_bits:
+            raise ValueError(f"circuit reads x{index} but space has {num_rom_bits} ROM bits")
+    check_rom_calls(branching_length(circuit))
+    ops = _block(AXIS_X, _ROOT, circuit, {})[::-1]
+    return RomProgram(RomSpace(num_rom_bits, 1, QUANTUM), tuple(ops))
 
 
 def compile_function(anf: Anf, num_rom_bits: int, method: str = "fast") -> RomProgram:

@@ -12,6 +12,7 @@ from romcomp import (
     balanced_and_circuit,
     circuit_to_three_bit,
     dumps,
+    extract_boolean,
     extract_function,
     loads,
 )
@@ -160,6 +161,18 @@ def test_compile_verify_pipe_classical3(capsys, tmp_path):
     path.write_text(out)
     # (and x1 (or x2 x3)) = u1u2 XOR u1u3 XOR u1u2u3.
     code, out, _ = run(capsys, "verify", str(path), "--f1", "1.2,1.3,1.2.3")
+    assert code == 0
+
+
+def test_compile_verify_pipe_quantum1_circuit(capsys, tmp_path):
+    code, out, err = run(
+        capsys, "compile", "--backend", "quantum1", "--circuit", "(or (not x1) (and x2 x3))",
+    )
+    assert code == 0
+    assert "rom_calls=10" in err
+    path = tmp_path / "prog.json"
+    path.write_text(out)
+    code, out, _ = run(capsys, "verify", str(path), "--table", "10101011")
     assert code == 0
 
 
@@ -520,6 +533,8 @@ REFUSED = {
     "classical3-and-of-monomials": ["compile", "--backend", "classical3", "--and-of", "3",
                                     "--monomials", "1"],
     "classical3-and-of-naive": ["compile", "--backend", "classical3", "--and-of", "3", "--naive"],
+    "quantum1-naive-circuit": ["compile", "--backend", "quantum1", "--naive", "--circuit",
+                               "(and x1 x2)"],
     "verify-f3-two-bit": ["verify", "TWO_BIT", "--f1", "1,3", "--f2", "1,1.2", "--f3", "1.2"],
     "verify-f2-quantum": ["verify", "QUANTUM", "--monomials", "1.2", "--f2", "1"],
     "verify-monomials-table": ["verify", "QUANTUM", "--monomials", "1.2", "--table", "0110"],
@@ -575,6 +590,8 @@ TWENTY_PRODUCTS = ",".join(
 # 999 products of 8 variables: an XOR tree ten levels deep, whose operands
 # are shared, so walking it without a memo visits about 10^7 nodes.
 MANY_PRODUCTS = ",".join(".".join(str(v) for v in range(s, s + 8)) for s in range(1, 1000))
+# A left-deep AND of x1..x39: 3 * 2^38 - 2 calls on the qubit.
+LEFT_DEEP_AND = "(and " * 38 + "x1 " + " ".join(f"x{index})" for index in range(2, 40))
 
 
 @pytest.mark.parametrize("argv", [
@@ -583,8 +600,9 @@ MANY_PRODUCTS = ",".join(".".join(str(v) for v in range(s, s + 8)) for s in rang
     ["--backend", "classical2", "--monomials", TWENTY_PRODUCTS],
     ["--backend", "classical2", "--f2", TWENTY_PRODUCTS],
     ["--backend", "quantum1", "--naive", "--monomials", TWENTY_PRODUCTS],
+    ["--backend", "quantum1", "--circuit", LEFT_DEEP_AND],
 ], ids=["classical3", "classical3-many-products", "classical2", "classical2-f2",
-        "quantum1-naive"])
+        "quantum1-naive", "quantum1-circuit"])
 def test_compile_refuses_programs_past_the_rom_call_budget(capsys, argv):
     code, out, err = run(capsys, "compile", *argv)
     assert_one_error_line(code, out, err)
@@ -652,13 +670,16 @@ def test_compile_refuses_circuits_nested_past_the_cap(capsys, depth):
     ]
 
 
-def test_compile_accepts_circuits_nested_to_the_cap(capsys):
-    # Ten ORs around NOTs up to the cap: barrington recurses deepest through
+@pytest.mark.parametrize("backend, table_of", [
+    ("classical3", lambda program: extract_function(program).components[0]),
+    ("quantum1", extract_boolean),
+], ids=["classical3", "quantum1"])
+def test_compile_accepts_circuits_nested_to_the_cap(capsys, backend, table_of):
+    # Ten ORs around NOTs up to the cap: both recursions go deepest through
     # the OR rewrite, and the whole circuit is the OR of x1..x11.
     circuit = nested_nots(MAX_CIRCUIT_DEPTH - 10)
     for index in range(2, 12):
         circuit = f"(or {circuit} x{index})"
-    code, out, _ = run(capsys, "compile", "--backend", "classical3", "--circuit", circuit)
+    code, out, _ = run(capsys, "compile", "--backend", backend, "--circuit", circuit)
     assert code == 0
-    (table, _, _) = extract_function(loads(out)).components
-    assert table.bits == (0,) + (1,) * ((1 << 11) - 1)
+    assert table_of(loads(out)).bits == (0,) + (1,) * ((1 << 11) - 1)

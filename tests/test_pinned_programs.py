@@ -16,6 +16,7 @@ from romcomp import (
     and_sequence,
     anf_of,
     balanced_and_circuit,
+    circuit_to_qubit,
     circuit_to_three_bit,
     compile_function,
     compile_pair,
@@ -53,6 +54,17 @@ THREE_BIT = {
     248: ("06a3c598260442392f5ed3adbc80a2bdbb560e0b5a80a3e40f22c69c3291cfe9", 1600, 1944),
 }
 
+# The same tables through anf_to_circuit and circuit_to_qubit: a quarter of
+# the three-bit machine's calls, branching_length itself.
+QUBIT = {
+    0: ("4a03ed167ddb8d10f51249345cb006351f60ef752c2e4888246a91cb7853108f", 4, 6),
+    18: ("0a5e8d3b1b61aa782487ea24a2dfa856d16a7d9dc615f22487858fdbd40520b9", 640, 861),
+    41: ("5805dbaccca388c1372080ea2ed52b6ef04ecdddd3a0690294a30d522bf22573", 5824, 9245),
+    74: ("09bce7cf766c8465be4e747b9766b2c91ec548964563408c8a6e6fc99eebb80a", 1216, 1437),
+    133: ("d8ceaaaeeb3748687ca7c67146d641348753070741956c30048c677e47501ce6", 3520, 6109),
+    248: ("66d9d194e554fca4f54108dc9d3336428013340b7c6eaf4174db8e55f55372d5", 400, 517),
+}
+
 
 def check_pinned(program, pinned):
     digest, calls, gates = pinned
@@ -72,6 +84,13 @@ def test_and_barrington_is_pinned(m):
 def test_three_bit_compile_is_pinned(packed):
     anf = anf_of(TruthTable.from_int(3, packed))
     check_pinned(circuit_to_three_bit(anf_to_circuit(anf), 3), THREE_BIT[packed])
+
+
+@pytest.mark.parametrize("packed", sorted(QUBIT))
+def test_qubit_circuit_compile_is_pinned(packed):
+    circuit = anf_to_circuit(anf_of(TruthTable.from_int(3, packed)))
+    check_pinned(circuit_to_qubit(circuit, 3), QUBIT[packed])
+    assert 4 * QUBIT[packed][1] == THREE_BIT[packed][1]
 
 
 def test_three_bit_calls_are_predicted_before_building():
@@ -104,7 +123,9 @@ TWO_REGISTER_TABLES = {
 
 # (construction, j) -> (sha256 of dumps, ROM calls, gates).  "pair" is
 # compile_pair(f1, f2), "fast" and "naive" are compile_function(f1), and
-# "sequence" is and_sequence(j, j).
+# "sequence" is and_sequence(j, j).  A "naive" monomial of degree 4 or more
+# runs the X half-rotations below its root in the order "fast" uses,
+# (+1/2, -1/2).
 TWO_REGISTER = {
     ("pair", 2): ("c20506e8f2c702a171f92e3be8e5e73d6ad25bfcb6b8a501b5bb986a9da50754", 6, 8),
     ("fast", 2): ("c6b2fd7f41a90ec074b6fb77dbf593b9557bf59badf8dcbc39c44972c449f28c", 4, 5),
@@ -116,15 +137,15 @@ TWO_REGISTER = {
     ("sequence", 3): ("338a97218b9b80657079d05e0bc12ba32be2f86a016408c8dd56f0c77d0de7b0", 10, 10),
     ("pair", 4): ("a9dc511aae4781007ea67b4d55dfe02bb85607c7a94cf827838e3b034b253d78", 93, 95),
     ("fast", 4): ("f708231776e63eaf09f1e0c01f439bc13d322b13681c230826c3a3c428258d71", 64, 77),
-    ("naive", 4): ("980838b8b8be6126e7746a6fdc5407e9749b4ec7331c02d990aaa8864f303120", 64, 65),
+    ("naive", 4): ("146fa2cf48e18757154ad8820bd204ca1d6380a85229badc0b74797674dd53a5", 64, 65),
     ("sequence", 4): ("09257d4bf89f4b719e9f37ed9cbb9c1aba4c1cd0a38faca3855c25288b33aead", 22, 22),
     ("pair", 5): ("c412a454291265119fe4a3f53da25952cea0d2d7d9262a84291d8350aa1faf1d", 258, 259),
     ("fast", 5): ("5380538b4cb74edf1bb18aafdeefc3232f6e4b2b35ef3b8d1f36d710ad197780", 154, 195),
-    ("naive", 5): ("6535bdcb4b83f73715bd581c7d633cd9f8cd47c5fb0792a666017b5e4931f767", 170, 171),
+    ("naive", 5): ("ec4718a961fd068b815fa50855f9a682f26aac2eeab118bfe145f5c0976c9d9c", 170, 171),
     ("sequence", 5): ("e61ac110c6967d0c831743131590fa514d7d4dc5fc5e1f7abd7fe8d139d95ea4", 46, 46),
     ("pair", 6): ("bfde18ad458e058edc88589c11e36374d4cca5e2f52aae63dff2af8301755d1d", 862, 862),
     ("fast", 6): ("337cbde4942737f1329e8bf75cb6cc251de60cc084a800cd346a3c90826510db", 394, 506),
-    ("naive", 6): ("c2a6977f0c4fc31ad61e4d4d5c29371b356e42762954777a8eaf363707bc3291", 494, 494),
+    ("naive", 6): ("01fea656426d91e00c1d2c8c1e640cf1f638264c75e75d8130ed427ce31c493c", 494, 494),
     ("sequence", 6): ("65cabd6a2823d31d0f282a4c99dc3e6091a28799af3ae6c8926fc0fdf903df66", 94, 94),
 }
 

@@ -3,20 +3,27 @@ import random
 import pytest
 
 from romcomp import (
+    AndNode,
     Anf,
     DyadicGate,
+    InputNode,
     TruthTable,
     and_fast,
     and_naive,
     anf_of,
+    circuit_to_qubit,
     compile_function,
+    eval_circuit,
     extract_boolean,
+    parse_circuit,
     rom_call_count,
     truth_table_of,
+    unitary_of,
 )
+from romcomp.synth_classical import anf_to_circuit, branching_length
 
-from test_sim_quantum import two_control_flip_program
-from test_synth_classical import twenty_products_of_twenty
+from test_sim_quantum import I2, X_MAT, two_control_flip_program
+from test_synth_classical import random_circuit, twenty_products_of_twenty
 
 
 def and_table(controls, num_rom_bits):
@@ -46,7 +53,7 @@ def test_naive_three_controls():
     assert extract_boolean(prog) == and_table([1, 2, 3], 3)
 
 
-@pytest.mark.parametrize("m", range(1, 9))
+@pytest.mark.parametrize("m", range(1, 13))
 def test_naive_counts_and_tables(m):
     prog = and_naive(list(range(1, m + 1)), m)
     assert rom_call_count(prog) == 3 * 2 ** (m - 1) - 2
@@ -193,3 +200,104 @@ def test_compile_function_is_bounded_by_its_summed_rom_calls():
     products = [sum(1 << v for v in range(start, start + 600)) for start in (0, 200, 424)]
     with pytest.raises(ValueError, match=f"{3 * 4 ** 10} ROM calls"):
         compile_function(Anf(1024, frozenset(products)), 1024)
+
+
+def scalar_times(unitary, pauli):
+    """The unit scalar c with unitary = c * pauli (I or X) to 1e-12, else None."""
+    c = unitary.a if pauli == I2 else unitary.b
+    close = unitary.max_entry_distance(pauli.scaled(c)) <= 1e-12
+    return c if close and abs(abs(c) - 1) <= 1e-12 else None
+
+
+def check_clean_block(program, value):
+    """Every assignment gives a unit scalar times X where ``value`` is 1 and
+    times I where it is 0; returns the inactive assignments' scalars."""
+    inactive = []
+    for u in range(1 << program.space.num_rom_bits):
+        c = scalar_times(unitary_of(program, u), X_MAT if value(u) else I2)
+        assert c is not None, u
+        if not value(u):
+            inactive.append(c)
+    return inactive
+
+
+def seeded_circuits(count, seed=16):
+    rng = random.Random(seed)
+    return [(j, random_circuit(rng, j, rng.randrange(1, 5)))
+            for j in (rng.randrange(1, 7) for _ in range(count))]
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_and_blocks_are_clean_up_to_a_phase(m):
+    # compile_function concatenates AND blocks, so each must leave the qubit
+    # untouched where its monomial is 0: the identity, up to a phase.
+    controls = list(range(1, m + 1))
+    for build in (and_naive, and_fast):
+        check_clean_block(build(controls, m), lambda u: int(u == (1 << m) - 1))
+
+
+def test_inactive_blocks_are_the_identity_only_up_to_a_phase():
+    phases = check_clean_block(and_fast([1, 2, 3], 3), lambda u: int(u == 7))
+    assert sum(abs(c + 1) < 1e-12 for c in phases) == 3
+    phases = check_clean_block(and_fast(list(range(1, 9)), 8), lambda u: int(u == 255))
+    assert sum(abs(c + 1) < 1e-12 for c in phases) == 15
+    # With NOT the phase can be -i: (or x1 x2) at u = 0.
+    circuit = parse_circuit("(or x1 x2)")
+    phases = check_clean_block(circuit_to_qubit(circuit, 2), lambda u: eval_circuit(circuit, u))
+    assert abs(phases[0] + 1j) < 1e-12
+
+
+def test_circuit_blocks_are_clean_up_to_a_phase():
+    for j, circuit in seeded_circuits(50):
+        check_clean_block(circuit_to_qubit(circuit, j), lambda u: eval_circuit(circuit, u))
+
+
+def test_circuit_to_qubit_computes_every_three_variable_function():
+    for packed in range(256):
+        table = TruthTable.from_int(3, packed)
+        circuit = anf_to_circuit(anf_of(table))
+        program = circuit_to_qubit(circuit, 3)
+        assert extract_boolean(program) == table
+        assert rom_call_count(program) == branching_length(circuit)
+
+
+def test_circuit_to_qubit_costs_exactly_the_branching_length():
+    rng = random.Random(8)
+    for _ in range(40):
+        j = rng.randrange(1, 9)
+        circuit = random_circuit(rng, j, rng.randrange(0, 5))
+        program = circuit_to_qubit(circuit, j)
+        assert rom_call_count(program) == branching_length(circuit)
+        assert extract_boolean(program).bits == tuple(
+            eval_circuit(circuit, u) for u in range(1 << j))
+
+
+def test_circuit_to_qubit_of_an_and_chain_is_and_naive():
+    chain = InputNode(4)
+    for index in (3, 2, 1):
+        chain = AndNode(InputNode(index), chain)
+    assert circuit_to_qubit(chain, 4) == and_naive([1, 2, 3, 4], 4)
+
+
+def test_circuit_to_qubit_refuses_before_building():
+    with pytest.raises(ValueError, match="circuit reads x3 but space has 2 ROM bits"):
+        circuit_to_qubit(parse_circuit("(and x1 x3)"), 2)
+    # A left-deep AND of 39 inputs costs 3 * 2^38 - 2 calls.
+    chain = InputNode(1)
+    for index in range(2, 40):
+        chain = AndNode(chain, InputNode(index))
+    with pytest.raises(ValueError, match=f"{3 * 2 ** 38 - 2} ROM calls"):
+        circuit_to_qubit(chain, 39)
+
+
+def test_double_negations_cost_no_gates():
+    # Without the cancellation, a NOT chain under nested ORs is emitted once
+    # per use: ten ORs around 190 NOTs gave 202,745 gates for 3,070 calls.
+    text = "(not " * 190 + "x1" + ")" * 190
+    for index in range(2, 12):
+        text = f"(or {text} x{index})"
+    circuit = parse_circuit(text)
+    program = circuit_to_qubit(circuit, 11)
+    assert rom_call_count(program) == branching_length(circuit) == 3070
+    assert len(program) <= 3 * 3070
+    assert extract_boolean(program).bits == (0,) + (1,) * ((1 << 11) - 1)

@@ -132,7 +132,8 @@ class OrNode:
 
 
 CircuitNode = InputNode | NotNode | AndNode | OrNode
-T = TypeVar("T")
+T, G = TypeVar("T"), TypeVar("G")
+Run = tuple[list[T], tuple[int | None, G, G]]  # see _commutator_run
 
 
 def _fold(circuit: CircuitNode, leaf: Callable[[int], T], negate: Callable[[T], T],
@@ -192,11 +193,10 @@ def balanced_and_circuit(num_inputs: int) -> CircuitNode:
 
 
 # Deepest nesting of parenthesised gates that ``parse_circuit`` accepts.  The
-# parser and ``_fold`` take one frame per level; Barrington's recursion one
-# per NOT, two per AND and three per OR (which the ROM-call budget keeps at
-# most 17 deep); the qubit's ``_block`` one per AND, four per OR (at most 19
-# deep) and one per two NOTs.  At this cap compiling the worst case needs a
-# recursion limit of about 245, inside Python's default of 1000.
+# parser and ``_fold`` take a frame per level, ``_commutator_run`` one per NOT,
+# two per AND and three per OR; the ROM-call budget admits 17 nested ORs on the
+# three-bit machine and 19 on the qubit, whose worst cases at this cap need a
+# recursion limit of 242 and 251, inside Python's default of 1000.
 MAX_CIRCUIT_DEPTH = 200
 
 
@@ -304,62 +304,66 @@ def _five_cycles(size: int, first: int, *rest: int) -> list[Images]:
 
 
 @cache
-def _commutator_pair(target: Images) -> tuple[Images, Images]:
-    """Lexicographically first 5-cycles (s, t) on the five states the
-    5-cycle ``target`` moves with t' s' t s = target, composing in
-    application order (s first)."""
+def _commutator_pair(target: Images) -> tuple[tuple[str, Images], ...]:
+    """Barrington's four (child, target) runs in time order for the 5-cycle
+    ``target``: left at s, right at t, left at s', right at t', for the
+    lexicographically first 5-cycles on its five states with t' s' t s = target."""
     five_cycles = _five_cycles(len(target), *(s for s, image in enumerate(target) if image != s))
     for sigma in five_cycles:
         for tau in five_cycles:
             if _then(_then(_then(sigma, tau), _inverse(sigma)), _inverse(tau)) == target:
-                return sigma, tau
+                return (("left", sigma), ("right", tau),
+                        ("left", _inverse(sigma)), ("right", _inverse(tau)))
     raise ValueError(f"no 5-cycle commutator decomposition for {target}")
 
 
-def _barrington_run(circuit: CircuitNode, rho: Images,
-                    emit: Callable[[int, Images, Images], tuple[T, ...]]) -> list[T]:
-    """Barrington's program for ``rho`` as ``emit``'s items per step (bit,
-    if0, if1): AND is a commutator of recursive 5-cycles, NOT folds a fixup
-    into the last step (costing no length), OR is NOT(AND(NOT l, NOT r)).
-    Each (node, target) is built once, keyed by the node's id (XOR shares
-    subtrees; hashing a frozen tree recurses over all of it), as a run never
-    mutated: the items of all steps but the last, which a NOT above may still
-    fix up, and that last step.  ``emit`` is called per run: cache it."""
-    Run = tuple[list[T], tuple[int, Images, Images]]
-    memo: dict[tuple[int, Images], Run] = {}
-    identity = tuple(range(len(rho)))
+def _commutator_run(circuit: CircuitNode | None, rho: G, split: Callable[[G], tuple],
+                    then: Callable[[G, G], G], inverse: Callable[[G], G],
+                    emit: Callable[..., tuple[T, ...]]) -> list[T]:
+    """``emit``'s items per step (bit, if0, if1) of a program applying ``rho``
+    exactly when the circuit is true, in the group of ``then`` (``first``
+    first) and ``inverse``: AND runs its children at ``split``'s four (child,
+    target)s in time order; NOT runs its child at the inverse target and folds
+    a fixup into the last step; OR is NOT(AND(NOT l, NOT r)); None is always
+    true.  Each (gate node, target) is built once, keyed by the node's id, as
+    a ``Run`` never mutated: the items of all steps but the last, which a NOT
+    above may fix up, and that last step.  ``emit`` is called per run: cache it."""
+    memo: dict[tuple[int, G], Run] = {}
+    identity = then(rho, inverse(rho))
 
-    def fixed(found: Run, target: Images) -> Run:
+    def fixed(found: Run, target: G) -> Run:
         body, (bit, if0, if1) = found
-        return body, (bit, _then(if0, target), _then(if1, target))
+        return body, (bit, then(if0, target), then(if1, target))
 
-    def negated(node: CircuitNode, target: Images) -> Run:
-        return fixed(run(node, _inverse(target)), target)
+    def negated(node: CircuitNode, target: G) -> Run:
+        return fixed(run(node, inverse(target)), target)
 
-    def joined(part: Callable[..., Run], node: AndNode | OrNode, target: Images) -> Run:
-        sigma, tau = _commutator_pair(target)
-        (b1, s1), (b2, s2), (b3, s3), (b4, s4) = (
-            part(node.left, sigma), part(node.right, tau),
-            part(node.left, _inverse(sigma)), part(node.right, _inverse(tau)),
-        )
-        return [*b1, *emit(*s1), *b2, *emit(*s2), *b3, *emit(*s3), *b4], s4
+    def joined(part: Callable[..., Run], node: AndNode | OrNode, target: G) -> Run:
+        items, last = [], None
+        for child, child_target in split(target):
+            if last:
+                items += emit(*last)
+            body, last = part(getattr(node, child), child_target)
+            items += body
+        return items, last
 
-    def run(node: CircuitNode, target: Images) -> Run:
+    def run(node: CircuitNode | None, target: G) -> Run:
+        if node is None or isinstance(node, InputNode):
+            return [], (node and node.index, identity, target)
         key = (id(node), target)
         found = memo.get(key)
         if found is None:
-            if isinstance(node, InputNode):
-                found = [], (node.index, identity, target)
-            elif isinstance(node, NotNode):
-                found = fixed(run(node.child, _inverse(target)), target)
+            if isinstance(node, NotNode):
+                found = fixed(run(node.child, inverse(target)), target)
             elif isinstance(node, AndNode):
                 found = joined(run, node, target)
             else:
-                found = fixed(joined(negated, node, _inverse(target)), target)
+                found = fixed(joined(negated, node, inverse(target)), target)
             memo[key] = found
         return found
 
     body, last = run(circuit, rho)
+    del run  # break the closures' cycle: free them and the memo now, not in a GC pass
     return [*body, *emit(*last)]
 
 
@@ -370,7 +374,8 @@ def barrington(circuit: CircuitNode, rho: Permutation) -> BranchingProgram:
     if [len(cycle) for cycle in rho.cycles()] != [5]:
         raise ValueError("rho must be a 5-cycle")
     emit = cache(lambda bit, if0, if1: ((bit, Permutation(if0), Permutation(if1)),))
-    return BranchingProgram(tuple(_barrington_run(circuit, rho.images, emit)))
+    return BranchingProgram(tuple(
+        _commutator_run(circuit, rho.images, _commutator_pair, _then, _inverse, emit)))
 
 
 # Flipping writable bit 1 of three is the state permutation
@@ -400,10 +405,9 @@ def circuit_to_three_bit(circuit: CircuitNode, num_rom_bits: int) -> RomProgram:
     # Every step's controlled difference is a conjugate of a 5-cycle, so each
     # of the four runs costs exactly one call per step.
     check_rom_calls(4 * branching_length(circuit))
-    space = RomSpace(num_rom_bits, 3, CLASSICAL)
-    targets = (Permutation.from_cycles(8, (cycle,)).images for cycle in BIT_FLIP_FIVE_CYCLES)
-    runs = (_barrington_run(circuit, rho, _step_instructions) for rho in targets)
-    return RomProgram(space, tuple(itertools.chain(*runs)))
+    runs = (_commutator_run(circuit, Permutation.from_cycles(8, (cycle,)).images, _commutator_pair,
+                            _then, _inverse, _step_instructions) for cycle in BIT_FLIP_FIVE_CYCLES)
+    return RomProgram(RomSpace(num_rom_bits, 3, CLASSICAL), tuple(itertools.chain(*runs)))
 
 
 # Steps are keyed by their ROM bit, so unlike the gate caches this is bounded.

@@ -1,7 +1,7 @@
 """Compile boolean functions into one-qubit ROM programs.
 
-Every construction is one commutator recursion over an AND/OR/NOT circuit
-(``_block``), on the identities Z X^t Z = e^(i*pi*t) X^(-t) and
+Every construction is ``synth_classical._commutator_run`` on X and Z
+rotations, by the identities Z X^t Z = e^(i*pi*t) X^(-t) and
 X Z^t X = e^(i*pi*t) Z^(-t).  Phases are irrelevant to projective readout,
 since the controls are classical bits.  A circuit costs ``branching_length``
 ROM calls: 3 * 2^(m-1) - 2 for ``and_naive``'s right-deep chain of m
@@ -11,6 +11,7 @@ controls, at most 4^ceil(log2 m) for ``and_fast``'s padded balanced tree.
 from __future__ import annotations
 
 import functools
+import itertools
 
 from .boolfunc import Anf
 from .program import (
@@ -18,13 +19,12 @@ from .program import (
     doubling_calls, dyadic_gate,
 )
 from .synth_classical import (
-    AndNode, CircuitNode, InputNode, NotNode, OrNode, _balanced, branching_length, circuit_inputs,
+    AndNode, CircuitNode, InputNode, _balanced, _commutator_run, branching_length, circuit_inputs,
 )
 
-_ONE = DyadicExponent(1)
-# The root's exponent: X^(-1) is still a bit flip, and makes a top AND's
-# bracket come out as X^(-1/2) ... X^(1/2) ....
-_ROOT = DyadicExponent(-1)
+Rotation = tuple[str, int, int]  # axis**(num / 2**log2den) as (axis, num, log2den)
+# The root, X^(-1), is a bit flip that makes a top AND's bracket X^(-1/2) ... X^(1/2) ....
+_ROOT = (AXIS_X, -1, 0)
 
 
 def _check_controls(controls: list[int], num_rom_bits: int) -> None:
@@ -37,44 +37,38 @@ def _check_controls(controls: list[int], num_rom_bits: int) -> None:
             raise ValueError(f"control u_{c} out of range for {num_rom_bits} ROM bits")
 
 
-def _rotation(axis: str, exponent: DyadicExponent, control: int | None) -> Instruction:
-    return Instruction(dyadic_gate(axis, exponent.num, exponent.log2den), control)
+@functools.lru_cache(maxsize=4096)
+def _then(first: Rotation, second: Rotation) -> Rotation:
+    """Rotations on one axis add their exponents; a zero one is I on either axis."""
+    if not (first[1] and second[1]):
+        return second if second[1] else first
+    total = DyadicExponent(*first[1:]) + DyadicExponent(*second[1:])
+    return first[0], total.num, total.log2den
 
 
-def _block(axis: str, exponent: DyadicExponent, node: CircuitNode | None,
-           memo: dict) -> list[Instruction]:
-    """Operator-ordered gates realizing axis**(g * exponent) up to a phase,
-    for an integer g that is odd exactly when the circuit ``node`` is true:
-    at exponent +-1, a flip iff ``node`` is true, else the identity.
+def _inverse(rotation: Rotation) -> Rotation:
+    return rotation[0], -rotation[1], rotation[2]
 
-    None is an always-true leaf, an uncontrolled gate.  AND runs its left
-    child at +-exponent/2 ((+, -) on X, (-, +) on Z, so g is 0 or 1 on X but
-    each AND on Z negates it) around a full flip of the other axis by its
-    right child; NOT pairs an uncontrolled axis**exponent with its child at
-    -exponent, and cancels a NOT below it; OR is NOT(AND(NOT l, NOT r)).
-    ``memo`` holds each block built by (node id, axis, exponent), with its
-    node kept alive so that no id is reused.
-    """
-    if node is None or isinstance(node, InputNode):
-        return [_rotation(axis, exponent, node and node.index)]
-    key = (id(node), axis, exponent.num, exponent.log2den)
-    if key in memo:
-        return memo[key][1]
-    if isinstance(node, AndNode):
-        half = exponent.halved()
-        first, second = (half, -half) if axis == AXIS_X else (-half, half)
-        flip = _block(AXIS_Z if axis == AXIS_X else AXIS_X, _ONE, node.right, memo)
-        ops = _block(axis, first, node.left, memo) + flip
-        ops += _block(axis, second, node.left, memo) + flip
-    elif isinstance(node, OrNode):
-        ops = _block(axis, exponent, NotNode(AndNode(NotNode(node.left), NotNode(node.right))),
-                     memo)
-    elif isinstance(node.child, NotNode):
-        ops = _block(axis, exponent, node.child.child, memo)
-    else:
-        ops = [_rotation(axis, exponent, None)] + _block(axis, -exponent, node.child, memo)
-    memo[key] = node, ops
-    return ops
+
+@functools.cache
+def _split(target: Rotation) -> tuple[tuple[str, Rotation], ...]:
+    """The bracket in time order: the right child's flip of the other axis
+    around the left child at -+half, then +-half ((-, +) on X, (+, -) on Z).
+    A run is target**g up to a phase, g odd iff its node is true; each AND on
+    Z negates g, so only at exponent +-1 is a run a clean flip or identity."""
+    axis, num, log2den = target
+    flip = (AXIS_Z if axis == AXIS_X else AXIS_X, 1, 0)
+    half = (axis, -num if axis == AXIS_X else num, log2den + 1)
+    return ("right", flip), ("left", half), ("right", flip), ("left", _inverse(half))
+
+
+def _step(bit: int | None, if0: Rotation, if1: Rotation) -> tuple[Instruction, ...]:
+    """A step's gates in time order: the controlled if0^-1 if1, then the
+    uncontrolled fixup if0 unless it is I (one axis, so they commute)."""
+    if not if0[1]:
+        return (Instruction(dyadic_gate(*if1), bit),)
+    return (Instruction(dyadic_gate(*_then(_inverse(if0), if1)), bit),
+            Instruction(dyadic_gate(*if0), None))
 
 
 # The AND of two or more controls as a circuit: "naive" peels one control
@@ -86,25 +80,33 @@ _AND_TREES = {
 }
 
 
-def _and_ops(controls: list[int], method: str) -> list[Instruction]:
-    """Gates in time order XOR-ing the AND of ``controls`` into the qubit by
-    the ``naive`` or ``fast`` tree; no controls is an uncontrolled bit flip."""
-    if len(controls) <= 1:
-        return [_rotation(AXIS_X, _ONE, controls[0] if controls else None)]
-    return _block(AXIS_X, _ROOT, _AND_TREES[method]([InputNode(c) for c in controls]), {})[::-1]
+def _and_run(controls: list[int], method: str) -> tuple[CircuitNode | None, Rotation]:
+    """The AND of ``controls`` as a (circuit, rho) by the ``naive`` or
+    ``fast`` tree; one control or none (an always-true leaf) is one X^1."""
+    leaves = [InputNode(c) for c in controls]
+    if len(leaves) <= 1:
+        return (leaves[0] if leaves else None), (AXIS_X, 1, 0)
+    return _AND_TREES[method](leaves), _ROOT
+
+
+def _program(num_rom_bits: int, runs: list[tuple[CircuitNode | None, Rotation]]) -> RomProgram:
+    """The runs' gates in time order, all built through one cache of steps."""
+    step = functools.cache(_step)
+    ops = [_commutator_run(circuit, rho, _split, _then, _inverse, step) for circuit, rho in runs]
+    return RomProgram(RomSpace(num_rom_bits, 1, QUANTUM), tuple(itertools.chain(*ops)))
 
 
 def and_naive(controls: list[int], num_rom_bits: int) -> RomProgram:
     """XOR the AND of the given ROM bits into the qubit, doubling recursion."""
     _check_controls(controls, num_rom_bits)
     doubling_calls(len(controls))
-    return RomProgram(RomSpace(num_rom_bits, 1, QUANTUM), tuple(_and_ops(controls, "naive")))
+    return _program(num_rom_bits, [_and_run(controls, "naive")])
 
 
 def and_fast(controls: list[int], num_rom_bits: int) -> RomProgram:
     """XOR the AND of the given ROM bits into the qubit in 4^ceil(log2 m) gates."""
     _check_controls(controls, num_rom_bits)
-    return RomProgram(RomSpace(num_rom_bits, 1, QUANTUM), tuple(_and_ops(controls, "fast")))
+    return _program(num_rom_bits, [_and_run(controls, "fast")])
 
 
 def circuit_to_qubit(circuit: CircuitNode, num_rom_bits: int) -> RomProgram:
@@ -114,8 +116,7 @@ def circuit_to_qubit(circuit: CircuitNode, num_rom_bits: int) -> RomProgram:
         if index > num_rom_bits:
             raise ValueError(f"circuit reads x{index} but space has {num_rom_bits} ROM bits")
     check_rom_calls(branching_length(circuit))
-    ops = _block(AXIS_X, _ROOT, circuit, {})[::-1]
-    return RomProgram(RomSpace(num_rom_bits, 1, QUANTUM), tuple(ops))
+    return _program(num_rom_bits, [(circuit, _ROOT)])
 
 
 def compile_function(anf: Anf, num_rom_bits: int, method: str = "fast") -> RomProgram:
@@ -131,7 +132,5 @@ def compile_function(anf: Anf, num_rom_bits: int, method: str = "fast") -> RomPr
     # and_fast's 4^ceil(log2 m) counts the free dummy slots of its padding.
     check_rom_calls(sum(
         4 ** (len(v) - 1).bit_length() if method == "fast" and v else doubling_calls(len(v))
-        for v in var_lists
-    ))
-    instructions = [op for vars_ in var_lists for op in _and_ops(vars_, method)]
-    return RomProgram(RomSpace(num_rom_bits, 1, QUANTUM), tuple(instructions))
+        for v in var_lists))
+    return _program(num_rom_bits, [_and_run(vars_, method) for vars_ in var_lists])

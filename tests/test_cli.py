@@ -176,6 +176,16 @@ def test_compile_verify_pipe_quantum1_circuit(capsys, tmp_path):
     assert code == 0
 
 
+def test_quantum1_folds_nested_or_fixups_into_one_gate(capsys):
+    # The inner OR's NOT fixup lands on the step that already carries the
+    # outer OR's: one uncontrolled gate, not two (25 gates when unfolded).
+    code, _, err = run(
+        capsys, "compile", "--backend", "quantum1", "--circuit", "(or (or x1 x2) x3)",
+    )
+    assert code == 0
+    assert "rom_calls=10 gates=20" in err
+
+
 def test_compile_classical3_from_monomials(capsys, tmp_path):
     code, out, _ = run(
         capsys, "compile", "--backend", "classical3", "--monomials", "1,2",

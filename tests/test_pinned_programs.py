@@ -55,14 +55,16 @@ THREE_BIT = {
 }
 
 # The same tables through anf_to_circuit and circuit_to_qubit: a quarter of
-# the three-bit machine's calls, branching_length itself.
+# the three-bit machine's calls, branching_length itself.  Gates: one
+# controlled rotation per call, plus at most one uncontrolled fixup after it,
+# into which every NOT that ends on that step is folded.
 QUBIT = {
     0: ("4a03ed167ddb8d10f51249345cb006351f60ef752c2e4888246a91cb7853108f", 4, 6),
-    18: ("0a5e8d3b1b61aa782487ea24a2dfa856d16a7d9dc615f22487858fdbd40520b9", 640, 861),
-    41: ("5805dbaccca388c1372080ea2ed52b6ef04ecdddd3a0690294a30d522bf22573", 5824, 9245),
-    74: ("09bce7cf766c8465be4e747b9766b2c91ec548964563408c8a6e6fc99eebb80a", 1216, 1437),
-    133: ("d8ceaaaeeb3748687ca7c67146d641348753070741956c30048c677e47501ce6", 3520, 6109),
-    248: ("66d9d194e554fca4f54108dc9d3336428013340b7c6eaf4174db8e55f55372d5", 400, 517),
+    18: ("619d7de8fe7b17ef2464fffe7164e52e080316ec29704ebc3db8ad4f13e01a6a", 640, 800),
+    41: ("a18102afe3945b4bcd0dc15ae35c803959ef86cd14b41c790b0220b53a65b81c", 5824, 7808),
+    74: ("54bebf45b716591d42d89e3540e5f58f25cfa8df59c5b8d45e756b2eb0c7f9fc", 1216, 1376),
+    133: ("2c6abce510d49e47e1c6c893cad2ff048e7e095ca997bd27e36f6be1b5660b7b", 3520, 4912),
+    248: ("c3508b9f9a37c31c7ceb22243689de6f605c7a32615c20d380ef12b904fe86fb", 400, 484),
 }
 
 

@@ -400,6 +400,16 @@ def embedded_steps(circuit):
     return tuple(instructions)
 
 
+def check_one_fixup_per_step(program):
+    """Both machines' commutator runs emit each step as one controlled gate
+    and at most one uncontrolled fixup, every NOT on that step folded in: no
+    two adjacent instructions are both uncontrolled, and there are no more
+    uncontrolled ones than ROM calls."""
+    free = [instruction.control is None for instruction in program.instructions]
+    assert not any(a and b for a, b in zip(free, free[1:]))
+    assert sum(free) <= rom_call_count(program)
+
+
 @pytest.mark.parametrize("j", [3, 4, 5])
 def test_three_bit_compile_embeds_barrington_steps(j):
     # Random circuits nest ORs and NOTs; anf_to_circuit's XORs read each
@@ -410,6 +420,7 @@ def test_three_bit_compile_embeds_barrington_steps(j):
     for circuit in circuits:
         program = circuit_to_three_bit(circuit, j)
         assert program.instructions == embedded_steps(circuit)
+        check_one_fixup_per_step(program)
         table = extract_function(program).components[0].bits
         assert table == tuple(eval_circuit(circuit, u) for u in range(1 << j))
 

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -7,10 +8,12 @@ from romcomp import (
     Anf,
     DyadicGate,
     InputNode,
+    Permutation,
     TruthTable,
     and_fast,
     and_naive,
     anf_of,
+    barrington,
     circuit_to_qubit,
     compile_function,
     eval_circuit,
@@ -23,7 +26,7 @@ from romcomp import (
 from romcomp.synth_classical import anf_to_circuit, branching_length
 
 from test_sim_quantum import I2, X_MAT, two_control_flip_program
-from test_synth_classical import random_circuit, twenty_products_of_twenty
+from test_synth_classical import check_one_fixup_per_step, random_circuit, twenty_products_of_twenty
 
 
 def and_table(controls, num_rom_bits):
@@ -268,6 +271,7 @@ def test_circuit_to_qubit_costs_exactly_the_branching_length():
         circuit = random_circuit(rng, j, rng.randrange(0, 5))
         program = circuit_to_qubit(circuit, j)
         assert rom_call_count(program) == branching_length(circuit)
+        check_one_fixup_per_step(program)
         assert extract_boolean(program).bits == tuple(
             eval_circuit(circuit, u) for u in range(1 << j))
 
@@ -291,8 +295,9 @@ def test_circuit_to_qubit_refuses_before_building():
 
 
 def test_double_negations_cost_no_gates():
-    # Without the cancellation, a NOT chain under nested ORs is emitted once
-    # per use: ten ORs around 190 NOTs gave 202,745 gates for 3,070 calls.
+    # A NOT chain folds into one fixup of its input's step, built once per
+    # target; emitted once per use, ten ORs around 190 NOTs gave 202,745
+    # gates for 3,070 calls.
     text = "(not " * 190 + "x1" + ")" * 190
     for index in range(2, 12):
         text = f"(or {text} x{index})"
@@ -300,4 +305,21 @@ def test_double_negations_cost_no_gates():
     program = circuit_to_qubit(circuit, 11)
     assert rom_call_count(program) == branching_length(circuit) == 3070
     assert len(program) <= 3 * 3070
+    check_one_fixup_per_step(program)
     assert extract_boolean(program).bits == (0,) + (1,) * ((1 << 11) - 1)
+
+
+def test_commutator_runs_leave_no_cyclic_garbage():
+    # A run's nested functions call each other.  Unless that cycle is broken
+    # when the run ends, its memo waits for a GC pass: the classical3 worst
+    # case at the nesting cap peaked at 168 MB that way, against 83 MB.
+    circuit = parse_circuit("(or (not x1) (and x2 (or x3 (not x1))))")
+    rho = Permutation.from_cycles(5, ((0, 1, 2, 3, 4),))
+    gc.collect()
+    gc.disable()
+    try:
+        barrington(circuit, rho)
+        compile_function(anf_of(TruthTable.from_int(3, 0x6B)), 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -71,7 +71,6 @@ from .synth_classical import (
     cnot_gate,
     compile_pair,
     eval_circuit,
-    monomial_into_register,
     not_gate,
     one_bit_reachable,
     parse_circuit,

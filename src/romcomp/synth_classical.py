@@ -2,9 +2,9 @@
 
 The two-bit constructions use four gates: a NOT on either register and a
 CNOT between the registers, each conditioned on one ROM bit.  A product of
-ROM bits is accumulated by a doubling recursion that alternates which
-register holds the partial product; steering the base case picks where the
-result lands.
+ROM bits is a left-deep AND chain, run on the same commutator recursion as
+Barrington's with the doubling bracket as its group, so the partial product
+alternates between the registers.
 
 The three-bit construction goes through Barrington's theorem: a depth-d
 AND/OR/NOT circuit becomes a width-5 permutation branching program of length
@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, reduce
 from typing import Callable, TypeVar
 
 from .boolfunc import Anf, ParseError, TruthTable
@@ -58,27 +58,10 @@ def cnot_gate(target: int, rom_bit: int | None) -> Instruction:
     )
 
 
-def _monomial_ops(variables: list[int], target: int) -> list[Instruction]:
-    """Gates in time order XOR-ing the product of ``variables`` (1 if there
-    are none) into register ``target`` while restoring the other register."""
-    if len(variables) <= 1:
-        return [not_gate(target, variables[0] if variables else None)]
-    inner = _monomial_ops(variables[:-1], 3 - target)
-    bracket = cnot_gate(target, variables[-1])
-    return inner + [bracket] + inner + [bracket]
-
-
-def monomial_into_register(variables: list[int], target: int, num_rom_bits: int) -> RomProgram:
-    """Two-bit program computing one conjunction into a chosen register."""
-    if target not in (1, 2):
-        raise ValueError(f"target register must be 1 or 2, got {target}")
-    if len(set(variables)) != len(variables):
-        raise ValueError(f"duplicate variables in {variables}")
-    for v in variables:
-        if not 1 <= v <= num_rom_bits:
-            raise ValueError(f"variable u_{v} out of range for {num_rom_bits} ROM bits")
-    doubling_calls(len(variables))
-    return RomProgram(RomSpace(num_rom_bits, 2, CLASSICAL), tuple(_monomial_ops(variables, target)))
+# The doubling bracket: NOT2 CNOT1 NOT2 CNOT1 = NOT1, and symmetrically, so a
+# product runs its prefix into the other register around its last bit's CNOT.
+_DOUBLING = {NOT_REG1: (("left", NOT_REG2), ("right", CNOT_INTO_REG1)) * 2,
+             NOT_REG2: (("left", NOT_REG1), ("right", CNOT_INTO_REG2)) * 2}
 
 
 def and_sequence(m: int, num_rom_bits: int) -> tuple[RomProgram, int]:
@@ -89,19 +72,22 @@ def and_sequence(m: int, num_rom_bits: int) -> tuple[RomProgram, int]:
     """
     if not 1 <= m <= num_rom_bits:
         raise ValueError(f"m must be in 1..{num_rom_bits}, got {m}")
-    result_register = 1 if m % 2 else 2
-    program = monomial_into_register(list(range(1, m + 1)), result_register, num_rom_bits)
-    return program, result_register
+    register = 2 - m % 2
+    product, zero = Anf(num_rom_bits, frozenset({(1 << m) - 1})), Anf(num_rom_bits, frozenset())
+    pair = (product, zero) if register == 1 else (zero, product)
+    return compile_pair(*pair, num_rom_bits), register
 
 
 def compile_pair(f1: Anf, f2: Anf, num_rom_bits: int) -> RomProgram:
-    """Two-bit program computing (f1, f2) into registers (1, 2)."""
+    """Two-bit program computing (f1, f2) into registers (1, 2): each
+    monomial is a left-deep AND chain run on the doubling bracket."""
     if f1.num_vars != num_rom_bits or f2.num_vars != num_rom_bits:
         raise ValueError("component arities must match num_rom_bits")
-    products = [(vars_, 1) for vars_ in f1.var_lists()] + [(vars_, 2) for vars_ in f2.var_lists()]
-    check_rom_calls(sum(doubling_calls(len(vars_)) for vars_, _ in products))
-    instructions = [op for vars_, register in products for op in _monomial_ops(vars_, register)]
-    return RomProgram(RomSpace(num_rom_bits, 2, CLASSICAL), tuple(instructions))
+    products = [(v, flip) for anf, flip in ((f1, NOT_REG1), (f2, NOT_REG2)) for v in anf.var_lists()]
+    check_rom_calls(sum(doubling_calls(len(v)) for v, _ in products))
+    runs = [(reduce(AndNode, map(InputNode, v)) if v else None, flip) for v, flip in products]
+    return RomProgram(RomSpace(num_rom_bits, 2, CLASSICAL), tuple(
+        _commutator_run(runs, _DOUBLING.__getitem__, _then, _inverse, _step_instructions)))
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +139,9 @@ def _fold(circuit: CircuitNode, leaf: Callable[[int], T], negate: Callable[[T], 
                 memo[id(node)] = join(node, value(node.left), value(node.right))
         return memo[id(node)]
 
-    return value(circuit)
+    result = value(circuit)
+    del value  # break the closure's cycle, as in _commutator_run
+    return result
 
 
 def circuit_depth(node: CircuitNode) -> int:
@@ -317,19 +305,20 @@ def _commutator_pair(target: Images) -> tuple[tuple[str, Images], ...]:
     raise ValueError(f"no 5-cycle commutator decomposition for {target}")
 
 
-def _commutator_run(circuit: CircuitNode | None, rho: G, split: Callable[[G], tuple],
+def _commutator_run(runs: list[tuple[CircuitNode | None, G]], split: Callable[[G], tuple],
                     then: Callable[[G, G], G], inverse: Callable[[G], G],
                     emit: Callable[..., tuple[T, ...]]) -> list[T]:
-    """``emit``'s items per step (bit, if0, if1) of a program applying ``rho``
-    exactly when the circuit is true, in the group of ``then`` (``first``
-    first) and ``inverse``: AND runs its children at ``split``'s four (child,
-    target)s in time order; NOT runs its child at the inverse target and folds
-    a fixup into the last step; OR is NOT(AND(NOT l, NOT r)); None is always
-    true.  Each (gate node, target) is built once, keyed by the node's id, as
-    a ``Run`` never mutated: the items of all steps but the last, which a NOT
-    above may fix up, and that last step.  ``emit`` is called per run: cache it."""
+    """``emit``'s items per step (bit, if0, if1), in time order, of a program
+    that applies each (circuit, rho) of ``runs`` in turn: ``rho`` exactly when
+    the circuit is true, in the group of ``then`` (``first`` first) and
+    ``inverse``.  AND runs its children at ``split``'s four (child, target)s
+    in time order; NOT runs its child at the inverse target and folds a fixup
+    into the last step; OR is NOT(AND(NOT l, NOT r)); None is always true.
+    Within a run each (gate node, target) is built once, keyed by the node's
+    id, as a ``Run`` never mutated: the items of all steps but the last, which
+    a NOT above may fix up, and that last step.  The memo is emptied when each
+    run ends.  ``emit`` is called per step: cache it."""
     memo: dict[tuple[int, G], Run] = {}
-    identity = then(rho, inverse(rho))
 
     def fixed(found: Run, target: G) -> Run:
         body, (bit, if0, if1) = found
@@ -362,9 +351,15 @@ def _commutator_run(circuit: CircuitNode | None, rho: G, split: Callable[[G], tu
             memo[key] = found
         return found
 
-    body, last = run(circuit, rho)
-    del run  # break the closures' cycle: free them and the memo now, not in a GC pass
-    return [*body, *emit(*last)]
+    items: list[T] = []
+    for circuit, rho in runs:
+        identity = then(rho, inverse(rho))
+        body, last = run(circuit, rho)
+        memo.clear()  # before the copy below, so the run's subruns are freed first
+        items += body
+        items += emit(*last)
+    del run  # break the closures' cycle: free them now, not in a GC pass
+    return items
 
 
 def barrington(circuit: CircuitNode, rho: Permutation) -> BranchingProgram:
@@ -375,7 +370,7 @@ def barrington(circuit: CircuitNode, rho: Permutation) -> BranchingProgram:
         raise ValueError("rho must be a 5-cycle")
     emit = cache(lambda bit, if0, if1: ((bit, Permutation(if0), Permutation(if1)),))
     return BranchingProgram(tuple(
-        _commutator_run(circuit, rho.images, _commutator_pair, _then, _inverse, emit)))
+        _commutator_run([(circuit, rho.images)], _commutator_pair, _then, _inverse, emit)))
 
 
 # Flipping writable bit 1 of three is the state permutation
@@ -405,9 +400,9 @@ def circuit_to_three_bit(circuit: CircuitNode, num_rom_bits: int) -> RomProgram:
     # Every step's controlled difference is a conjugate of a 5-cycle, so each
     # of the four runs costs exactly one call per step.
     check_rom_calls(4 * branching_length(circuit))
-    runs = (_commutator_run(circuit, Permutation.from_cycles(8, (cycle,)).images, _commutator_pair,
-                            _then, _inverse, _step_instructions) for cycle in BIT_FLIP_FIVE_CYCLES)
-    return RomProgram(RomSpace(num_rom_bits, 3, CLASSICAL), tuple(itertools.chain(*runs)))
+    runs = [(circuit, Permutation.from_cycles(8, (cycle,)).images) for cycle in BIT_FLIP_FIVE_CYCLES]
+    return RomProgram(RomSpace(num_rom_bits, 3, CLASSICAL), tuple(
+        _commutator_run(runs, _commutator_pair, _then, _inverse, _step_instructions)))
 
 
 # Steps are keyed by their ROM bit, so unlike the gate caches this is bounded.
@@ -415,7 +410,7 @@ def circuit_to_three_bit(circuit: CircuitNode, num_rom_bits: int) -> RomProgram:
 def _step_instructions(bit: int, if0: Images, if1: Images) -> tuple[Instruction, ...]:
     parts = ((if0, None), (_then(_inverse(if0), if1), bit))
     return tuple(Instruction(permutation_gate(p), control)
-                 for p, control in parts if p != tuple(range(8)))
+                 for p, control in parts if p != tuple(range(len(p))))
 
 
 def and_barrington(num_rom_bits: int) -> RomProgram:

@@ -11,7 +11,6 @@ controls, at most 4^ceil(log2 m) for ``and_fast``'s padded balanced tree.
 from __future__ import annotations
 
 import functools
-import itertools
 
 from .boolfunc import Anf
 from .program import (
@@ -27,7 +26,8 @@ Rotation = tuple[str, int, int]  # axis**(num / 2**log2den) as (axis, num, log2d
 _ROOT = (AXIS_X, -1, 0)
 
 
-def _check_controls(controls: list[int], num_rom_bits: int) -> None:
+def _check_controls(controls: list[int], num_rom_bits: int, method: str) -> None:
+    """Refuse the controls of an AND, and an AND past the ROM-call budget."""
     if not controls:
         raise ValueError("need at least one control")
     if len(set(controls)) != len(controls):
@@ -35,6 +35,7 @@ def _check_controls(controls: list[int], num_rom_bits: int) -> None:
     for c in controls:
         if not 1 <= c <= num_rom_bits:
             raise ValueError(f"control u_{c} out of range for {num_rom_bits} ROM bits")
+    check_rom_calls(_AND_CALLS[method](len(controls)))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -78,6 +79,9 @@ _AND_TREES = {
     "fast": lambda leaves: _balanced(
         leaves + [None] * ((1 << (len(leaves) - 1).bit_length()) - len(leaves)), AndNode),
 }
+# ROM calls of the AND of m controls: exactly doubling_calls(m) by "naive",
+# at most 4^ceil(log2 m) by "fast", which counts its padding's free slots.
+_AND_CALLS = {"naive": doubling_calls, "fast": lambda m: 4 ** (m - 1).bit_length() if m else 0}
 
 
 def _and_run(controls: list[int], method: str) -> tuple[CircuitNode | None, Rotation]:
@@ -91,21 +95,19 @@ def _and_run(controls: list[int], method: str) -> tuple[CircuitNode | None, Rota
 
 def _program(num_rom_bits: int, runs: list[tuple[CircuitNode | None, Rotation]]) -> RomProgram:
     """The runs' gates in time order, all built through one cache of steps."""
-    step = functools.cache(_step)
-    ops = [_commutator_run(circuit, rho, _split, _then, _inverse, step) for circuit, rho in runs]
-    return RomProgram(RomSpace(num_rom_bits, 1, QUANTUM), tuple(itertools.chain(*ops)))
+    ops = _commutator_run(runs, _split, _then, _inverse, functools.cache(_step))
+    return RomProgram(RomSpace(num_rom_bits, 1, QUANTUM), tuple(ops))
 
 
 def and_naive(controls: list[int], num_rom_bits: int) -> RomProgram:
     """XOR the AND of the given ROM bits into the qubit, doubling recursion."""
-    _check_controls(controls, num_rom_bits)
-    doubling_calls(len(controls))
+    _check_controls(controls, num_rom_bits, "naive")
     return _program(num_rom_bits, [_and_run(controls, "naive")])
 
 
 def and_fast(controls: list[int], num_rom_bits: int) -> RomProgram:
     """XOR the AND of the given ROM bits into the qubit in 4^ceil(log2 m) gates."""
-    _check_controls(controls, num_rom_bits)
+    _check_controls(controls, num_rom_bits, "fast")
     return _program(num_rom_bits, [_and_run(controls, "fast")])
 
 
@@ -129,8 +131,5 @@ def compile_function(anf: Anf, num_rom_bits: int, method: str = "fast") -> RomPr
     if method not in ("fast", "naive"):
         raise ValueError(f"method must be 'fast' or 'naive', got {method!r}")
     var_lists = anf.var_lists()
-    # and_fast's 4^ceil(log2 m) counts the free dummy slots of its padding.
-    check_rom_calls(sum(
-        4 ** (len(v) - 1).bit_length() if method == "fast" and v else doubling_calls(len(v))
-        for v in var_lists))
+    check_rom_calls(sum(_AND_CALLS[method](len(vars_)) for vars_ in var_lists))
     return _program(num_rom_bits, [_and_run(vars_, method) for vars_ in var_lists])

@@ -24,7 +24,6 @@ from romcomp import (
     eval_circuit,
     evaluate,
     extract_function,
-    monomial_into_register,
     not_gate,
     one_bit_reachable,
     parse_circuit,
@@ -125,7 +124,7 @@ def test_and_sequence_range_errors():
 def test_doubling_past_the_bound_is_refused_before_building():
     wide = list(range(1, 22))
     with pytest.raises(ValueError, match="21 ROM bits"):
-        monomial_into_register(wide, 1, 21)
+        compile_pair(Anf(21, frozenset({(1 << 21) - 1})), Anf(21, frozenset()), 21)
     with pytest.raises(ValueError, match="21 ROM bits"):
         and_sequence(21, 21)
     with pytest.raises(ValueError, match="21 ROM bits"):
@@ -143,7 +142,8 @@ def twenty_products_of_twenty(num_vars=21):
 
 def test_doubling_calls_match_the_built_programs():
     for m in range(0, 9):
-        program = monomial_into_register(list(range(1, m + 1)), 1, max(m, 1))
+        j = max(m, 1)
+        program = compile_pair(Anf(j, frozenset({(1 << m) - 1})), Anf(j, frozenset()), j)
         assert rom_call_count(program) == doubling_calls(m)
     assert doubling_calls(20) == 1_572_862 <= MAX_ROM_CALLS
     # Refused by width, before 2**(m-1) is formed.
@@ -169,10 +169,17 @@ def test_three_bit_compile_is_bounded_by_its_predicted_rom_calls():
         circuit_to_three_bit(circuit, 6)
 
 
-def test_monomial_into_register_steering():
+def one_monomial_pair(vars_, register, num_rom_bits):
+    """compile_pair of the product of ``vars_`` in ``register``, 0 in the other."""
+    product = Anf(num_rom_bits, frozenset({sum(1 << (v - 1) for v in vars_)}))
+    zero = Anf(num_rom_bits, frozenset())
+    return compile_pair(*((product, zero) if register == 1 else (zero, product)), num_rom_bits)
+
+
+def test_one_monomial_steering():
     for target in (1, 2):
-        for vars_ in ([2], [1, 3], [2, 3, 1]):
-            prog = monomial_into_register(vars_, target, 3)
+        for vars_ in ([2], [1, 3], [1, 2, 3]):
+            prog = one_monomial_pair(vars_, target, 3)
             mask = sum(1 << (v - 1) for v in vars_)
             for u in range(8):
                 product = 1 if u & mask == mask else 0
@@ -186,10 +193,12 @@ def test_monomial_into_register_steering():
 
 
 def test_monomial_constant_one():
-    prog = monomial_into_register([], 2, 2)
-    assert rom_call_count(prog) == 0
-    for u in range(4):
-        assert evaluate(prog, u, 0) == 2
+    for target in (1, 2):
+        prog = one_monomial_pair([], target, 2)
+        assert rom_call_count(prog) == 0
+        for u in range(4):
+            for start in range(4):
+                assert evaluate(prog, u, start) == start ^ target
 
 
 def test_compile_pair_empty():
@@ -216,6 +225,8 @@ def test_compile_pair_random_and_call_bound():
         assert vf.components == (truth_table_of(f1), truth_table_of(f2))
         bound = (len(masks1) + len(masks2)) * (3 * 2 ** 3 - 2)
         assert rom_call_count(prog) <= bound
+        assert rom_call_count(prog) == sum(
+            doubling_calls(len(v)) for v in f1.var_lists() + f2.var_lists())
 
 
 # ---------------------------------------------------------------------------

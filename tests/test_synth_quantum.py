@@ -12,10 +12,13 @@ from romcomp import (
     TruthTable,
     and_fast,
     and_naive,
+    and_sequence,
     anf_of,
     barrington,
     circuit_to_qubit,
+    circuit_to_three_bit,
     compile_function,
+    compile_pair,
     eval_circuit,
     extract_boolean,
     parse_circuit,
@@ -205,6 +208,13 @@ def test_compile_function_is_bounded_by_its_summed_rom_calls():
         compile_function(Anf(1024, frozenset(products)), 1024)
 
 
+def test_fast_and_is_bounded_before_building():
+    # 1025 controls pad to 2048 leaves, 4^11 calls: the budget refuses them
+    # before a program of about 2.1M calls is built.
+    with pytest.raises(ValueError, match="4194304 ROM calls"):
+        and_fast(list(range(1, 1026)), 1025)
+
+
 def scalar_times(unitary, pauli):
     """The unit scalar c with unitary = c * pauli (I or X) to 1e-12, else None."""
     c = unitary.a if pauli == I2 else unitary.b
@@ -310,16 +320,22 @@ def test_double_negations_cost_no_gates():
 
 
 def test_commutator_runs_leave_no_cyclic_garbage():
-    # A run's nested functions call each other.  Unless that cycle is broken
-    # when the run ends, its memo waits for a GC pass: the classical3 worst
-    # case at the nesting cap peaked at 168 MB that way, against 83 MB.
+    # A run's nested functions call each other, and so does _fold's.  Unless
+    # that cycle is broken when the walk ends, its memo waits for a GC pass:
+    # the classical3 worst case at the nesting cap peaked at 168 MB that way,
+    # against 83 MB.
     circuit = parse_circuit("(or (not x1) (and x2 (or x3 (not x1))))")
     rho = Permutation.from_cycles(5, ((0, 1, 2, 3, 4),))
+    anf = anf_of(TruthTable.from_int(3, 0x6B))
     gc.collect()
     gc.disable()
     try:
         barrington(circuit, rho)
-        compile_function(anf_of(TruthTable.from_int(3, 0x6B)), 3)
+        compile_function(anf, 3)
+        circuit_to_three_bit(circuit, 3)
+        circuit_to_qubit(circuit, 3)
+        compile_pair(anf, anf, 3)
+        and_sequence(3, 3)
         assert gc.collect() == 0
     finally:
         gc.enable()

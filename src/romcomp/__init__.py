@@ -12,7 +12,6 @@ from .boolfunc import (
     TruthTable,
     VectorFunction,
     anf_of,
-    count_functions,
     format_monomials,
     parse_monomials,
     parse_table,

@@ -45,25 +45,20 @@ class TruthTable:
         """Unpack from an integer whose bit u is the entry at assignment u."""
         return cls(num_vars, tuple((packed >> u) & 1 for u in range(1 << num_vars)))
 
-    def to_int(self) -> int:
-        packed = 0
-        for u, b in enumerate(self.bits):
-            packed |= b << u
-        return packed
-
     def to_bit_string(self) -> str:
         return "".join(str(b) for b in self.bits)
 
-    def to_hex(self) -> str:
-        """Bit sequence read as a big-endian binary numeral, in hex."""
-        length = 1 << self.num_vars
-        numeral = 0
-        for b in self.bits:
-            numeral = (numeral << 1) | b
-        return format(numeral, f"0{max(1, (length + 3) // 4)}x")
-
     @classmethod
-    def from_hex(cls, text: str, num_vars: int) -> "TruthTable":
+    def from_hex(cls, text: str, num_vars: int | None = None) -> "TruthTable":
+        """Read big-endian hex, inferring num_vars from the digit count if None."""
+        if not text:
+            raise ParseError("empty table", 0)
+        if num_vars is None:
+            if len(text) & (len(text) - 1):
+                raise ParseError(
+                    f"cannot infer num_vars from {len(text)} hex digits; pass it explicitly", 0
+                )
+            num_vars = (4 * len(text)).bit_length() - 1
         length = 1 << num_vars
         expected = max(1, (length + 3) // 4)
         if len(text) != expected:
@@ -153,13 +148,6 @@ def truth_table_of(anf: Anf) -> TruthTable:
     return TruthTable(anf.num_vars, tuple(_moebius(coeffs, anf.num_vars)))
 
 
-def count_functions(num_vars: int, num_outputs: int) -> int:
-    """Number of boolean functions from num_vars bits to num_outputs bits."""
-    if num_vars < 1 or num_outputs < 1:
-        raise ValueError("both widths must be positive")
-    return 2 ** (num_outputs * 2**num_vars)
-
-
 def parse_monomials(text: str, num_vars: int | None = None) -> Anf:
     """Parse a monomial list like ``1,1.2`` (u1 XOR u1u2).
 
@@ -217,7 +205,7 @@ def parse_table(text: str, num_vars: int | None = None) -> TruthTable:
     inferred from the digit count unless given.  A leading ``0x`` forces hex.
     """
     if text.startswith(("0x", "0X")):
-        return _table_from_hex(text[2:], num_vars)
+        return TruthTable.from_hex(text[2:], num_vars)
     if text and all(ch in "01" for ch in text):
         length = len(text)
         if length >= 2 and not (length & (length - 1)):
@@ -225,17 +213,4 @@ def parse_table(text: str, num_vars: int | None = None) -> TruthTable:
             if num_vars is not None and width != num_vars:
                 raise ParseError(f"bit string has {width} vars, expected {num_vars}", 0)
             return TruthTable(width, tuple(map(int, text)))
-    return _table_from_hex(text, num_vars)
-
-
-def _table_from_hex(text: str, num_vars: int | None) -> TruthTable:
-    if not text:
-        raise ParseError("empty table", 0)
-    if num_vars is None:
-        total_bits = 4 * len(text)
-        if total_bits & (total_bits - 1):
-            raise ParseError(
-                f"cannot infer num_vars from {len(text)} hex digits; pass it explicitly", 0
-            )
-        num_vars = total_bits.bit_length() - 1
     return TruthTable.from_hex(text, num_vars)

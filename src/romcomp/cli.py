@@ -51,7 +51,7 @@ EXIT_USAGE = 2
 EXIT_NONCLASSICAL = 3
 
 # Widest ROM that compile accepts: 1024 bits, the widest AND whose and_fast
-# program (4^ceil(log2 m) calls) fits MAX_ROM_CALLS.
+# program fits MAX_ROM_CALLS (1024 * 1024 calls fit, 1025 * 2048 do not).
 COMPILE_WIDTH_LIMIT = 1 << (MAX_ROM_CALLS.bit_length() - 1) // 2
 
 

@@ -23,9 +23,9 @@ QUANTUM = "quantum"
 UNITARITY_TOL = 1e-12
 
 # Largest accepted exponent denominator 2**log2den.  It keeps |num| <= 2**52,
-# so ``DyadicExponent.value`` is exact.  The compilers need ceil(log2 m) for
-# an AND of m ROM bits (and_fast), and for a circuit one per AND/OR level on
-# a left path: at most 19, as each level at least doubles the ROM calls.
+# so ``_rotation_matrix``'s ``num / (1 << log2den)`` is exact.  The compilers
+# need ceil(log2 m) for an AND of m ROM bits (and_fast), and for a circuit one
+# per AND/OR level on a left path: at most 19, as each level at least doubles the calls.
 MAX_LOG2DEN = 51
 
 # Most ROM calls a compiler may spend on one program.  A product of m ROM
@@ -43,7 +43,7 @@ def doubling_calls(num_vars: int) -> int:
 
 def check_rom_calls(calls: int) -> None:
     if calls > MAX_ROM_CALLS:
-        raise ValueError(f"the program needs up to {calls} ROM calls (limit {MAX_ROM_CALLS})")
+        raise ValueError(f"the program needs {calls} ROM calls (limit {MAX_ROM_CALLS})")
 
 
 class ProgramError(ValueError):
@@ -167,11 +167,6 @@ class DyadicExponent:
         if abs(num) > (2 << log2den):
             raise ProgramError(f"|{num}/2^{log2den}| exceeds 2")
 
-    @property
-    def value(self) -> float:
-        # Dyadic rationals of this size are exact in double precision.
-        return self.num / (1 << self.log2den)
-
     def __neg__(self) -> "DyadicExponent":
         return DyadicExponent(-self.num, self.log2den)
 
@@ -179,9 +174,6 @@ class DyadicExponent:
         k = max(self.log2den, other.log2den)
         num = (self.num << (k - self.log2den)) + (other.num << (k - other.log2den))
         return DyadicExponent(num, k)
-
-    def halved(self) -> "DyadicExponent":
-        return DyadicExponent(self.num, self.log2den + 1)
 
     def __str__(self) -> str:
         if self.log2den == 0:

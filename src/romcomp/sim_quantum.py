@@ -23,6 +23,7 @@ from .program import (
     DyadicGate,
     Gate,
     KindMismatchError,
+    MAX_SHARED_DYADIC_GATES,
     RomProgram,
     Unitary2,
     UnitaryGate,
@@ -52,10 +53,10 @@ def gate_matrix(axis: str, exponent: DyadicExponent) -> Unitary2:
     return _rotation_matrix(axis, exponent.num, exponent.log2den)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=MAX_SHARED_DYADIC_GATES)
 def _rotation_matrix(axis: str, num: int, log2den: int) -> Unitary2:
-    """``gate_matrix``, memoised on plain ints: a DyadicExponent key would run
-    the dataclass's Python ``__hash__`` and ``__eq__`` on every lookup."""
+    """``gate_matrix`` memoised on plain ints, which hash in C, and bounded
+    like ``dyadic_gate``'s cache, since loaded exponents come from outside."""
     phase = cmath.exp(1j * cmath.pi * (num / (1 << log2den)))
     if axis == "Z":
         return Unitary2(1.0, 0.0, 0.0, phase)

@@ -418,21 +418,18 @@ def and_barrington(num_rom_bits: int) -> RomProgram:
     return circuit_to_three_bit(balanced_and_circuit(num_rom_bits), num_rom_bits)
 
 
-def one_bit_reachable(num_rom_bits: int, max_controls: int = 1) -> set[TruthTable]:
+def one_bit_reachable(num_rom_bits: int) -> set[TruthTable]:
     """Closure of the functions a one-writable-bit machine can compute.
 
     The only reversible one-bit gate is NOT, so every program toggles the bit
-    by an XOR of its generators: "toggle everywhere" and "toggle where a
-    product of up to max_controls ROM bits is 1".  The closure is their span.
+    by an XOR of its generators: "toggle everywhere" and "toggle where u_i
+    is 1", one per ROM bit.  The closure is their span.
     """
     if num_rom_bits > 4:
         raise ValueError("closure enumeration is exhaustive; capped at 4 ROM bits")
-    if max_controls < 1:
-        raise ValueError("max_controls must be at least 1")
     length = 1 << num_rom_bits
     span = {0}
-    for mask in range(length):
-        if bin(mask).count("1") <= max_controls:
-            generator = sum(1 << u for u in range(length) if u & mask == mask)
-            span |= {packed ^ generator for packed in span}
+    for mask in (0, *(1 << i for i in range(num_rom_bits))):
+        generator = sum(1 << u for u in range(length) if u & mask == mask)
+        span |= {packed ^ generator for packed in span}
     return {TruthTable.from_int(num_rom_bits, packed) for packed in span}

@@ -5,7 +5,7 @@ rotations, by the identities Z X^t Z = e^(i*pi*t) X^(-t) and
 X Z^t X = e^(i*pi*t) Z^(-t).  Phases are irrelevant to projective readout,
 since the controls are classical bits.  A circuit costs ``branching_length``
 ROM calls: 3 * 2^(m-1) - 2 for ``and_naive``'s right-deep chain of m
-controls, at most 4^ceil(log2 m) for ``and_fast``'s padded balanced tree.
+controls, m * 2^ceil(log2 m) for ``and_fast``'s padded balanced tree.
 """
 
 from __future__ import annotations
@@ -79,9 +79,9 @@ _AND_TREES = {
     "fast": lambda leaves: _balanced(
         leaves + [None] * ((1 << (len(leaves) - 1).bit_length()) - len(leaves)), AndNode),
 }
-# ROM calls of the AND of m controls: exactly doubling_calls(m) by "naive",
-# at most 4^ceil(log2 m) by "fast", which counts its padding's free slots.
-_AND_CALLS = {"naive": doubling_calls, "fast": lambda m: 4 ** (m - 1).bit_length() if m else 0}
+# ROM calls of the AND of m controls: doubling_calls(m) by "naive", and
+# m * 2^ceil(log2 m) by "fast", since its padding's leaves are free.
+_AND_CALLS = {"naive": doubling_calls, "fast": lambda m: m << (m - 1).bit_length()}
 
 
 def _and_run(controls: list[int], method: str) -> tuple[CircuitNode | None, Rotation]:
@@ -106,7 +106,7 @@ def and_naive(controls: list[int], num_rom_bits: int) -> RomProgram:
 
 
 def and_fast(controls: list[int], num_rom_bits: int) -> RomProgram:
-    """XOR the AND of the given ROM bits into the qubit in 4^ceil(log2 m) gates."""
+    """XOR the AND of the given ROM bits into the qubit at m * 2^ceil(log2 m) ROM calls."""
     _check_controls(controls, num_rom_bits, "fast")
     return _program(num_rom_bits, [_and_run(controls, "fast")])
 

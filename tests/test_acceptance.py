@@ -134,8 +134,7 @@ def test_criterion_05_two_bit_universality():
             f1 = anf_of(TruthTable.from_int(2, p1))
             f2 = anf_of(TruthTable.from_int(2, p2))
             vf = extract_function(compile_pair(f1, f2, 2))
-            assert vf.components[0].to_int() == p1
-            assert vf.components[1].to_int() == p2
+            assert vf.components == (TruthTable.from_int(2, p1), TruthTable.from_int(2, p2))
     rng = random.Random(42)
     for _ in range(100):
         f1 = Anf(4, frozenset(rng.sample(range(16), rng.randrange(8))))

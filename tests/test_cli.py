@@ -582,6 +582,16 @@ def test_search_negative_depth_is_a_usage_error(capsys):
     assert_one_error_line(*run(capsys, "search", "--j", "3", "--max-depth", "-1"))
 
 
+def test_m_prefix_names_a_monomial_list(capsys, tmp_path):
+    functions = ["--f2", "t:01101001"]
+    plain = run(capsys, "compile", "--backend", "classical2", "--f1", "1.2,3", *functions)
+    prefixed = run(capsys, "compile", "--backend", "classical2", "--f1", "m:1.2,3", *functions)
+    assert prefixed[0] == 0 and prefixed == plain
+    _pipe_compile_verify(capsys, tmp_path,
+                         ["compile", "--backend", "classical2", "--f1", "m:1.2,3", *functions],
+                         ["--f1", "m:1.2,3", *functions])
+
+
 def test_registers_without_a_flag_hold_constant_zero(capsys, tmp_path):
     for backend in ("quantum1", "classical2", "classical3"):
         _pipe_compile_verify(

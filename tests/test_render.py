@@ -1,9 +1,13 @@
 from romcomp import (
     CLASSICAL,
+    QUANTUM,
+    Instruction,
     RomProgram,
     RomSpace,
+    UnitaryGate,
     render_program,
 )
+from romcomp.program import permutation_gate
 from romcomp.synth_quantum import and_fast
 
 from test_sim_classical import worked_example_program
@@ -52,3 +56,21 @@ def test_render_column_count():
     wires = out.splitlines()[3:]
     glyphs = sum(line.count("X") + line.count("o") + line.count("P") for line in wires)
     assert glyphs >= len(prog.instructions)
+
+
+def test_identity_cnot_into_register_one_and_other_gates_have_their_own_glyphs():
+    # I for the identity, X over o for the CNOT into register 1, a P block
+    # for any other permutation and U for a raw matrix.
+    gates = [((0, 1, 2, 3), None), ((0, 1, 3, 2), 1), ((1, 2, 3, 0), None)]
+    classical = RomProgram(RomSpace(1, 2, CLASSICAL),
+                           tuple(Instruction(permutation_gate(p), c) for p, c in gates))
+    assert render_program(classical).splitlines() == [
+        "u1       *",
+        "b1 --I---X---P---",
+        "b2 ------o---P---",
+    ]
+    raw = Instruction(UnitaryGate((0j, 1 + 0j, 1j, 0j)), 1)
+    assert render_program(RomProgram(RomSpace(1, 1, QUANTUM), (raw,))).splitlines() == [
+        "u1   *",
+        "q1 --U---",
+    ]

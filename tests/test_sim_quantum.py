@@ -15,9 +15,11 @@ from romcomp import (
     concat,
     extract_boolean,
     gate_matrix,
+    inverse,
     unitary_of,
 )
-from romcomp.sim_quantum import OUTCOME_THRESHOLD, Unitary2
+from romcomp.program import MAX_SHARED_DYADIC_GATES, dyadic_gate
+from romcomp.sim_quantum import OUTCOME_THRESHOLD, Unitary2, _rotation_matrix
 from romcomp.sweep import BLOCK_BITS, FUSE_BITS
 
 from test_sim_classical import counting, cut, fold_mode  # noqa: F401 (a fixture)
@@ -307,3 +309,25 @@ def test_fused_sweep_reports_first_superposition_of_a_later_segment_above_the_bl
     for u in (1 << (j - 1), 1, first - 2):
         p1 = abs(unitary_of(prog, u).apply(1, 0)[1]) ** 2
         assert p1 < OUTCOME_THRESHOLD or p1 > 1 - OUTCOME_THRESHOLD
+
+
+def test_rotation_matrix_cache_is_bounded():
+    # Loaded exponents come from outside the program: after a sweep of 6,000
+    # distinct rotations, at most as many matrices stay as dyadic_gate's gates.
+    gates = [Instruction(dyadic_gate("Z", k, 13), 1) for k in range(1, 12000, 2)]
+    assert extract_boolean(RomProgram(RomSpace(1, 1, QUANTUM), tuple(gates))).bits == (0, 0)
+    assert _rotation_matrix.cache_info().currsize <= MAX_SHARED_DYADIC_GATES
+
+
+def test_raw_matrix_program_times_its_inverse_is_the_identity():
+    # S and a rotation with complex off-diagonal entries: neither is its own
+    # inverse, so the program alone is not the identity.
+    c, s = 0.6, 0.8
+    rotation = UnitaryGate((c + 0j, -s * 1j, -s * 1j, c + 0j))
+    phase = UnitaryGate((1 + 0j, 0j, 0j, 1j))
+    program = RomProgram(RomSpace(2, 1, QUANTUM), (
+        Instruction(phase, 1), Instruction(rotation, 2), Instruction(rotation, None)))
+    round_trip = concat(program, inverse(program))
+    for u in range(4):
+        assert unitary_of(program, u).max_entry_distance(Unitary2.identity()) > 0.1
+        assert unitary_of(round_trip, u).max_entry_distance(Unitary2.identity()) < 1e-12

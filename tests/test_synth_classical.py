@@ -201,6 +201,14 @@ def test_monomial_constant_one():
                 assert evaluate(prog, u, start) == start ^ target
 
 
+def test_compile_pair_refuses_components_of_another_width():
+    # Without the check, a narrower component would compile over the wider ROM.
+    for f1, f2 in ((Anf(2, frozenset({0b11})), Anf(3, frozenset())),
+                   (Anf(3, frozenset()), Anf(2, frozenset({0b01})))):
+        with pytest.raises(ValueError, match="component arities must match num_rom_bits"):
+            compile_pair(f1, f2, 3)
+
+
 def test_compile_pair_empty():
     prog = compile_pair(Anf(2, frozenset()), Anf(2, frozenset()), 2)
     vf = extract_function(prog)
@@ -249,6 +257,12 @@ def test_circuit_parse_errors():
     for bad in ("", "(and x1)", "(nand x1 x2)", "x0", "(and x1 x2) x3", "(and x1 x2"):
         with pytest.raises(ParseError):
             parse_circuit(bad)
+
+
+def test_circuit_ending_after_its_open_parenthesis():
+    with pytest.raises(ParseError, match="unexpected end of circuit") as excinfo:
+        parse_circuit("(")
+    assert excinfo.value.position == 1
 
 
 def test_balanced_and_depth():
@@ -373,6 +387,11 @@ def test_and_barrington_extracts_and(j):
     assert rom_call_count(prog) <= 4 * 4 ** depth
 
 
+def test_three_bit_compile_refuses_inputs_past_the_rom():
+    with pytest.raises(ValueError, match="circuit reads x3 but space has 2 ROM bits"):
+        circuit_to_three_bit(parse_circuit("(and x1 x3)"), 2)
+
+
 def test_circuit_to_three_bit_general():
     circuit = parse_circuit("(or (and x1 x2) (not x3))")
     prog = circuit_to_three_bit(circuit, 3)
@@ -485,27 +504,16 @@ def test_one_bit_closure_excludes_and():
         assert and_table not in reachable
 
 
-def test_one_bit_closure_with_wider_controls():
-    # Controls of width up to k reach exactly the degree-<=-k forms.
-    reachable = {t.bits for t in one_bit_reachable(3, max_controls=2)}
-    assert len(reachable) == 2 ** (1 + 3 + 3)
-    and3 = tuple(and_bits(u, 3) for u in range(8))
-    assert and3 not in reachable
-    assert len({t.bits for t in one_bit_reachable(3, max_controls=3)}) == 256
-
-
 @pytest.mark.parametrize("j", [1, 2, 3])
 def test_one_bit_closure_is_every_form_of_bounded_degree(j):
-    # Controls of width up to k reach exactly the ANFs of degree <= k; past
-    # k = j every function.
-    for k in range(1, j + 2):
-        masks = [mask for mask in range(1 << j) if bin(mask).count("1") <= k]
-        forms = {
-            truth_table_of(Anf(j, frozenset(chosen))).bits
-            for size in range(len(masks) + 1)
-            for chosen in itertools.combinations(masks, size)
-        }
-        assert {t.bits for t in one_bit_reachable(j, k)} == forms
+    # One ROM bit per gate reaches exactly the ANFs of degree <= 1.
+    masks = [mask for mask in range(1 << j) if bin(mask).count("1") <= 1]
+    forms = {
+        truth_table_of(Anf(j, frozenset(chosen))).bits
+        for size in range(len(masks) + 1)
+        for chosen in itertools.combinations(masks, size)
+    }
+    assert {t.bits for t in one_bit_reachable(j)} == forms
 
 
 def test_circuit_variables_are_ascii_digits():

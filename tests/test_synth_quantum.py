@@ -27,6 +27,7 @@ from romcomp import (
     unitary_of,
 )
 from romcomp.synth_classical import anf_to_circuit, branching_length
+from romcomp.synth_quantum import _AND_CALLS
 
 from test_sim_quantum import I2, X_MAT, two_control_flip_program
 from test_synth_classical import check_one_fixup_per_step, random_circuit, twenty_products_of_twenty
@@ -201,18 +202,24 @@ def test_compile_arity_mismatch():
 def test_compile_function_is_bounded_by_its_summed_rom_calls():
     with pytest.raises(ValueError, match="31457240 ROM calls"):
         compile_function(twenty_products_of_twenty(), 21, "naive")
-    # and_fast pads 600 controls to 1024 leaves, 4^10 calls each: three of
-    # them are past the budget.
-    products = [sum(1 << v for v in range(start, start + 600)) for start in (0, 200, 424)]
-    with pytest.raises(ValueError, match=f"{3 * 4 ** 10} ROM calls"):
+    # and_fast pads 600 controls to 1024 leaves, 600 * 1024 calls each as the
+    # padding is free: three of them fit the budget, four are past it.
+    products = [sum(1 << v for v in range(start, start + 600)) for start in (0, 100, 200, 424)]
+    with pytest.raises(ValueError, match="2457600 ROM calls"):
         compile_function(Anf(1024, frozenset(products)), 1024)
 
 
 def test_fast_and_is_bounded_before_building():
-    # 1025 controls pad to 2048 leaves, 4^11 calls: the budget refuses them
-    # before a program of about 2.1M calls is built.
-    with pytest.raises(ValueError, match="4194304 ROM calls"):
+    # 1025 controls pad to 2048 leaves, 1025 * 2048 calls: the budget refuses
+    # them before the program is built.
+    with pytest.raises(ValueError, match="2099200 ROM calls"):
         and_fast(list(range(1, 1026)), 1025)
+
+
+def test_fast_and_budget_is_its_built_rom_calls():
+    # Each real leaf of the padded tree costs 2^depth calls; padding is free.
+    for m in range(1, 65):
+        assert rom_call_count(and_fast(list(range(1, m + 1)), m)) == _AND_CALLS["fast"](m)
 
 
 def scalar_times(unitary, pauli):

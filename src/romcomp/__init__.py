@@ -1,7 +1,7 @@
 """ROM-conditioned computation toolkit.
 
 Compiles boolean functions into gate programs for three machines (one
-writable qubit, two writable bits, three writable bits via width-5 branching
+writable qubit, two writable bits, three writable bits via affine register
 programs), simulates the programs exactly, counts ROM calls, and searches
 exhaustively for minimal two-bit programs.
 """

@@ -209,16 +209,16 @@ def _cmd_render(args: argparse.Namespace) -> int:
 def _cmd_counts(args: argparse.Namespace) -> int:
     if not 1 <= args.j_max <= 16:
         raise CliError(f"--j-max must be in 1..16, got {args.j_max}")
-    header = f"{'j':>3} {'naive':>8} {'fast':>8} {'twobit':>8} {'barrington':>11} {'conjectured':>11}"
+    header = f"{'j':>3} {'naive':>8} {'fast':>8} {'twobit':>8} {'threebit':>8} {'conjectured':>11}"
     print(header)
     for j in range(1, args.j_max + 1):
         controls = list(range(1, j + 1))
         naive = rom_call_count(and_naive(controls, j))
         fast = rom_call_count(and_fast(controls, j))
         sseq = rom_call_count(and_sequence(j, j)[0])
-        barr = rom_call_count(and_barrington(j))
+        three = rom_call_count(and_barrington(j))
         rec = conjectured_minimal_calls(j)
-        print(f"{j:>3} {naive:>8} {fast:>8} {sseq:>8} {barr:>11} {rec:>11}")
+        print(f"{j:>3} {naive:>8} {fast:>8} {sseq:>8} {three:>8} {rec:>11}")
     return EXIT_OK
 
 

@@ -1,18 +1,15 @@
-"""Classical compilers: two-bit register machines and width-5 branching programs.
+"""Classical compilers: two- and three-bit register machines, and width-5
+branching programs.
 
-The two-bit constructions use four gates: a NOT on either register and a
-CNOT between the registers, each conditioned on one ROM bit.  A product of
-ROM bits is a left-deep AND chain, run on the same commutator recursion as
-Barrington's with the doubling bracket as its group, so the partial product
-alternates between the registers.
-
-The three-bit construction goes through Barrington's theorem: a depth-d
-AND/OR/NOT circuit becomes a width-5 permutation branching program of length
-at most 4^d that walks the workspace through the identity (circuit false) or
-a chosen 5-cycle (circuit true).  Flipping the first writable bit is the
-state permutation (0 1)(2 3)(4 5)(6 7), which factors into four 5-cycles;
-running the branching program on the 8 states once per factor flips the bit
-exactly when the circuit accepts.
+Each is a commutator recursion over an AND/OR/NOT circuit, so a run costs one
+ROM call per input leaf.  The two-bit machine splits on the doubling bracket
+(a NOT on one register, a CNOT between them); a product of ROM bits is a
+left-deep AND chain, so the partial product alternates between the
+registers.  The three-bit machine splits on the affine bracket of NOTs and
+XORs between its three registers (Ben-Or & Cleve), so a circuit flips bit 1
+in ``branching_length`` calls.  ``barrington`` keeps Barrington's theorem: a
+depth-d circuit becomes a width-5 permutation branching program of length at
+most 4^d that applies a chosen 5-cycle exactly when the circuit accepts.
 """
 
 from __future__ import annotations
@@ -159,9 +156,10 @@ def eval_circuit(node: CircuitNode, assignment: int) -> int:
 
 
 def branching_length(circuit: CircuitNode) -> int:
-    """Length of ``barrington``'s program for the circuit, without building
-    it: 1 per input, the child's through NOT, twice both children's through
-    AND and OR."""
+    """Length of a commutator run of the circuit, without building it: 1 per
+    input, the child's through NOT, twice both children's through AND and
+    OR.  It is ``barrington``'s program length and the exact ROM calls of
+    ``circuit_to_three_bit`` and ``circuit_to_qubit``."""
     return _fold(circuit, lambda _: 1, lambda n: n, lambda _, left, right: 2 * (left + right))
 
 
@@ -182,9 +180,9 @@ def balanced_and_circuit(num_inputs: int) -> CircuitNode:
 
 # Deepest nesting of parenthesised gates that ``parse_circuit`` accepts.  The
 # parser and ``_fold`` take a frame per level, ``_commutator_run`` one per NOT,
-# two per AND and three per OR; the ROM-call budget admits 17 nested ORs on the
-# three-bit machine and 19 on the qubit, whose worst cases at this cap need a
-# recursion limit of 242 and 251, inside Python's default of 1000.
+# two per AND and three per OR; the ROM-call budget admits 19 nested ORs on
+# both circuit compilers, whose worst cases at this cap need a recursion limit
+# of 245 (three bits) and 247 (qubit), inside Python's default of 1000.
 MAX_CIRCUIT_DEPTH = 200
 
 
@@ -270,7 +268,7 @@ class BranchingProgram:
 
 
 # Permutations as image tuples, composed (``_then``: ``first`` first) through
-# caches, since Barrington's recursion reuses a few dozen of them per 5-cycle.
+# caches, since a commutator run reuses a few dozen of them.
 Images = tuple[int, ...]
 
 
@@ -386,23 +384,36 @@ BIT_FLIP_FIVE_CYCLES: tuple[tuple[int, ...], ...] = (
 BIT_FLIP_PERMUTATION = Permutation.from_cycles(8, ((0, 1), (2, 3), (4, 5), (6, 7)))
 
 
-def circuit_to_three_bit(circuit: CircuitNode, num_rom_bits: int) -> RomProgram:
-    """Three-bit program XOR-ing a circuit's value into writable bit 1.
+def _affine(i: int, j: int | None) -> Images:
+    """NOT_i (``j`` None) or XOR_ij (register j into i); register i is state bit i - 1."""
+    return tuple(s ^ ((1 if j is None else s >> (j - 1) & 1) << (i - 1)) for s in range(8))
 
-    Runs Barrington's construction on the 8 states once per 5-cycle factor
-    of the bit-flip permutation.  A step (if0, if1) becomes an uncontrolled
-    if0 followed by the controlled difference if1 * if0^-1, so it costs at
-    most one ROM call.
+
+# The affine bracket: NOT_i and XOR_ij are involutions, and in time order
+# (NOT_j, XOR_ij)^2 = NOT_i and (XOR_ij, XOR_jk)^2 = XOR_ik, so every NOT and
+# XOR of three registers splits again (Ben-Or & Cleve's register programs).
+_AFFINE = {_affine(i, k): (("left", _affine(i, j)), ("right", _affine(j, k))) * 2
+           for i, k, j in itertools.permutations((1, 2, 3))}
+_AFFINE |= {_affine(i, None): (("left", _affine(j, None)), ("right", _affine(i, j))) * 2
+            for i, j in ((1, 2), (2, 3), (3, 1))}
+
+
+def circuit_to_three_bit(circuit: CircuitNode, num_rom_bits: int) -> RomProgram:
+    """Three-bit program XOR-ing a circuit's value into writable bit 1, with
+    bits 2 and 3 restored, on every start state.
+
+    One commutator run at NOT_1 on the affine bracket: each input costs one
+    step, and a step (if0, if1) becomes an uncontrolled if0 followed by the
+    controlled difference if1 * if0^-1, which is never the identity, so the
+    program costs exactly ``branching_length`` ROM calls.
     """
     for index in circuit_inputs(circuit):
         if index > num_rom_bits:
             raise ValueError(f"circuit reads x{index} but space has {num_rom_bits} ROM bits")
-    # Every step's controlled difference is a conjugate of a 5-cycle, so each
-    # of the four runs costs exactly one call per step.
-    check_rom_calls(4 * branching_length(circuit))
-    runs = [(circuit, Permutation.from_cycles(8, (cycle,)).images) for cycle in BIT_FLIP_FIVE_CYCLES]
+    check_rom_calls(branching_length(circuit))
+    runs = [(circuit, BIT_FLIP_PERMUTATION.images)]
     return RomProgram(RomSpace(num_rom_bits, 3, CLASSICAL), tuple(
-        _commutator_run(runs, _commutator_pair, _then, _inverse, _step_instructions)))
+        _commutator_run(runs, _AFFINE.__getitem__, _then, _inverse, _step_instructions)))
 
 
 # Steps are keyed by their ROM bit, so unlike the gate caches this is bounded.
@@ -414,7 +425,8 @@ def _step_instructions(bit: int, if0: Images, if1: Images) -> tuple[Instruction,
 
 
 def and_barrington(num_rom_bits: int) -> RomProgram:
-    """Three-bit program computing the AND of all ROM bits into bit 1."""
+    """Three-bit program computing the AND of all ROM bits into bit 1: the name
+    is historical, since ``circuit_to_three_bit`` no longer runs Barrington."""
     return circuit_to_three_bit(balanced_and_circuit(num_rom_bits), num_rom_bits)
 
 
@@ -425,8 +437,9 @@ def one_bit_reachable(num_rom_bits: int) -> set[TruthTable]:
     by an XOR of its generators: "toggle everywhere" and "toggle where u_i
     is 1", one per ROM bit.  The closure is their span.
     """
-    if num_rom_bits > 4:
-        raise ValueError("closure enumeration is exhaustive; capped at 4 ROM bits")
+    if num_rom_bits > 10:
+        raise ValueError(f"the closure of {num_rom_bits} ROM bits has 2^{num_rom_bits + 1}"
+                         " tables; capped at 10 ROM bits")
     length = 1 << num_rom_bits
     span = {0}
     for mask in (0, *(1 << i for i in range(num_rom_bits))):

@@ -364,8 +364,9 @@ def test_counts_table(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 5
+    assert lines[0].split() == ["j", "naive", "fast", "twobit", "threebit", "conjectured"]
     row2 = lines[2].split()
-    assert row2 == ["2", "4", "4", "4", "16", "3"]
+    assert row2 == ["2", "4", "4", "4", "4", "3"]
     row4 = lines[4].split()
     assert row4[0] == "4" and row4[2] == "16"
     # Fast column obeys the quadratic bound.
@@ -381,7 +382,7 @@ def test_counts_up_to_the_cli_cap(capsys):
     assert [row[0] for row in rows] == list(range(1, 17))
     # naive and twobit are the doubling constructions: 3 * 2^(j-1) - 2.
     assert all(row[1] == row[3] == 3 * 2 ** (row[0] - 1) - 2 for row in rows)
-    assert rows[-1] == [16, 98302, 256, 98302, 1024, 765]
+    assert rows[-1] == [16, 98302, 256, 98302, 256, 765]
 
 
 def test_doubling_constructions_past_the_bound_are_refused(capsys):

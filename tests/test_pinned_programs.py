@@ -30,34 +30,34 @@ from romcomp.synth_classical import anf_to_circuit, branching_length
 
 # m -> (sha256 of dumps, ROM calls, gates)
 AND_BARRINGTON = {
-    1: ("169f204525cbe09c0ae7bab2a3ddc67de2260620613d689dbbf5f75684ace38e", 4, 4),
-    2: ("c14d463b252c414382580e485c37886b4488c438cc48c652793fecb3606a0afc", 16, 16),
-    3: ("2f9470202dbc6231a7a689bd19b5e43e58542d29c0242d1718118b200b8fd563", 40, 40),
-    4: ("1bdeec3ca8392ce7a0913e5ed9b9ad8044a021947cbfc68a1d39cef05899b317", 64, 64),
-    5: ("a478eef1edb6d0842782f7badfad415f037ff741ae0c6bfdb3ad89f36fd31093", 112, 112),
-    6: ("26e8125c428043c9cf9af584e40a5ea9f7e1724fedcd39225c26073ecd124696", 160, 160),
-    7: ("454a0b17a1f963016e0d5c5c451293e066c5020e395fd8b6007e0bea63969898", 208, 208),
-    8: ("2c6e93a1e8251173161fd9eea3eff3ea6900de7c0e163ad89ccea810966782c5", 256, 256),
-    9: ("f5e8c598d2998ee51cad098f1a6d5c123ef746034df14435344f6988fceb6b32", 352, 352),
-    10: ("c43ec7a5f8e3d4259a2712b11fa78c39c189197aec66e04a76d1f2e8e237418b", 448, 448),
+    1: ("884d447acc9c684ac623c3a7138d3245b7dddc1bdf2b499e802529db0458c54b", 1, 1),
+    2: ("d8374a10b9e5843738fd537f4ffd75f4f021ddaf7251619e2640e44a9cf3139f", 4, 4),
+    3: ("9d454f179d1bf4a7945ffd2355ad8a38584f0b36f27b7d407fdd3ee4c1d448ea", 10, 10),
+    4: ("b6ba8df57fa2be747f677f124a88dc4d519c7dd716d44ef9b9475f3445660c53", 16, 16),
+    5: ("795ac6975c74a51de755e9bce2d2c89a4415815bcdb57b0bee4221cd1fa818c2", 28, 28),
+    6: ("17cbc9651232cfff5a482f1264f085091cbd897d294841021848dfebff500100", 40, 40),
+    7: ("e53283fdea0aaba10c97b9ddab0ef49fcab12b4542ab2f243d0729989888b71d", 52, 52),
+    8: ("f9eba8d4d1f99400218a51a99ab0004787424cf80e340b0803ce7db587e12410", 64, 64),
+    9: ("dfe39a7b5a384737b843a7265d974f7eded03d94469e55f70e9057e3158efaff", 88, 88),
+    10: ("318d2d6b310aea5a8b2e74e728a35a65191d91768f6fdfb2eb91b1835f54992d", 112, 112),
 }
 
 # Three-variable table (packed, bit u = value at u) -> (sha256, ROM calls,
 # gates) through anf_to_circuit and circuit_to_three_bit; the tables are
 # random.Random(6).sample(range(256), 6).
 THREE_BIT = {
-    0: ("a1db73306f2f8035f958e04f7aab64c24b363dd2cc95d5685175f467bc634e3c", 16, 24),
-    18: ("791a987efbdff56d6e1cb8a2d2d4d790aa6d58df580ee75984e6e24313f71bf3", 2560, 3198),
-    41: ("176483f7a640827e045e3baa829352dc1e510fd10b3a25c7ec8a9174c7e04bcb", 23296, 32894),
-    74: ("eb240833cac7173ea949bb75836c4e61a96aee585c5e37e25b97a29e2bf6c488", 4864, 5502),
-    133: ("33744f3bc36583c7d9812ea130dd7b0aaa613dba73d3141ae419e0d0e64189a0", 14080, 21246),
-    248: ("06a3c598260442392f5ed3adbc80a2bdbb560e0b5a80a3e40f22c69c3291cfe9", 1600, 1944),
+    0: ("906866fec5ceb1bd0f255b4e2e038fc607103617a523ff4faebb8c4670c6202e", 4, 6),
+    18: ("2863746555e3138961de07be04e295470f98f0a0194349c3a2e6ac6b81e67a78", 640, 800),
+    41: ("180d73329d0e802963702672456f57eeeb7fe80566f47efe0686607fc0695ed5", 5824, 8224),
+    74: ("bd3795a9c0131c5d7a579655db06aa104591c43a4e6827c7ae5bc7f546e768c1", 1216, 1376),
+    133: ("47b05a5fb70627d148655165dfc390b0339701c3c8be5bfd2ce3bc9c9df8281d", 3520, 5312),
+    248: ("986157298d610006baed1ddf7600b85e04b1acee8a22761bb99d86ca695f1fb0", 400, 486),
 }
 
-# The same tables through anf_to_circuit and circuit_to_qubit: a quarter of
-# the three-bit machine's calls, branching_length itself.  Gates: one
-# controlled rotation per call, plus at most one uncontrolled fixup after it,
-# into which every NOT that ends on that step is folded.
+# The same tables through anf_to_circuit and circuit_to_qubit: the same
+# calls, branching_length itself.  Gates: one controlled rotation per call,
+# plus at most one uncontrolled fixup after it, into which every NOT that
+# ends on that step is folded.
 QUBIT = {
     0: ("4a03ed167ddb8d10f51249345cb006351f60ef752c2e4888246a91cb7853108f", 4, 6),
     18: ("619d7de8fe7b17ef2464fffe7164e52e080316ec29704ebc3db8ad4f13e01a6a", 640, 800),
@@ -92,25 +92,25 @@ def test_three_bit_compile_is_pinned(packed):
 def test_qubit_circuit_compile_is_pinned(packed):
     circuit = anf_to_circuit(anf_of(TruthTable.from_int(3, packed)))
     check_pinned(circuit_to_qubit(circuit, 3), QUBIT[packed])
-    assert 4 * QUBIT[packed][1] == THREE_BIT[packed][1]
+    assert QUBIT[packed][1] == THREE_BIT[packed][1]
 
 
 def test_three_bit_calls_are_predicted_before_building():
     # circuit_to_three_bit refuses a program past MAX_ROM_CALLS from
-    # 4 * branching_length, so that count must be exact.
+    # branching_length, so that count must be exact.
     for m, (_, calls, _) in AND_BARRINGTON.items():
-        assert 4 * branching_length(balanced_and_circuit(m)) == calls
+        assert branching_length(balanced_and_circuit(m)) == calls
     for packed, (_, calls, _) in THREE_BIT.items():
-        assert 4 * branching_length(anf_to_circuit(anf_of(TruthTable.from_int(3, packed)))) == calls
+        assert branching_length(anf_to_circuit(anf_of(TruthTable.from_int(3, packed)))) == calls
     for table in ("6996", "b7c3"):
         circuit = anf_to_circuit(anf_of(parse_table(table)))
-        assert 4 * branching_length(circuit) == rom_call_count(circuit_to_three_bit(circuit, 4))
+        assert branching_length(circuit) == rom_call_count(circuit_to_three_bit(circuit, 4))
     # Five variables, counted by building each once outside the suite: both
-    # fit the budget.  Six variables do not (46,465,024 calls).
-    for table, calls in (("6b3a91e4", 1_527_808), ("d2f07c15", 1_103_872),
-                         ("6b3a91e4d2f07c15", 46_465_024)):
-        assert 4 * branching_length(anf_to_circuit(anf_of(parse_table(table)))) == calls
-    assert 1_527_808 <= MAX_ROM_CALLS < 46_465_024
+    # fit the budget.  Six variables do not (11,616,256 calls).
+    for table, calls in (("6b3a91e4", 381_952), ("d2f07c15", 275_968),
+                         ("6b3a91e4d2f07c15", 11_616_256)):
+        assert branching_length(anf_to_circuit(anf_of(parse_table(table)))) == calls
+    assert 381_952 <= MAX_ROM_CALLS < 11_616_256
 
 
 # j -> packed tables (f1, f2) of j variables, from random.Random(9): per j,

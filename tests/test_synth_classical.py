@@ -13,6 +13,7 @@ from romcomp import (
     OrNode,
     ParseError,
     Permutation,
+    TruthTable,
     and_barrington,
     anf_of,
     balanced_and_circuit,
@@ -28,11 +29,12 @@ from romcomp import (
     one_bit_reachable,
     parse_circuit,
     parse_table,
+    permutation_of,
     rom_call_count,
     and_sequence,
     truth_table_of,
 )
-from romcomp.program import MAX_ROM_CALLS, Instruction, doubling_calls, permutation_gate
+from romcomp.program import MAX_ROM_CALLS, doubling_calls
 from romcomp.synth_classical import (
     MAX_CIRCUIT_DEPTH,
     anf_to_circuit,
@@ -129,7 +131,7 @@ def test_doubling_past_the_bound_is_refused_before_building():
         and_sequence(21, 21)
     with pytest.raises(ValueError, match="21 ROM bits"):
         compile_pair(Anf(21, frozenset()), Anf(21, frozenset({(1 << 21) - 1})), 21)
-    # Barrington's construction grows as 4^depth, not by doubling.
+    # The three-bit AND grows as m * 2^depth, not by doubling.
     assert rom_call_count(and_barrington(21)) > 0
 
 
@@ -165,7 +167,7 @@ def test_compile_pair_is_bounded_by_its_summed_rom_calls():
 
 def test_three_bit_compile_is_bounded_by_its_predicted_rom_calls():
     circuit = anf_to_circuit(anf_of(parse_table("6b3a91e4d2f07c15")))
-    with pytest.raises(ValueError, match="46465024 ROM calls"):
+    with pytest.raises(ValueError, match="11616256 ROM calls"):
         circuit_to_three_bit(circuit, 6)
 
 
@@ -364,8 +366,8 @@ def test_barrington_on_the_bit_flip_factors():
 
 
 def test_and_barrington_instructions_fix_inactive_states():
-    # Each step of the three-bit AND's branching programs touches only the
-    # five states of the cycle it was generated from.
+    # Each step of Barrington's program for a bit-flip factor touches only
+    # the five states of that cycle.
     for cycle in BIT_FLIP_FIVE_CYCLES:
         bp = barrington(balanced_and_circuit(3), Permutation.from_cycles(8, (cycle,)))
         outside = set(range(8)) - set(cycle)
@@ -410,26 +412,6 @@ def random_circuit(rng, j, depth):
     return AndNode(left, right) if kind == 1 else OrNode(left, right)
 
 
-def embedded_steps(circuit):
-    """``circuit_to_three_bit``'s instructions, built from the steps of
-    ``barrington`` on 5 points one at a time: per bit-flip cycle, relabeled
-    onto {0..4} through its sorted support, each step (if0, if1) as an
-    uncontrolled if0, then the controlled if0^-1 if1, identities dropped,
-    embedded back into the 8 states."""
-    instructions = []
-    for cycle in BIT_FLIP_FIVE_CYCLES:
-        support = sorted(cycle)
-        dense_rho = Permutation.from_cycles(5, (tuple(map(support.index, cycle)),))
-        for bit, if0, if1 in barrington(circuit, dense_rho).steps:
-            for perm, control in ((if0, None), (if0.inverse().then(if1), bit)):
-                if not perm.is_identity():
-                    images = list(range(8))
-                    for pos, state in enumerate(support):
-                        images[state] = support[perm.images[pos]]
-                    instructions.append(Instruction(permutation_gate(tuple(images)), control))
-    return tuple(instructions)
-
-
 def check_one_fixup_per_step(program):
     """Both machines' commutator runs emit each step as one controlled gate
     and at most one uncontrolled fixup, every NOT on that step folded in: no
@@ -440,19 +422,33 @@ def check_one_fixup_per_step(program):
     assert sum(free) <= rom_call_count(program)
 
 
+def check_clean(circuit, j):
+    """``circuit_to_three_bit``'s contract, read through ``permutation_of`` and
+    ``eval_circuit`` only: under every assignment the program is the bit flip
+    when the circuit is true and the identity otherwise, on all 8 start
+    states, and it costs exactly ``branching_length`` ROM calls."""
+    program = circuit_to_three_bit(circuit, j)
+    for u in range(1 << j):
+        want = BIT_FLIP_PERMUTATION if eval_circuit(circuit, u) else Permutation.identity(8)
+        assert permutation_of(program, u) == want
+    assert rom_call_count(program) == branching_length(circuit)
+    check_one_fixup_per_step(program)
+
+
+def test_three_bit_compile_is_clean_on_every_three_variable_table():
+    for packed in range(256):
+        check_clean(anf_to_circuit(anf_of(TruthTable.from_int(3, packed))), 3)
+
+
 @pytest.mark.parametrize("j", [3, 4, 5])
-def test_three_bit_compile_embeds_barrington_steps(j):
+def test_three_bit_compile_is_clean_on_random_circuits(j):
     # Random circuits nest ORs and NOTs; anf_to_circuit's XORs read each
     # operand twice, so their subtrees are shared.
     rng = random.Random(j)
-    circuits = [random_circuit(rng, j, 4) for _ in range(6)]
+    circuits = [random_circuit(rng, j, rng.randint(1, 4)) for _ in range(12)]
     circuits += [anf_to_circuit(Anf(j, frozenset(rng.sample(range(1 << j), 3)))) for _ in range(2)]
     for circuit in circuits:
-        program = circuit_to_three_bit(circuit, j)
-        assert program.instructions == embedded_steps(circuit)
-        check_one_fixup_per_step(program)
-        table = extract_function(program).components[0].bits
-        assert table == tuple(eval_circuit(circuit, u) for u in range(1 << j))
+        check_clean(circuit, j)
 
 
 def test_barrington_or_is_not_and_of_nots():
@@ -490,11 +486,17 @@ def affine_tables(j):
     return out
 
 
-@pytest.mark.parametrize("j", [1, 2, 3, 4])
+@pytest.mark.parametrize("j", [1, 2, 3, 4, 5])
 def test_one_bit_closure_is_affine(j):
     reachable = {t.bits for t in one_bit_reachable(j)}
     assert len(reachable) == 2 ** (j + 1)
     assert reachable == affine_tables(j)
+
+
+def test_one_bit_closure_is_capped_at_ten_rom_bits():
+    assert len(one_bit_reachable(10)) == 2 ** 11
+    with pytest.raises(ValueError, match=r"the closure of 11 ROM bits has 2\^12 tables; capped at 10"):
+        one_bit_reachable(11)
 
 
 def test_one_bit_closure_excludes_and():
@@ -537,9 +539,9 @@ def test_circuit_walks_value_each_shared_node_once():
 
 
 def test_deepest_circuit_within_the_budget_compiles_at_the_nesting_cap():
-    # The recursion's worst case: nested ORs (three frames each in
-    # Barrington's recursion) around NOTs up to the cap.  Seventeen ORs are
-    # the most the ROM-call budget admits, since each doubles the branching
+    # The recursion's worst case: nested ORs (three frames each in the
+    # commutator recursion) around NOTs up to the cap.  Nineteen ORs are the
+    # most the ROM-call budget admits, since each doubles the branching
     # length.
     def nested(ors):
         text = "(not " * (MAX_CIRCUIT_DEPTH - ors) + "x1" + ")" * (MAX_CIRCUIT_DEPTH - ors)
@@ -548,7 +550,7 @@ def test_deepest_circuit_within_the_budget_compiles_at_the_nesting_cap():
         return parse_circuit(text)
 
     with pytest.raises(ValueError, match="ROM calls"):
-        circuit_to_three_bit(nested(18), 19)
-    circuit = nested(17)
-    program = circuit_to_three_bit(circuit, 18)
-    assert 4 * branching_length(circuit) == rom_call_count(program) <= MAX_ROM_CALLS
+        circuit_to_three_bit(nested(20), 21)
+    circuit = nested(19)
+    program = circuit_to_three_bit(circuit, 20)
+    assert branching_length(circuit) == rom_call_count(program) <= MAX_ROM_CALLS

@@ -64,7 +64,7 @@ class CliError(Exception):
 def _cmd_anf(args: argparse.Namespace) -> int:
     if (args.monomials is None) == (args.table is None):
         raise CliError("give exactly one of --monomials or --table")
-    _check_width(SWEEP_LIMIT, [args.monomials], args.num_vars)
+    _check_width(SWEEP_LIMIT, [args.monomials], num_vars=args.num_vars)
     if args.table is not None:
         print(format_monomials(anf_of(parse_table(args.table, args.num_vars))))
     else:
@@ -72,13 +72,16 @@ def _cmd_anf(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_width(limit: int, texts: list[str | None], *widths: int | None) -> None:
-    """Refuse a variable index or width past ``limit`` before any ``1 << width``
-    mask or table is built; ``t:`` tables are skipped, as their length bounds
-    their width."""
+def _check_width(limit: int, texts: list[str | None], **widths: int | None) -> None:
+    """Refuse a width flag below 1, and a variable index or width past
+    ``limit``, before any ``1 << width`` mask or table is built; ``t:`` tables
+    are skipped, as their length bounds their width."""
+    for name, width in widths.items():
+        if width is not None and width < 1:
+            raise CliError(f"--{name.replace('_', '-')} must be at least 1, got {width}")
     indices = [int(index) for text in texts if text and not text.startswith("t:")
                for index in re.findall(r"[0-9]+", text)]
-    widest = max([width for width in widths if width is not None] + indices, default=0)
+    widest = max([width for width in widths.values() if width is not None] + indices, default=0)
     if widest > limit:
         raise CliError(f"{widest} variables exceed the limit ({limit})")
 
@@ -97,8 +100,6 @@ def _component_specs(args: argparse.Namespace, registers: int) -> list[str | Non
     }
     and_of = getattr(args, "and_of", None)
     if and_of is not None:
-        if and_of < 1:
-            raise CliError(f"--and-of must be at least 1, got {and_of}")
         # Two registers means classical2, where and_sequence leaves an
         # even-width AND in register 2.
         and_register = 2 if registers == 2 and and_of % 2 == 0 else 1
@@ -137,7 +138,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         if flag not in reads and getattr(args, flag) not in (None, False):
             raise CliError(f"--backend {args.backend} does not read --{flag}")
     _check_width(COMPILE_WIDTH_LIMIT, [args.monomials, args.f1, args.f2, args.circuit],
-                 args.num_vars, args.and_of, args.num_rom_bits)
+                 num_vars=args.num_vars, and_of=args.and_of, num_rom_bits=args.num_rom_bits)
     specs = _component_specs(args, registers)
     circuit = None
     if args.circuit is not None:

@@ -1,15 +1,15 @@
 """Classical compilers: two- and three-bit register machines, and width-5
 branching programs.
 
-Each is a commutator recursion over an AND/OR/NOT circuit, so a run costs one
-ROM call per input leaf.  The two-bit machine splits on the doubling bracket
-(a NOT on one register, a CNOT between them); a product of ROM bits is a
-left-deep AND chain, so the partial product alternates between the
-registers.  The three-bit machine splits on the affine bracket of NOTs and
-XORs between its three registers (Ben-Or & Cleve), so a circuit flips bit 1
-in ``branching_length`` calls.  ``barrington`` keeps Barrington's theorem: a
-depth-d circuit becomes a width-5 permutation branching program of length at
-most 4^d that applies a chosen 5-cycle exactly when the circuit accepts.
+Each is a commutator recursion over an input/NOT/AND circuit, so a run costs
+one ROM call per input leaf; OR is built by De Morgan.  Both register machines
+split on the affine bracket of their registers (Ben-Or & Cleve): on three
+registers every NOT and XOR splits, so a circuit flips bit 1 in
+``branching_length`` calls; on two only the NOTs split, which is the doubling
+of a product of ROM bits, a left-deep AND chain whose partial product
+alternates between the registers.  ``barrington`` keeps Barrington's theorem:
+a depth-d circuit becomes a width-5 permutation branching program of length
+at most 4^d that applies a chosen 5-cycle exactly when the circuit accepts.
 """
 
 from __future__ import annotations
@@ -32,33 +32,19 @@ from .program import (
     permutation_gate,
 )
 
-# Two-register gate tables; register 1 is the low state bit.
-NOT_REG1 = (1, 0, 3, 2)
-NOT_REG2 = (2, 3, 0, 1)
-CNOT_INTO_REG1 = (0, 1, 3, 2)
-CNOT_INTO_REG2 = (0, 3, 2, 1)
-
 
 def not_gate(register: int, rom_bit: int | None) -> Instruction:
     """NOT on one register, optionally conditioned on a ROM bit."""
     if register not in (1, 2):
         raise ValueError(f"register must be 1 or 2, got {register}")
-    return Instruction(permutation_gate(NOT_REG1 if register == 1 else NOT_REG2), rom_bit)
+    return Instruction(permutation_gate(_affine(register, None, 2)), rom_bit)
 
 
 def cnot_gate(target: int, rom_bit: int | None) -> Instruction:
     """XOR the other register into ``target``, conditioned on a ROM bit."""
     if target not in (1, 2):
         raise ValueError(f"target must be 1 or 2, got {target}")
-    return Instruction(
-        permutation_gate(CNOT_INTO_REG1 if target == 1 else CNOT_INTO_REG2), rom_bit
-    )
-
-
-# The doubling bracket: NOT2 CNOT1 NOT2 CNOT1 = NOT1, and symmetrically, so a
-# product runs its prefix into the other register around its last bit's CNOT.
-_DOUBLING = {NOT_REG1: (("left", NOT_REG2), ("right", CNOT_INTO_REG1)) * 2,
-             NOT_REG2: (("left", NOT_REG1), ("right", CNOT_INTO_REG2)) * 2}
+    return Instruction(permutation_gate(_affine(target, 3 - target, 2)), rom_bit)
 
 
 def and_sequence(m: int, num_rom_bits: int) -> tuple[RomProgram, int]:
@@ -77,10 +63,10 @@ def and_sequence(m: int, num_rom_bits: int) -> tuple[RomProgram, int]:
 
 def compile_pair(f1: Anf, f2: Anf, num_rom_bits: int) -> RomProgram:
     """Two-bit program computing (f1, f2) into registers (1, 2): each
-    monomial is a left-deep AND chain run on the doubling bracket."""
+    monomial is a left-deep AND chain run at its register's NOT on ``_DOUBLING``."""
     if f1.num_vars != num_rom_bits or f2.num_vars != num_rom_bits:
         raise ValueError("component arities must match num_rom_bits")
-    products = [(v, flip) for anf, flip in ((f1, NOT_REG1), (f2, NOT_REG2)) for v in anf.var_lists()]
+    products = [(v, flip) for anf, flip in zip((f1, f2), _DOUBLING) for v in anf.var_lists()]
     check_rom_calls(sum(doubling_calls(len(v)) for v, _ in products))
     runs = [(reduce(AndNode, map(InputNode, v)) if v else None, flip) for v, flip in products]
     return RomProgram(RomSpace(num_rom_bits, 2, CLASSICAL), tuple(
@@ -108,22 +94,23 @@ class AndNode:
     right: "CircuitNode"
 
 
-@dataclass(frozen=True, slots=True)
-class OrNode:
-    left: "CircuitNode"
-    right: "CircuitNode"
+CircuitNode = InputNode | NotNode | AndNode
 
 
-CircuitNode = InputNode | NotNode | AndNode | OrNode
+def OrNode(left: CircuitNode, right: CircuitNode) -> CircuitNode:  # noqa: N802 (a node constructor)
+    """OR by De Morgan: NOT(AND(NOT left, NOT right))."""
+    return NotNode(AndNode(NotNode(left), NotNode(right)))
+
+
 T, G = TypeVar("T"), TypeVar("G")
 Run = tuple[list[T], tuple[int | None, G, G]]  # see _commutator_run
 
 
 def _fold(circuit: CircuitNode, leaf: Callable[[int], T], negate: Callable[[T], T],
-          join: Callable[[CircuitNode, T, T], T]) -> T:
+          join: Callable[[T, T], T]) -> T:
     """The circuit's value built bottom up: ``leaf(index)`` at an input,
-    ``negate`` through NOT, ``join(node, left, right)`` at AND and OR.  Each
-    node is valued once, keyed by id: XOR reads its operands twice."""
+    ``negate`` through NOT, ``join(left, right)`` at AND.  Each node is valued
+    once, keyed by id: XOR reads its operands twice."""
     memo: dict[int, T] = {}
 
     def value(node: CircuitNode) -> T:
@@ -133,7 +120,7 @@ def _fold(circuit: CircuitNode, leaf: Callable[[int], T], negate: Callable[[T], 
             elif isinstance(node, NotNode):
                 memo[id(node)] = negate(value(node.child))
             else:
-                memo[id(node)] = join(node, value(node.left), value(node.right))
+                memo[id(node)] = join(value(node.left), value(node.right))
         return memo[id(node)]
 
     result = value(circuit)
@@ -142,25 +129,26 @@ def _fold(circuit: CircuitNode, leaf: Callable[[int], T], negate: Callable[[T], 
 
 
 def circuit_depth(node: CircuitNode) -> int:
-    """Longest path to an input, counting AND/OR nodes only."""
-    return _fold(node, lambda _: 0, lambda d: d, lambda _, left, right: 1 + max(left, right))
+    """Longest path to an input, counting AND nodes only; an OR is one AND."""
+    return _fold(node, lambda _: 0, lambda d: d, lambda left, right: 1 + max(left, right))
 
 
 def circuit_inputs(node: CircuitNode) -> set[int]:
-    return _fold(node, lambda index: {index}, lambda s: s, lambda _, left, right: left | right)
+    return _fold(node, lambda index: {index}, lambda s: s, lambda left, right: left | right)
 
 
 def eval_circuit(node: CircuitNode, assignment: int) -> int:
     return _fold(node, lambda index: assignment >> (index - 1) & 1, lambda v: 1 - v,
-                 lambda n, left, right: left & right if isinstance(n, AndNode) else left | right)
+                 lambda left, right: left & right)
 
 
 def branching_length(circuit: CircuitNode) -> int:
     """Length of a commutator run of the circuit, without building it: 1 per
-    input, the child's through NOT, twice both children's through AND and
-    OR.  It is ``barrington``'s program length and the exact ROM calls of
-    ``circuit_to_three_bit`` and ``circuit_to_qubit``."""
-    return _fold(circuit, lambda _: 1, lambda n: n, lambda _, left, right: 2 * (left + right))
+    input, the child's through NOT, twice both children's through AND (so
+    through OR, its De Morgan form).  It is ``barrington``'s program length
+    and the exact ROM calls of ``circuit_to_three_bit`` and
+    ``circuit_to_qubit``."""
+    return _fold(circuit, lambda _: 1, lambda n: n, lambda left, right: 2 * (left + right))
 
 
 def _balanced(nodes: list[CircuitNode], join: Callable[..., CircuitNode]) -> CircuitNode:
@@ -179,10 +167,12 @@ def balanced_and_circuit(num_inputs: int) -> CircuitNode:
 
 
 # Deepest nesting of parenthesised gates that ``parse_circuit`` accepts.  The
-# parser and ``_fold`` take a frame per level, ``_commutator_run`` one per NOT,
-# two per AND and three per OR; the ROM-call budget admits 19 nested ORs on
-# both circuit compilers, whose worst cases at this cap need a recursion limit
-# of 245 (three bits) and 247 (qubit), inside Python's default of 1000.
+# parser takes a frame per level, ``_fold`` and ``_commutator_run`` one per NOT
+# and AND, so three per OR.  Measured from a two-frame script, 200 nested ORs
+# need a recursion limit of 607 in ``_fold`` (611 through ``romcomp compile``,
+# which refuses them by the ROM-call budget); the deepest compile the budget
+# admits, 19 nested ORs around NOTs to the cap, needs 246 (three bits) and 247
+# (qubit).  Python's default is 1000.
 MAX_CIRCUIT_DEPTH = 200
 
 
@@ -208,8 +198,7 @@ def parse_circuit(text: str) -> CircuitNode:
             if op == "not":
                 node: CircuitNode = NotNode(parse(depth + 1))
             elif op in ("and", "or"):
-                left, right = parse(depth + 1), parse(depth + 1)
-                node = AndNode(left, right) if op == "and" else OrNode(left, right)
+                node = (AndNode if op == "and" else OrNode)(parse(depth + 1), parse(depth + 1))
             else:
                 raise ParseError(f"expected and/or/not, got {op!r}", op_at)
             if cursor >= len(tokens) or tokens[cursor][0] != ")":
@@ -229,10 +218,10 @@ def parse_circuit(text: str) -> CircuitNode:
 
 
 def anf_to_circuit(anf: Anf) -> CircuitNode:
-    """Rewrite an XOR-of-AND form over the AND/OR/NOT basis.
+    """Rewrite an XOR-of-AND form over the input/NOT/AND basis.
 
-    XOR is expanded as a(!b) + (!a)b over a balanced tree, so depth grows by
-    a constant factor per XOR level; fine at CLI scale.
+    XOR is expanded as a(!b) + (!a)b, its OR by De Morgan, over a balanced
+    tree, so depth grows by a constant factor per XOR level; fine at CLI scale.
     """
     x1 = InputNode(1)
     if not anf.monomials:
@@ -311,28 +300,12 @@ def _commutator_run(runs: list[tuple[CircuitNode | None, G]], split: Callable[[G
     the circuit is true, in the group of ``then`` (``first`` first) and
     ``inverse``.  AND runs its children at ``split``'s four (child, target)s
     in time order; NOT runs its child at the inverse target and folds a fixup
-    into the last step; OR is NOT(AND(NOT l, NOT r)); None is always true.
-    Within a run each (gate node, target) is built once, keyed by the node's
-    id, as a ``Run`` never mutated: the items of all steps but the last, which
-    a NOT above may fix up, and that last step.  The memo is emptied when each
-    run ends.  ``emit`` is called per step: cache it."""
+    into the last step, so OR, built by De Morgan, needs no case of its own;
+    None is always true.  Within a run each (gate node, target) is built once,
+    keyed by the node's id, as a ``Run`` never mutated: the items of all steps
+    but the last, which a NOT above may fix up, and that last step.  The memo
+    is emptied when each run ends.  ``emit`` is called per step: cache it."""
     memo: dict[tuple[int, G], Run] = {}
-
-    def fixed(found: Run, target: G) -> Run:
-        body, (bit, if0, if1) = found
-        return body, (bit, then(if0, target), then(if1, target))
-
-    def negated(node: CircuitNode, target: G) -> Run:
-        return fixed(run(node, inverse(target)), target)
-
-    def joined(part: Callable[..., Run], node: AndNode | OrNode, target: G) -> Run:
-        items, last = [], None
-        for child, child_target in split(target):
-            if last:
-                items += emit(*last)
-            body, last = part(getattr(node, child), child_target)
-            items += body
-        return items, last
 
     def run(node: CircuitNode | None, target: G) -> Run:
         if node is None or isinstance(node, InputNode):
@@ -341,11 +314,16 @@ def _commutator_run(runs: list[tuple[CircuitNode | None, G]], split: Callable[[G
         found = memo.get(key)
         if found is None:
             if isinstance(node, NotNode):
-                found = fixed(run(node.child, inverse(target)), target)
-            elif isinstance(node, AndNode):
-                found = joined(run, node, target)
+                body, (bit, if0, if1) = run(node.child, inverse(target))
+                found = body, (bit, then(if0, target), then(if1, target))
             else:
-                found = fixed(joined(negated, node, inverse(target)), target)
+                steps, last = [], None
+                for child, child_target in split(target):
+                    if last:
+                        steps += emit(*last)
+                    body, last = run(getattr(node, child), child_target)
+                    steps += body
+                found = steps, last
             memo[key] = found
         return found
 
@@ -356,7 +334,7 @@ def _commutator_run(runs: list[tuple[CircuitNode | None, G]], split: Callable[[G
         memo.clear()  # before the copy below, so the run's subruns are freed first
         items += body
         items += emit(*last)
-    del run  # break the closures' cycle: free them now, not in a GC pass
+    del run  # break the closure's cycle: free it now, not in a GC pass
     return items
 
 
@@ -384,18 +362,23 @@ BIT_FLIP_FIVE_CYCLES: tuple[tuple[int, ...], ...] = (
 BIT_FLIP_PERMUTATION = Permutation.from_cycles(8, ((0, 1), (2, 3), (4, 5), (6, 7)))
 
 
-def _affine(i: int, j: int | None) -> Images:
-    """NOT_i (``j`` None) or XOR_ij (register j into i); register i is state bit i - 1."""
-    return tuple(s ^ ((1 if j is None else s >> (j - 1) & 1) << (i - 1)) for s in range(8))
+def _affine(i: int, j: int | None, n: int) -> Images:
+    """NOT_i (``j`` None) or XOR_ij (j into i) of ``n`` registers; register i is state bit i - 1."""
+    return tuple(s ^ ((1 if j is None else s >> (j - 1) & 1) << (i - 1)) for s in range(1 << n))
 
 
-# The affine bracket: NOT_i and XOR_ij are involutions, and in time order
-# (NOT_j, XOR_ij)^2 = NOT_i and (XOR_ij, XOR_jk)^2 = XOR_ik, so every NOT and
-# XOR of three registers splits again (Ben-Or & Cleve's register programs).
-_AFFINE = {_affine(i, k): (("left", _affine(i, j)), ("right", _affine(j, k))) * 2
-           for i, k, j in itertools.permutations((1, 2, 3))}
-_AFFINE |= {_affine(i, None): (("left", _affine(j, None)), ("right", _affine(i, j))) * 2
-            for i, j in ((1, 2), (2, 3), (3, 1))}
+def _bracket(n: int) -> dict[Images, tuple[tuple[str, Images], ...]]:
+    """The affine bracket of ``n`` registers as a split table, NOTs first in
+    register order: in time order (NOT_j, XOR_ij)^2 = NOT_i with j = i mod n + 1,
+    and (XOR_ij, XOR_jk)^2 = XOR_ik with j a third register.  Two registers
+    have no third, so only their NOTs split: the doubling."""
+    nots = {_affine(i, None, n): (("left", _affine(j, None, n)), ("right", _affine(i, j, n))) * 2
+            for i in range(1, n + 1) for j in [i % n + 1]}
+    return nots | {_affine(i, k, n): (("left", _affine(i, j, n)), ("right", _affine(j, k, n))) * 2
+                   for i, k, j in itertools.permutations(range(1, n + 1), 3)}
+
+
+_DOUBLING, _AFFINE = _bracket(2), _bracket(3)
 
 
 def circuit_to_three_bit(circuit: CircuitNode, num_rom_bits: int) -> RomProgram:

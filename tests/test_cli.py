@@ -579,6 +579,21 @@ def test_and_of_below_one_is_one_error_on_every_backend(capsys):
         assert errors == {f"error: --and-of must be at least 1, got {m}\n"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["anf", "--table", "6b", "--num-vars", "-1"],
+    ["anf", "--monomials", "1", "--num-vars", "0"],
+    ["compile", "--backend", "quantum1", "--table", "6b", "--num-vars", "-1"],
+    ["compile", "--backend", "classical2", "--f1", "1", "--num-rom-bits", "-1"],
+    ["compile", "--backend", "classical3", "--circuit", "x1", "--num-rom-bits", "0"],
+], ids=["anf-table", "anf-monomials", "compile-num-vars", "compile-num-rom-bits",
+        "compile-circuit"])
+def test_width_flags_below_one_are_one_error(capsys, argv):
+    # -1 used to end in "error: negative shift count".
+    code, out, err = run(capsys, *argv)
+    assert_one_error_line(code, out, err)
+    assert err == f"error: {argv[-2]} must be at least 1, got {argv[-1]}\n"
+
+
 def test_search_negative_depth_is_a_usage_error(capsys):
     assert_one_error_line(*run(capsys, "search", "--j", "3", "--max-depth", "-1"))
 
@@ -689,6 +704,18 @@ def test_compile_refuses_circuits_nested_past_the_cap(capsys, depth):
         f"parse error: circuit nested deeper than {MAX_CIRCUIT_DEPTH} levels"
         f" (at position {5 * MAX_CIRCUIT_DEPTH})"
     ]
+
+
+@pytest.mark.parametrize("backend", ["classical3", "quantum1"])
+def test_compile_refuses_ors_nested_to_the_cap_by_their_rom_calls(capsys, backend):
+    # OR is NOT(AND(NOT, NOT)), so these are the deepest circuit walks the
+    # parser admits: three frames per OR, and the ROM-call budget refuses them.
+    circuit = "x1"
+    for index in range(2, MAX_CIRCUIT_DEPTH + 2):
+        circuit = f"(or {circuit} x{index})"
+    code, out, err = run(capsys, "compile", "--backend", backend, "--circuit", circuit)
+    assert_one_error_line(code, out, err)
+    assert "ROM calls" in err
 
 
 @pytest.mark.parametrize("backend, table_of", [

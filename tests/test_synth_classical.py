@@ -37,6 +37,7 @@ from romcomp import (
 from romcomp.program import MAX_ROM_CALLS, doubling_calls
 from romcomp.synth_classical import (
     MAX_CIRCUIT_DEPTH,
+    _bracket,
     anf_to_circuit,
     branching_length,
     circuit_inputs,
@@ -71,6 +72,28 @@ def test_gates_inactive_control():
         from romcomp import permutation_of
 
         assert permutation_of(prog, 0).is_identity()
+
+
+def register_gate(i, j, n):
+    """NOT_i (j None) or XOR of register j into register i, as the state
+    images of n registers with register i as state bit i - 1."""
+    return tuple(s ^ 1 << (i - 1) if j is None or s >> (j - 1) & 1 else s for s in range(1 << n))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_affine_bracket_splits_each_key_into_its_commutator(n):
+    # Two registers split only their NOTs, three their NOTs and all six XORs;
+    # NOTs come first in register order, since compile_pair reads them so.
+    nots = [register_gate(i, None, n) for i in range(1, n + 1)]
+    xors = [register_gate(i, j, n) for i, j in itertools.permutations(range(1, n + 1), 2)]
+    table = _bracket(n)
+    assert list(table)[:n] == nots
+    assert sorted(table) == sorted(nots + (xors if n == 3 else []))
+    for target, entries in table.items():
+        assert [child for child, _ in entries] == ["left", "right", "left", "right"]
+        s, t, s_inverse, t_inverse = (Permutation(images) for _, images in entries)
+        assert (s_inverse, t_inverse) == (s.inverse(), t.inverse())
+        assert s.then(t).then(s_inverse).then(t_inverse).images == target
 
 
 def test_and_sequence_base():

@@ -4,8 +4,11 @@ import random
 import pytest
 
 from romcomp import (
+    AXIS_X,
+    AXIS_Z,
     AndNode,
     Anf,
+    DyadicExponent,
     DyadicGate,
     InputNode,
     Permutation,
@@ -21,15 +24,16 @@ from romcomp import (
     compile_pair,
     eval_circuit,
     extract_boolean,
+    gate_matrix,
     parse_circuit,
     rom_call_count,
     truth_table_of,
     unitary_of,
 )
 from romcomp.synth_classical import anf_to_circuit, branching_length
-from romcomp.synth_quantum import _AND_CALLS
+from romcomp.synth_quantum import _AND_CALLS, _split
 
-from test_sim_quantum import I2, X_MAT, two_control_flip_program
+from test_sim_quantum import I2, X_MAT, phase_free_distance, two_control_flip_program
 from test_synth_classical import check_one_fixup_per_step, random_circuit, twenty_products_of_twenty
 
 
@@ -270,6 +274,23 @@ def test_inactive_blocks_are_the_identity_only_up_to_a_phase():
 def test_circuit_blocks_are_clean_up_to_a_phase():
     for j, circuit in seeded_circuits(50):
         check_clean_block(circuit_to_qubit(circuit, j), lambda u: eval_circuit(circuit, u))
+
+
+@pytest.mark.parametrize("target", [
+    (AXIS_X, -1, 0), (AXIS_X, 1, 0), (AXIS_Z, 1, 0), (AXIS_X, 1, 1), (AXIS_Z, -1, 1),
+    (AXIS_Z, 3, 2), (AXIS_X, -5, 4),
+])
+def test_qubit_split_multiplies_to_its_target_up_to_a_phase(target):
+    # The four (child, rotation)s in time order, the last applied leftmost,
+    # give the target on X and its inverse on Z (the same at exponent +-1).
+    product = I2
+    for _, (axis, num, log2den) in _split(target):
+        product = gate_matrix(axis, DyadicExponent(num, log2den)) @ product
+    axis, num, log2den = target
+    want = gate_matrix(axis, DyadicExponent(num if axis == AXIS_X else -num, log2den))
+    distance, phase_error = phase_free_distance(product, want)
+    assert distance < 1e-12 and phase_error < 1e-12
+    assert [child for child, _ in _split(target)] == ["right", "left", "right", "left"]
 
 
 def test_circuit_to_qubit_computes_every_three_variable_function():

@@ -62,6 +62,7 @@ from .synth_classical import (
     InputNode,
     NotNode,
     OrNode,
+    XorNode,
     and_barrington,
     balanced_and_circuit,
     barrington,

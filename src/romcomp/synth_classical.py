@@ -1,10 +1,11 @@
 """Classical compilers: two- and three-bit register machines, and width-5
 branching programs.
 
-Each is a commutator recursion over an input/NOT/AND circuit, so a run costs
-one ROM call per input leaf; OR is built by De Morgan.  Both register machines
-split on the affine bracket of their registers (Ben-Or & Cleve): on three
-registers every NOT and XOR splits, so a circuit flips bit 1 in
+Each is a commutator recursion over an input/NOT/AND/XOR circuit, so a run
+costs one ROM call per input leaf; OR is built by De Morgan.  Both register
+machines split on the affine bracket of their registers (Ben-Or & Cleve): on
+three registers every NOT and XOR splits, and every target is an involution,
+so an XOR is its operands' runs back to back and a circuit flips bit 1 in
 ``branching_length`` calls; on two only the NOTs split, which is the doubling
 of a product of ROM bits, a left-deep AND chain whose partial product
 alternates between the registers.  ``barrington`` keeps Barrington's theorem:
@@ -94,7 +95,13 @@ class AndNode:
     right: "CircuitNode"
 
 
-CircuitNode = InputNode | NotNode | AndNode
+@dataclass(frozen=True, slots=True)
+class XorNode:
+    left: "CircuitNode"
+    right: "CircuitNode"
+
+
+CircuitNode = InputNode | NotNode | AndNode | XorNode
 
 
 def OrNode(left: CircuitNode, right: CircuitNode) -> CircuitNode:  # noqa: N802 (a node constructor)
@@ -107,10 +114,11 @@ Run = tuple[list[T], tuple[int | None, G, G]]  # see _commutator_run
 
 
 def _fold(circuit: CircuitNode, leaf: Callable[[int], T], negate: Callable[[T], T],
-          join: Callable[[T, T], T]) -> T:
+          join: Callable[[T, T], T], xor: Callable[[T, T], T]) -> T:
     """The circuit's value built bottom up: ``leaf(index)`` at an input,
-    ``negate`` through NOT, ``join(left, right)`` at AND.  Each node is valued
-    once, keyed by id: XOR reads its operands twice."""
+    ``negate`` through NOT, ``join(left, right)`` at AND and ``xor(left,
+    right)`` at XOR.  Each node is valued once, keyed by id, so a subtree
+    shared by several parents is walked once."""
     memo: dict[int, T] = {}
 
     def value(node: CircuitNode) -> T:
@@ -120,7 +128,8 @@ def _fold(circuit: CircuitNode, leaf: Callable[[int], T], negate: Callable[[T], 
             elif isinstance(node, NotNode):
                 memo[id(node)] = negate(value(node.child))
             else:
-                memo[id(node)] = join(value(node.left), value(node.right))
+                both = join if isinstance(node, AndNode) else xor
+                memo[id(node)] = both(value(node.left), value(node.right))
         return memo[id(node)]
 
     result = value(circuit)
@@ -129,26 +138,30 @@ def _fold(circuit: CircuitNode, leaf: Callable[[int], T], negate: Callable[[T], 
 
 
 def circuit_depth(node: CircuitNode) -> int:
-    """Longest path to an input, counting AND nodes only; an OR is one AND."""
-    return _fold(node, lambda _: 0, lambda d: d, lambda left, right: 1 + max(left, right))
+    """Longest path to an input, counting AND nodes only: an OR is one AND,
+    and an XOR two, the depth of OR(AND(a, NOT b), AND(NOT a, b)), so
+    ``barrington``'s length stays within 4^depth."""
+    return _fold(node, lambda _: 0, lambda d: d, lambda left, right: 1 + max(left, right),
+                 lambda left, right: 2 + max(left, right))
 
 
 def circuit_inputs(node: CircuitNode) -> set[int]:
-    return _fold(node, lambda index: {index}, lambda s: s, lambda left, right: left | right)
+    return _fold(node, lambda index: {index}, lambda s: s, set.union, set.union)
 
 
 def eval_circuit(node: CircuitNode, assignment: int) -> int:
     return _fold(node, lambda index: assignment >> (index - 1) & 1, lambda v: 1 - v,
-                 lambda left, right: left & right)
+                 lambda left, right: left & right, lambda left, right: left ^ right)
 
 
 def branching_length(circuit: CircuitNode) -> int:
     """Length of a commutator run of the circuit, without building it: 1 per
     input, the child's through NOT, twice both children's through AND (so
-    through OR, its De Morgan form).  It is ``barrington``'s program length
-    and the exact ROM calls of ``circuit_to_three_bit`` and
-    ``circuit_to_qubit``."""
-    return _fold(circuit, lambda _: 1, lambda n: n, lambda left, right: 2 * (left + right))
+    through OR, its De Morgan form) and both children's through XOR.  It is
+    the exact ROM calls of ``circuit_to_three_bit`` and ``circuit_to_qubit``,
+    and ``barrington``'s program length for a circuit without XOR."""
+    return _fold(circuit, lambda _: 1, lambda n: n, lambda left, right: 2 * (left + right),
+                 lambda left, right: left + right)
 
 
 def _balanced(nodes: list[CircuitNode], join: Callable[..., CircuitNode]) -> CircuitNode:
@@ -167,18 +180,22 @@ def balanced_and_circuit(num_inputs: int) -> CircuitNode:
 
 
 # Deepest nesting of parenthesised gates that ``parse_circuit`` accepts.  The
-# parser takes a frame per level, ``_fold`` and ``_commutator_run`` one per NOT
-# and AND, so three per OR.  Measured from a two-frame script, 200 nested ORs
-# need a recursion limit of 607 in ``_fold`` (611 through ``romcomp compile``,
-# which refuses them by the ROM-call budget); the deepest compile the budget
-# admits, 19 nested ORs around NOTs to the cap, needs 246 (three bits) and 247
-# (qubit).  Python's default is 1000.
+# parser takes a frame per level, ``_fold`` and ``_commutator_run`` one per NOT,
+# AND and XOR, so three per OR.  The least recursion limits at which
+# ``python -m romcomp compile`` runs (binary search, one process per trial):
+# 200 nested XORs, 201 ROM calls, 220 on both backends; 200 nested ORs, which
+# the ROM-call budget refuses, 613; the deepest OR nest the budget admits, 19
+# ORs around NOTs to the cap, 251 (three bits) and 256 (qubit).  Python's
+# default is 1000.
 MAX_CIRCUIT_DEPTH = 200
 
 
+_BINARY = {"and": AndNode, "or": OrNode, "xor": XorNode}
+
+
 def parse_circuit(text: str) -> CircuitNode:
-    """Parse prefix form like ``(and (or x1 x2) (not x3))``, nested at most
-    ``MAX_CIRCUIT_DEPTH`` deep."""
+    """Parse prefix form like ``(and (or x1 x2) (xor x3 (not x4)))``, nested
+    at most ``MAX_CIRCUIT_DEPTH`` deep."""
     tokens = [(match.group(), match.start()) for match in re.finditer(r"[()]|[^\s()]+", text)]
     cursor = 0
 
@@ -197,10 +214,10 @@ def parse_circuit(text: str) -> CircuitNode:
             cursor += 1
             if op == "not":
                 node: CircuitNode = NotNode(parse(depth + 1))
-            elif op in ("and", "or"):
-                node = (AndNode if op == "and" else OrNode)(parse(depth + 1), parse(depth + 1))
+            elif op in _BINARY:
+                node = _BINARY[op](parse(depth + 1), parse(depth + 1))
             else:
-                raise ParseError(f"expected and/or/not, got {op!r}", op_at)
+                raise ParseError(f"expected and/or/xor/not, got {op!r}", op_at)
             if cursor >= len(tokens) or tokens[cursor][0] != ")":
                 raise ParseError("expected ')'", tokens[cursor - 1][1])
             cursor += 1
@@ -218,24 +235,14 @@ def parse_circuit(text: str) -> CircuitNode:
 
 
 def anf_to_circuit(anf: Anf) -> CircuitNode:
-    """Rewrite an XOR-of-AND form over the input/NOT/AND basis.
-
-    XOR is expanded as a(!b) + (!a)b, its OR by De Morgan, over a balanced
-    tree, so depth grows by a constant factor per XOR level; fine at CLI scale.
-    """
+    """An XOR-of-AND form as a balanced XOR of balanced ANDs, one per
+    monomial.  The constant-1 monomial is a NOT at the root; the empty form
+    is x1 AND NOT x1."""
     x1 = InputNode(1)
-    if not anf.monomials:
-        return AndNode(x1, NotNode(x1))
-
-    def xor(a: CircuitNode, b: CircuitNode) -> CircuitNode:
-        return OrNode(AndNode(a, NotNode(b)), AndNode(NotNode(a), b))
-
-    terms = [
-        _balanced([InputNode(v) for v in variables], AndNode)
-        if variables else OrNode(x1, NotNode(x1))
-        for variables in anf.var_lists()
-    ]
-    return _balanced(terms, xor)
+    products = [_balanced([InputNode(v) for v in variables], AndNode)
+                for variables in anf.var_lists() if variables]
+    root = _balanced(products, XorNode) if products else AndNode(x1, NotNode(x1))
+    return NotNode(root) if 0 in anf.monomials else root
 
 
 @dataclass(frozen=True, slots=True)
@@ -294,18 +301,24 @@ def _commutator_pair(target: Images) -> tuple[tuple[str, Images], ...]:
 
 def _commutator_run(runs: list[tuple[CircuitNode | None, G]], split: Callable[[G], tuple],
                     then: Callable[[G, G], G], inverse: Callable[[G], G],
-                    emit: Callable[..., tuple[T, ...]]) -> list[T]:
+                    emit: Callable[..., tuple[T, ...]], parity: bool = False) -> list[T]:
     """``emit``'s items per step (bit, if0, if1), in time order, of a program
     that applies each (circuit, rho) of ``runs`` in turn: ``rho`` exactly when
     the circuit is true, in the group of ``then`` (``first`` first) and
     ``inverse``.  AND runs its children at ``split``'s four (child, target)s
     in time order; NOT runs its child at the inverse target and folds a fixup
     into the last step, so OR, built by De Morgan, needs no case of its own;
-    None is always true.  Within a run each (gate node, target) is built once,
-    keyed by the node's id, as a ``Run`` never mutated: the items of all steps
-    but the last, which a NOT above may fix up, and that last step.  The memo
-    is emptied when each run ends.  ``emit`` is called per step: cache it."""
+    None is always true.  XOR runs both children at the target (Ben-Or &
+    Cleve), which applies rho^(a + b): that is rho^(a XOR b) where rho squares
+    to the identity, or with ``parity``, where only the parity of a run's
+    exponent is read (the qubit's, up to a phase).  Elsewhere a third run, of
+    AND(a, b) at rho^-2, takes back the square.  Within a run each (gate
+    node, target) is built once, keyed by the node's id, as a ``Run`` never
+    mutated: the items of all steps but the last, which a NOT above may fix
+    up, and that last step.  The memo is emptied when each run ends.
+    ``emit`` is called per step: cache it."""
     memo: dict[tuple[int, G], Run] = {}
+    keep: list[AndNode] = []  # the XOR fixups' nodes, alive while their ids key the memo
 
     def run(node: CircuitNode | None, target: G) -> Run:
         if node is None or isinstance(node, InputNode):
@@ -316,6 +329,18 @@ def _commutator_run(runs: list[tuple[CircuitNode | None, G]], split: Callable[[G
             if isinstance(node, NotNode):
                 body, (bit, if0, if1) = run(node.child, inverse(target))
                 found = body, (bit, then(if0, target), then(if1, target))
+            elif isinstance(node, XorNode):
+                body, last = run(node.left, target)
+                steps = [*body, *emit(*last)]
+                body, last = run(node.right, target)
+                steps += body
+                square = then(target, target)
+                if not parity and square != identity:
+                    keep.append(AndNode(node.left, node.right))
+                    steps += emit(*last)
+                    body, last = run(keep[-1], inverse(square))
+                    steps += body
+                found = steps, last
             else:
                 steps, last = [], None
                 for child, child_target in split(target):
@@ -332,6 +357,7 @@ def _commutator_run(runs: list[tuple[CircuitNode | None, G]], split: Callable[[G
         identity = then(rho, inverse(rho))
         body, last = run(circuit, rho)
         memo.clear()  # before the copy below, so the run's subruns are freed first
+        keep.clear()
         items += body
         items += emit(*last)
     del run  # break the closure's cycle: free it now, not in a GC pass

@@ -3,9 +3,12 @@
 Every construction is ``synth_classical._commutator_run`` on X and Z
 rotations, by the identities Z X^t Z = e^(i*pi*t) X^(-t) and
 X Z^t X = e^(i*pi*t) Z^(-t).  Phases are irrelevant to projective readout,
-since the controls are classical bits.  A circuit costs ``branching_length``
-ROM calls: 3 * 2^(m-1) - 2 for ``and_naive``'s right-deep chain of m
-controls, m * 2^ceil(log2 m) for ``and_fast``'s padded balanced tree.
+since the controls are classical bits.  A run at a rotation applies it to
+the power g, up to a phase, with g odd exactly when its circuit is true, so
+an XOR is its two operands' runs back to back at any target.  A circuit costs
+``branching_length`` ROM calls: 3 * 2^(m-1) - 2 for ``and_naive``'s
+right-deep chain of m controls, m * 2^ceil(log2 m) for ``and_fast``'s padded
+balanced tree.
 """
 
 from __future__ import annotations
@@ -94,8 +97,9 @@ def _and_run(controls: list[int], method: str) -> tuple[CircuitNode | None, Rota
 
 
 def _program(num_rom_bits: int, runs: list[tuple[CircuitNode | None, Rotation]]) -> RomProgram:
-    """The runs' gates in time order, all built through one cache of steps."""
-    ops = _commutator_run(runs, _split, _then, _inverse, functools.cache(_step))
+    """The runs' gates in time order, all built through one cache of steps;
+    only each run's parity is read, so XOR needs no third run."""
+    ops = _commutator_run(runs, _split, _then, _inverse, functools.cache(_step), parity=True)
     return RomProgram(RomSpace(num_rom_bits, 1, QUANTUM), tuple(ops))
 
 

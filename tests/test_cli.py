@@ -15,6 +15,7 @@ from romcomp import (
     extract_boolean,
     extract_function,
     loads,
+    rom_call_count,
 )
 from romcomp.cli import main
 from romcomp.synth_classical import MAX_CIRCUIT_DEPTH
@@ -623,15 +624,18 @@ def test_registers_without_a_flag_hold_constant_zero(capsys, tmp_path):
 TWENTY_PRODUCTS = ",".join(
     ".".join(str(v) for v in range(1, 22) if v != skip) for skip in range(1, 21)
 )
-# 999 products of 8 variables: an XOR tree ten levels deep, whose operands
-# are shared, so walking it without a memo visits about 10^7 nodes.
-MANY_PRODUCTS = ",".join(".".join(str(v) for v in range(s, s + 8)) for s in range(1, 1000))
+# 960 products of 64 consecutive variables, under a balanced XOR ten levels
+# deep: 960 x 4,096 calls.  Each fits the budget, the XOR of them does not.
+MANY_PRODUCTS = ",".join(".".join(str(v) for v in range(s, s + 64)) for s in range(1, 961))
+# Three products of about 1,024 ROM bits (3,142,656 calls; test_synth_classical).
+THREE_WIDE_PRODUCTS = ",".join(".".join(map(str, variables))
+                               for variables in (range(1, 1025), range(1, 1024), range(2, 1025)))
 # A left-deep AND of x1..x39: 3 * 2^38 - 2 calls on the qubit.
 LEFT_DEEP_AND = "(and " * 38 + "x1 " + " ".join(f"x{index})" for index in range(2, 40))
 
 
 @pytest.mark.parametrize("argv", [
-    ["--backend", "classical3", "--table", "6b3a91e4d2f07c15"],
+    ["--backend", "classical3", "--monomials", THREE_WIDE_PRODUCTS],
     ["--backend", "classical3", "--monomials", MANY_PRODUCTS],
     ["--backend", "classical2", "--monomials", TWENTY_PRODUCTS],
     ["--backend", "classical2", "--f2", TWENTY_PRODUCTS],
@@ -731,3 +735,27 @@ def test_compile_accepts_circuits_nested_to_the_cap(capsys, backend, table_of):
     code, out, _ = run(capsys, "compile", "--backend", backend, "--circuit", circuit)
     assert code == 0
     assert table_of(loads(out)).bits == (0,) + (1,) * ((1 << 11) - 1)
+
+
+@pytest.mark.parametrize("backend", ["classical3", "quantum1"])
+def test_compile_accepts_xors_nested_to_the_cap(capsys, tmp_path, backend):
+    # 200 nested XORs take one frame per level in each recursion, and cost
+    # one call per input: 201.  x1..x9 are read 13 times, x10..x16 12 times.
+    circuit = "x1"
+    for k in range(2, MAX_CIRCUIT_DEPTH + 2):
+        circuit = f"(xor {circuit} x{(k - 1) % 16 + 1})"
+    code, out, _ = run(capsys, "compile", "--backend", backend, "--circuit", circuit)
+    assert code == 0
+    assert rom_call_count(loads(out)) == MAX_CIRCUIT_DEPTH + 1
+    path = tmp_path / "xors.json"
+    path.write_text(out)
+    assert run(capsys, "verify", str(path), "--monomials", "1,2,3,4,5,6,7,8,9") == (
+        0, "ok: all 65536 assignments match\n", "")
+
+
+def test_classical3_compiles_many_narrow_products_at_their_predicted_calls(capsys):
+    # 999 products of 8 variables: the XOR of ANDs costs 999 x 64 calls.
+    products = ",".join(".".join(str(v) for v in range(s, s + 8)) for s in range(1, 1000))
+    code, out, _ = run(capsys, "compile", "--backend", "classical3", "--monomials", products)
+    assert code == 0
+    assert rom_call_count(loads(out)) == 999 * 64

@@ -28,6 +28,8 @@ from romcomp import (
 from romcomp.program import MAX_ROM_CALLS
 from romcomp.synth_classical import anf_to_circuit, branching_length
 
+from test_synth_classical import three_wide_products
+
 # m -> (sha256 of dumps, ROM calls, gates)
 AND_BARRINGTON = {
     1: ("884d447acc9c684ac623c3a7138d3245b7dddc1bdf2b499e802529db0458c54b", 1, 1),
@@ -47,11 +49,11 @@ AND_BARRINGTON = {
 # random.Random(6).sample(range(256), 6).
 THREE_BIT = {
     0: ("906866fec5ceb1bd0f255b4e2e038fc607103617a523ff4faebb8c4670c6202e", 4, 6),
-    18: ("2863746555e3138961de07be04e295470f98f0a0194349c3a2e6ac6b81e67a78", 640, 800),
-    41: ("180d73329d0e802963702672456f57eeeb7fe80566f47efe0686607fc0695ed5", 5824, 8224),
-    74: ("bd3795a9c0131c5d7a579655db06aa104591c43a4e6827c7ae5bc7f546e768c1", 1216, 1376),
-    133: ("47b05a5fb70627d148655165dfc390b0339701c3c8be5bfd2ce3bc9c9df8281d", 3520, 5312),
-    248: ("986157298d610006baed1ddf7600b85e04b1acee8a22761bb99d86ca695f1fb0", 400, 486),
+    18: ("2575d1f9cd370e698ccba9f53abee77792eb5e0c7c5a91b4289672c2a6ace43a", 10, 10),
+    41: ("b2503cc9de685fdbebe86c8417880d1a93a29ee5584f91a564daa80c20e7a077", 17, 18),
+    74: ("2d7bf5e02c77a2e9b232e27bca78d95aaf58463c40eacdc54e2d27357e94c33b", 19, 19),
+    133: ("69097c457b90f8eeb83443ca1351c3735c11a2d19e8aaa3bb8d4dd584d980ffc", 16, 17),
+    248: ("3b4c4b1c2630a8bace31ec0bb4ce880cb52f41a24f02e4ea4fd1fc698a53423b", 15, 15),
 }
 
 # The same tables through anf_to_circuit and circuit_to_qubit: the same
@@ -60,11 +62,11 @@ THREE_BIT = {
 # ends on that step is folded.
 QUBIT = {
     0: ("4a03ed167ddb8d10f51249345cb006351f60ef752c2e4888246a91cb7853108f", 4, 6),
-    18: ("619d7de8fe7b17ef2464fffe7164e52e080316ec29704ebc3db8ad4f13e01a6a", 640, 800),
-    41: ("a18102afe3945b4bcd0dc15ae35c803959ef86cd14b41c790b0220b53a65b81c", 5824, 7808),
-    74: ("54bebf45b716591d42d89e3540e5f58f25cfa8df59c5b8d45e756b2eb0c7f9fc", 1216, 1376),
-    133: ("2c6abce510d49e47e1c6c893cad2ff048e7e095ca997bd27e36f6be1b5660b7b", 3520, 4912),
-    248: ("c3508b9f9a37c31c7ceb22243689de6f605c7a32615c20d380ef12b904fe86fb", 400, 484),
+    18: ("0816f72a033d0e035d8c6a6f6c49fade229b53596019be923d360fd986c3ccc6", 10, 10),
+    41: ("39decda8dde96aeaad44ad26ca42d1f86e70778e8884002fa07d8dbe7c468357", 17, 18),
+    74: ("61b62cb784108370fb8df7dfc40eddcd225e558a49369012e88538fa1d137f8b", 19, 19),
+    133: ("d4884f77cf84e329386d81d1ef634798b5e43cc408d628ecbdcfe341ab131a27", 16, 17),
+    248: ("972653018baaff2ae879287febb479f02b182b890a67c2b812c5a33777dcca30", 15, 15),
 }
 
 
@@ -105,12 +107,13 @@ def test_three_bit_calls_are_predicted_before_building():
     for table in ("6996", "b7c3"):
         circuit = anf_to_circuit(anf_of(parse_table(table)))
         assert branching_length(circuit) == rom_call_count(circuit_to_three_bit(circuit, 4))
-    # Five variables, counted by building each once outside the suite: both
-    # fit the budget.  Six variables do not (11,616,256 calls).
-    for table, calls in (("6b3a91e4", 381_952), ("d2f07c15", 275_968),
-                         ("6b3a91e4d2f07c15", 11_616_256)):
+    # Five and six variables, counted by building each once outside the
+    # suite: all fit the budget.  Three products of about 1,024 ROM bits each
+    # do not.
+    for table, calls in (("6b3a91e4", 116), ("d2f07c15", 87), ("6b3a91e4d2f07c15", 379)):
         assert branching_length(anf_to_circuit(anf_of(parse_table(table)))) == calls
-    assert 381_952 <= MAX_ROM_CALLS < 11_616_256
+    assert branching_length(anf_to_circuit(three_wide_products())) == 3_142_656
+    assert 379 <= MAX_ROM_CALLS < 3_142_656
 
 
 # j -> packed tables (f1, f2) of j variables, from random.Random(9): per j,

@@ -14,6 +14,7 @@ from romcomp import (
     ParseError,
     Permutation,
     TruthTable,
+    XorNode,
     and_barrington,
     anf_of,
     balanced_and_circuit,
@@ -28,7 +29,6 @@ from romcomp import (
     not_gate,
     one_bit_reachable,
     parse_circuit,
-    parse_table,
     permutation_of,
     rom_call_count,
     and_sequence,
@@ -165,6 +165,13 @@ def twenty_products_of_twenty(num_vars=21):
     return Anf(num_vars, frozenset(full ^ (1 << v) for v in range(20)))
 
 
+def three_wide_products():
+    """The products of x1..x1024, x1..x1023 and x2..x1024: as a balanced XOR
+    of balanced ANDs, 1,048,576 + 2 x 1,047,040 = 3,142,656 calls."""
+    full = (1 << 1024) - 1
+    return Anf(1024, frozenset({full, full >> 1, full ^ 1}))
+
+
 def test_doubling_calls_match_the_built_programs():
     for m in range(0, 9):
         j = max(m, 1)
@@ -189,9 +196,9 @@ def test_compile_pair_is_bounded_by_its_summed_rom_calls():
 
 
 def test_three_bit_compile_is_bounded_by_its_predicted_rom_calls():
-    circuit = anf_to_circuit(anf_of(parse_table("6b3a91e4d2f07c15")))
-    with pytest.raises(ValueError, match="11616256 ROM calls"):
-        circuit_to_three_bit(circuit, 6)
+    circuit = anf_to_circuit(three_wide_products())
+    with pytest.raises(ValueError, match="3142656 ROM calls"):
+        circuit_to_three_bit(circuit, 1024)
 
 
 def one_monomial_pair(vars_, register, num_rom_bits):
@@ -279,9 +286,21 @@ def test_circuit_parsing_and_eval():
 
 
 def test_circuit_parse_errors():
-    for bad in ("", "(and x1)", "(nand x1 x2)", "x0", "(and x1 x2) x3", "(and x1 x2"):
+    for bad in ("", "(and x1)", "(nand x1 x2)", "x0", "(and x1 x2) x3", "(and x1 x2", "(xor x1)"):
         with pytest.raises(ParseError):
             parse_circuit(bad)
+    with pytest.raises(ParseError, match="expected and/or/xor/not, got 'nand'"):
+        parse_circuit("(nand x1 x2)")
+
+
+def test_xor_parses_and_folds():
+    circuit = parse_circuit("(xor (and x1 x2) (not x3))")
+    assert circuit == XorNode(AndNode(InputNode(1), InputNode(2)), NotNode(InputNode(3)))
+    assert [eval_circuit(circuit, u) for u in range(8)] == [
+        (u & 1 & u >> 1) ^ (1 - (u >> 2 & 1)) for u in range(8)]
+    # XOR adds its operands' runs and counts as two AND levels.
+    assert (branching_length(circuit), circuit_depth(circuit)) == (5, 3)
+    assert circuit_inputs(circuit) == {1, 2, 3}
 
 
 def test_circuit_ending_after_its_open_parenthesis():
@@ -374,6 +393,18 @@ def test_bit_flip_cycle_product():
     assert BIT_FLIP_PERMUTATION.images == (1, 0, 3, 2, 5, 4, 7, 6)
 
 
+def test_barrington_is_exact_on_random_circuits_with_xor():
+    # A 5-cycle is no involution, so each XOR takes back rho^2 with a third
+    # run, of AND(a, b) at rho^-2: 3(|a| + |b|) steps, within 4^depth since
+    # an XOR counts as two levels.
+    rng = random.Random(20)
+    for _ in range(40):
+        j = rng.randrange(1, 6)
+        check_theorem_contract(random_circuit(rng, j, rng.randrange(1, 4)), j)
+    xor = XorNode(InputNode(1), InputNode(2))
+    assert check_theorem_contract(xor, 2).length == 3 * 2 < 4 ** circuit_depth(xor)
+
+
 def test_barrington_on_the_bit_flip_factors():
     # Run on the 8 states, the program applies the factor exactly when the
     # circuit accepts and fixes all 8 states otherwise.
@@ -425,14 +456,14 @@ def test_circuit_to_three_bit_general():
 
 
 def random_circuit(rng, j, depth):
-    """A seeded circuit over x1..xj with ORs and NOTs nested through it."""
+    """A seeded circuit over x1..xj with ORs, XORs and NOTs nested through it."""
     if depth == 0:
         return InputNode(rng.randrange(1, j + 1))
-    kind = rng.randrange(4)
+    kind = rng.randrange(5)
     if kind == 0:
         return NotNode(random_circuit(rng, j, depth - 1))
     left, right = random_circuit(rng, j, depth - 1), random_circuit(rng, j, depth - 1)
-    return AndNode(left, right) if kind == 1 else OrNode(left, right)
+    return (AndNode, OrNode, OrNode, XorNode)[kind - 1](left, right)
 
 
 def check_one_fixup_per_step(program):
@@ -465,11 +496,13 @@ def test_three_bit_compile_is_clean_on_every_three_variable_table():
 
 @pytest.mark.parametrize("j", [3, 4, 5])
 def test_three_bit_compile_is_clean_on_random_circuits(j):
-    # Random circuits nest ORs and NOTs; anf_to_circuit's XORs read each
-    # operand twice, so their subtrees are shared.
+    # Random circuits nest ORs, XORs and NOTs; the last reads one subtree
+    # under both an AND and an XOR.
     rng = random.Random(j)
     circuits = [random_circuit(rng, j, rng.randint(1, 4)) for _ in range(12)]
     circuits += [anf_to_circuit(Anf(j, frozenset(rng.sample(range(1 << j), 3)))) for _ in range(2)]
+    shared = circuits[0]
+    circuits.append(XorNode(AndNode(shared, InputNode(j)), NotNode(shared)))
     for circuit in circuits:
         check_clean(circuit, j)
 

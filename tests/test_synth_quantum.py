@@ -11,8 +11,11 @@ from romcomp import (
     DyadicExponent,
     DyadicGate,
     InputNode,
+    NotNode,
+    OrNode,
     Permutation,
     TruthTable,
+    XorNode,
     and_fast,
     and_naive,
     and_sequence,
@@ -312,6 +315,23 @@ def test_circuit_to_qubit_costs_exactly_the_branching_length():
         check_one_fixup_per_step(program)
         assert extract_boolean(program).bits == tuple(
             eval_circuit(circuit, u) for u in range(1 << j))
+
+
+def test_xor_at_half_targets_costs_its_operands_runs():
+    # Below an AND's left child an XOR runs at a half rotation, X^(1/2) or
+    # finer, whose square is no scalar.  Yet only a run's parity is read
+    # (the root is a flip), so the XOR is still its operands' runs back to
+    # back: (and x1 (not x2)) costs 4, the XOR 4 + 1 + 4, each AND above it
+    # 2 x (9 + 1), the root 2 x (20 + 20).  The XOR and its shared operand
+    # are read at a quarter rotation on X and at a half one on Z.
+    shared = AndNode(InputNode(1), NotNode(InputNode(2)))
+    xor = XorNode(shared, XorNode(InputNode(3), shared))
+    circuit = AndNode(AndNode(xor, InputNode(4)), OrNode(xor, InputNode(5)))
+    program = circuit_to_qubit(circuit, 5)
+    assert extract_boolean(program).bits == tuple(eval_circuit(circuit, u) for u in range(32))
+    assert rom_call_count(program) == branching_length(circuit) == 80
+    check_one_fixup_per_step(program)
+    check_clean_block(program, lambda u: eval_circuit(circuit, u))
 
 
 def test_circuit_to_qubit_of_an_and_chain_is_and_naive():

@@ -301,24 +301,22 @@ def _commutator_pair(target: Images) -> tuple[tuple[str, Images], ...]:
 
 def _commutator_run(runs: list[tuple[CircuitNode | None, G]], split: Callable[[G], tuple],
                     then: Callable[[G, G], G], inverse: Callable[[G], G],
-                    emit: Callable[..., tuple[T, ...]], parity: bool = False) -> list[T]:
+                    emit: Callable[..., tuple[T, ...]]) -> list[T]:
     """``emit``'s items per step (bit, if0, if1), in time order, of a program
     that applies each (circuit, rho) of ``runs`` in turn: ``rho`` exactly when
     the circuit is true, in the group of ``then`` (``first`` first) and
     ``inverse``.  AND runs its children at ``split``'s four (child, target)s
     in time order; NOT runs its child at the inverse target and folds a fixup
     into the last step, so OR, built by De Morgan, needs no case of its own;
-    None is always true.  XOR runs both children at the target (Ben-Or &
-    Cleve), which applies rho^(a + b): that is rho^(a XOR b) where rho squares
-    to the identity, or with ``parity``, where only the parity of a run's
-    exponent is read (the qubit's, up to a phase).  Elsewhere a third run, of
-    AND(a, b) at rho^-2, takes back the square.  Within a run each (gate
-    node, target) is built once, keyed by the node's id, as a ``Run`` never
-    mutated: the items of all steps but the last, which a NOT above may fix
-    up, and that last step.  The memo is emptied when each run ends.
+    None is always true.  XOR runs both children at the target, back to back
+    (Ben-Or & Cleve), which applies rho^(a + b): rho^(a XOR b) where rho
+    squares to the identity, as on the register machines, and on the qubit,
+    where only the parity of a run's exponent is read.  Within a run each
+    (gate node, target) is built once, keyed by the node's id, as a ``Run``
+    never mutated: the items of all steps but the last, which a NOT above may
+    fix up, and that last step.  The memo is emptied when each run ends.
     ``emit`` is called per step: cache it."""
     memo: dict[tuple[int, G], Run] = {}
-    keep: list[AndNode] = []  # the XOR fixups' nodes, alive while their ids key the memo
 
     def run(node: CircuitNode | None, target: G) -> Run:
         if node is None or isinstance(node, InputNode):
@@ -330,17 +328,9 @@ def _commutator_run(runs: list[tuple[CircuitNode | None, G]], split: Callable[[G
                 body, (bit, if0, if1) = run(node.child, inverse(target))
                 found = body, (bit, then(if0, target), then(if1, target))
             elif isinstance(node, XorNode):
-                body, last = run(node.left, target)
-                steps = [*body, *emit(*last)]
-                body, last = run(node.right, target)
-                steps += body
-                square = then(target, target)
-                if not parity and square != identity:
-                    keep.append(AndNode(node.left, node.right))
-                    steps += emit(*last)
-                    body, last = run(keep[-1], inverse(square))
-                    steps += body
-                found = steps, last
+                left, left_last = run(node.left, target)
+                right, last = run(node.right, target)
+                found = [*left, *emit(*left_last), *right], last
             else:
                 steps, last = [], None
                 for child, child_target in split(target):
@@ -357,7 +347,6 @@ def _commutator_run(runs: list[tuple[CircuitNode | None, G]], split: Callable[[G
         identity = then(rho, inverse(rho))
         body, last = run(circuit, rho)
         memo.clear()  # before the copy below, so the run's subruns are freed first
-        keep.clear()
         items += body
         items += emit(*last)
     del run  # break the closure's cycle: free it now, not in a GC pass
@@ -367,9 +356,12 @@ def _commutator_run(runs: list[tuple[CircuitNode | None, G]], split: Callable[[G
 def barrington(circuit: CircuitNode, rho: Permutation) -> BranchingProgram:
     """Branching program of length <= 4^depth that applies ``rho``, a
     5-cycle on any number of states, exactly when the circuit accepts and
-    fixes every state otherwise."""
+    fixes every state otherwise.  A 5-cycle does not square to the identity,
+    so each XOR is first rewritten as OR(AND(a, NOT b), AND(NOT a, b))."""
     if [len(cycle) for cycle in rho.cycles()] != [5]:
         raise ValueError("rho must be a 5-cycle")
+    circuit = _fold(circuit, InputNode, NotNode, AndNode,
+                    lambda a, b: OrNode(AndNode(a, NotNode(b)), AndNode(NotNode(a), b)))
     emit = cache(lambda bit, if0, if1: ((bit, Permutation(if0), Permutation(if1)),))
     return BranchingProgram(tuple(
         _commutator_run([(circuit, rho.images)], _commutator_pair, _then, _inverse, emit)))

@@ -97,9 +97,8 @@ def _and_run(controls: list[int], method: str) -> tuple[CircuitNode | None, Rota
 
 
 def _program(num_rom_bits: int, runs: list[tuple[CircuitNode | None, Rotation]]) -> RomProgram:
-    """The runs' gates in time order, all built through one cache of steps;
-    only each run's parity is read, so XOR needs no third run."""
-    ops = _commutator_run(runs, _split, _then, _inverse, functools.cache(_step), parity=True)
+    """The runs' gates in time order, all built through one cache of steps."""
+    ops = _commutator_run(runs, _split, _then, _inverse, functools.cache(_step))
     return RomProgram(RomSpace(num_rom_bits, 1, QUANTUM), tuple(ops))
 
 

@@ -50,8 +50,8 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_NONCLASSICAL = 3
 
-# Widest ROM that compile accepts: 1024 bits, the widest AND whose and_fast
-# program fits MAX_ROM_CALLS (1024 * 1024 calls fit, 1025 * 2048 do not).
+# Widest ROM that compile accepts: 1024 bits, the square root of MAX_ROM_CALLS,
+# below the widest AND within it (1,365 bits by and_fast, 2,096,128 calls).
 COMPILE_WIDTH_LIMIT = 1 << (MAX_ROM_CALLS.bit_length() - 1) // 2
 
 

@@ -28,17 +28,9 @@ UNITARITY_TOL = 1e-12
 # per AND/OR level on a left path: at most 19, as each level at least doubles the calls.
 MAX_LOG2DEN = 51
 
-# Most ROM calls a compiler may spend on one program.  A product of m ROM
-# bits built by doubling costs 3 * 2**(m-1) - 2 calls, so m <= 20 fits.
+# Most ROM calls a compiler may spend on one program: a product of up to 20
+# ROM bits as a chain, of up to 1,365 as a balanced tree (``AND_SHAPES``).
 MAX_ROM_CALLS = 2**21
-
-
-def doubling_calls(num_vars: int) -> int:
-    """ROM calls of a doubling product of ``num_vars`` bits (two-bit monomial
-    block, naive one-qubit AND); past the budget, refused by width alone."""
-    if num_vars > MAX_ROM_CALLS.bit_length() - 2:
-        raise ValueError(f"a product of {num_vars} ROM bits needs over {MAX_ROM_CALLS} ROM calls")
-    return 3 * 2 ** (num_vars - 1) - 2 if num_vars else 0
 
 
 def check_rom_calls(calls: int) -> None:

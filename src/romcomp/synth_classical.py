@@ -28,8 +28,8 @@ from .program import (
     Permutation,
     RomProgram,
     RomSpace,
+    MAX_ROM_CALLS,
     check_rom_calls,
-    doubling_calls,
     permutation_gate,
 )
 
@@ -67,11 +67,9 @@ def compile_pair(f1: Anf, f2: Anf, num_rom_bits: int) -> RomProgram:
     monomial is a left-deep AND chain run at its register's NOT on ``_DOUBLING``."""
     if f1.num_vars != num_rom_bits or f2.num_vars != num_rom_bits:
         raise ValueError("component arities must match num_rom_bits")
-    products = [(v, flip) for anf, flip in zip((f1, f2), _DOUBLING) for v in anf.var_lists()]
-    check_rom_calls(sum(doubling_calls(len(v)) for v, _ in products))
-    runs = [(reduce(AndNode, map(InputNode, v)) if v else None, flip) for v, flip in products]
-    return RomProgram(RomSpace(num_rom_bits, 2, CLASSICAL), tuple(
-        _commutator_run(runs, _DOUBLING.__getitem__, _then, _inverse, _step_instructions)))
+    forms = [(anf.var_lists(), flip) for anf, flip in zip((f1, f2), _DOUBLING)]
+    return RomProgram(RomSpace(num_rom_bits, 2, CLASSICAL), tuple(_commutator_run(
+        monomial_runs(forms, "left"), _DOUBLING.__getitem__, _then, _inverse, _step_instructions)))
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +177,41 @@ def balanced_and_circuit(num_inputs: int) -> CircuitNode:
     return _balanced([InputNode(i) for i in range(1, num_inputs + 1)], AndNode)
 
 
+def doubling_calls(m: int) -> int:
+    """ROM calls of a chain AND of m ROM bits; past the budget, refused by m alone."""
+    if m > MAX_ROM_CALLS.bit_length() - 2:
+        raise ValueError(f"a product of {m} ROM bits needs over {MAX_ROM_CALLS} ROM calls")
+    return 3 * 2 ** (m - 1) - 2 if m else 0
+
+
+def _balanced_calls(m: int) -> int:
+    d = (m - 1).bit_length()  # each leaf sits at depth d or d - 1 and costs 2^depth
+    return ((3 * m << d) - (1 << 2 * d)) >> 1 if m else 0
+
+
+# The AND of a monomial's m variables by shape, with its exact ROM calls from m
+# alone: "balanced" has depth d = ceil(log2 m) and costs 2^(d-1) (3m - 2^d);
+# "left" is the two-bit doubling, whose right children must be leaves;
+# "right" is the qubit's naive chain.  Both chains cost ``doubling_calls``.
+AND_SHAPES = {
+    "balanced": (lambda leaves: _balanced(leaves, AndNode), _balanced_calls),
+    "left": (lambda leaves: reduce(AndNode, leaves), doubling_calls),
+    "right": (lambda leaves: reduce(lambda tail, leaf: AndNode(leaf, tail), reversed(leaves)),
+              doubling_calls),
+}
+
+
+def monomial_runs(forms: list[tuple[list[list[int]], G]],
+                  shape: str) -> list[tuple[CircuitNode | None, G]]:
+    """A (circuit, rho) run per monomial of each (monomials, rho) of ``forms``:
+    its AND in ``shape``, None (always true) for none.  The summed ROM calls
+    are checked against the budget before any node is built."""
+    build, calls = AND_SHAPES[shape]
+    check_rom_calls(sum(calls(len(v)) for monomials, _ in forms for v in monomials))
+    return [(build([InputNode(i) for i in v]) if v else None, rho)
+            for monomials, rho in forms for v in monomials]
+
+
 # Deepest nesting of parenthesised gates that ``parse_circuit`` accepts.  The
 # parser takes a frame per level, ``_fold`` and ``_commutator_run`` one per NOT,
 # AND and XOR, so three per OR.  The least recursion limits at which
@@ -236,11 +269,11 @@ def parse_circuit(text: str) -> CircuitNode:
 
 def anf_to_circuit(anf: Anf) -> CircuitNode:
     """An XOR-of-AND form as a balanced XOR of balanced ANDs, one per
-    monomial.  The constant-1 monomial is a NOT at the root; the empty form
-    is x1 AND NOT x1."""
+    monomial, refused past the ROM-call budget before a node is built.  The
+    constant-1 monomial is a NOT at the root; the empty form is x1 AND NOT x1."""
     x1 = InputNode(1)
-    products = [_balanced([InputNode(v) for v in variables], AndNode)
-                for variables in anf.var_lists() if variables]
+    products = [circuit for circuit, _ in
+                monomial_runs([([v for v in anf.var_lists() if v], None)], "balanced")]
     root = _balanced(products, XorNode) if products else AndNode(x1, NotNode(x1))
     return NotNode(root) if 0 in anf.monomials else root
 

@@ -7,8 +7,8 @@ since the controls are classical bits.  A run at a rotation applies it to
 the power g, up to a phase, with g odd exactly when its circuit is true, so
 an XOR is its two operands' runs back to back at any target.  A circuit costs
 ``branching_length`` ROM calls: 3 * 2^(m-1) - 2 for ``and_naive``'s
-right-deep chain of m controls, m * 2^ceil(log2 m) for ``and_fast``'s padded
-balanced tree.
+right-deep chain of m controls, 2^(d-1) (3m - 2^d) for ``and_fast``'s
+balanced tree of depth d = ceil(log2 m), as ``monomial_runs`` counts them.
 """
 
 from __future__ import annotations
@@ -18,27 +18,14 @@ import functools
 from .boolfunc import Anf
 from .program import (
     QUANTUM, AXIS_X, AXIS_Z, DyadicExponent, Instruction, RomProgram, RomSpace, check_rom_calls,
-    doubling_calls, dyadic_gate,
+    dyadic_gate,
 )
-from .synth_classical import (
-    AndNode, CircuitNode, InputNode, _balanced, _commutator_run, branching_length, circuit_inputs,
-)
+from .synth_classical import (CircuitNode, _commutator_run, branching_length, circuit_inputs,
+                              monomial_runs)
 
 Rotation = tuple[str, int, int]  # axis**(num / 2**log2den) as (axis, num, log2den)
 # The root, X^(-1), is a bit flip that makes a top AND's bracket X^(-1/2) ... X^(1/2) ....
 _ROOT = (AXIS_X, -1, 0)
-
-
-def _check_controls(controls: list[int], num_rom_bits: int, method: str) -> None:
-    """Refuse the controls of an AND, and an AND past the ROM-call budget."""
-    if not controls:
-        raise ValueError("need at least one control")
-    if len(set(controls)) != len(controls):
-        raise ValueError(f"duplicate control indices in {controls}")
-    for c in controls:
-        if not 1 <= c <= num_rom_bits:
-            raise ValueError(f"control u_{c} out of range for {num_rom_bits} ROM bits")
-    check_rom_calls(_AND_CALLS[method](len(controls)))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -75,43 +62,32 @@ def _step(bit: int | None, if0: Rotation, if1: Rotation) -> tuple[Instruction, .
             Instruction(dyadic_gate(*if0), None))
 
 
-# The AND of two or more controls as a circuit: "naive" peels one control
-# per level, "fast" balances them over leaves padded to a power of two.
-_AND_TREES = {
-    "naive": lambda leaves: functools.reduce(lambda tail, leaf: AndNode(leaf, tail), leaves[::-1]),
-    "fast": lambda leaves: _balanced(
-        leaves + [None] * ((1 << (len(leaves) - 1).bit_length()) - len(leaves)), AndNode),
-}
-# ROM calls of the AND of m controls: doubling_calls(m) by "naive", and
-# m * 2^ceil(log2 m) by "fast", since its padding's leaves are free.
-_AND_CALLS = {"naive": doubling_calls, "fast": lambda m: m << (m - 1).bit_length()}
-
-
-def _and_run(controls: list[int], method: str) -> tuple[CircuitNode | None, Rotation]:
-    """The AND of ``controls`` as a (circuit, rho) by the ``naive`` or
-    ``fast`` tree; one control or none (an always-true leaf) is one X^1."""
-    leaves = [InputNode(c) for c in controls]
-    if len(leaves) <= 1:
-        return (leaves[0] if leaves else None), (AXIS_X, 1, 0)
-    return _AND_TREES[method](leaves), _ROOT
-
-
 def _program(num_rom_bits: int, runs: list[tuple[CircuitNode | None, Rotation]]) -> RomProgram:
     """The runs' gates in time order, all built through one cache of steps."""
     ops = _commutator_run(runs, _split, _then, _inverse, functools.cache(_step))
     return RomProgram(RomSpace(num_rom_bits, 1, QUANTUM), tuple(ops))
 
 
+def _and(controls: list[int], num_rom_bits: int, shape: str) -> RomProgram:
+    """XOR the AND of ``controls`` into the qubit, as a ``shape`` tree."""
+    if not controls:
+        raise ValueError("need at least one control")
+    if len(set(controls)) != len(controls):
+        raise ValueError(f"duplicate control indices in {controls}")
+    for c in controls:
+        if not 1 <= c <= num_rom_bits:
+            raise ValueError(f"control u_{c} out of range for {num_rom_bits} ROM bits")
+    return _program(num_rom_bits, monomial_runs([([controls], _ROOT)], shape))
+
+
 def and_naive(controls: list[int], num_rom_bits: int) -> RomProgram:
     """XOR the AND of the given ROM bits into the qubit, doubling recursion."""
-    _check_controls(controls, num_rom_bits, "naive")
-    return _program(num_rom_bits, [_and_run(controls, "naive")])
+    return _and(controls, num_rom_bits, "right")
 
 
 def and_fast(controls: list[int], num_rom_bits: int) -> RomProgram:
-    """XOR the AND of the given ROM bits into the qubit at m * 2^ceil(log2 m) ROM calls."""
-    _check_controls(controls, num_rom_bits, "fast")
-    return _program(num_rom_bits, [_and_run(controls, "fast")])
+    """XOR the AND of the given ROM bits into the qubit by a balanced tree."""
+    return _and(controls, num_rom_bits, "balanced")
 
 
 def circuit_to_qubit(circuit: CircuitNode, num_rom_bits: int) -> RomProgram:
@@ -125,14 +101,12 @@ def circuit_to_qubit(circuit: CircuitNode, num_rom_bits: int) -> RomProgram:
 
 
 def compile_function(anf: Anf, num_rom_bits: int, method: str = "fast") -> RomProgram:
-    """Compile an XOR-of-AND form, one AND block per monomial.
-
-    The constant-1 monomial compiles to a single uncontrolled bit flip.
-    """
+    """Compile an XOR-of-AND form, one run at the root flip per monomial:
+    a balanced AND by ``fast``, a right-deep chain by ``naive``, and a single
+    uncontrolled flip for the constant-1 monomial."""
     if anf.num_vars != num_rom_bits:
         raise ValueError(f"function has {anf.num_vars} vars, space has {num_rom_bits}")
-    if method not in ("fast", "naive"):
+    shape = {"fast": "balanced", "naive": "right"}.get(method)
+    if shape is None:
         raise ValueError(f"method must be 'fast' or 'naive', got {method!r}")
-    var_lists = anf.var_lists()
-    check_rom_calls(sum(_AND_CALLS[method](len(vars_)) for vars_ in var_lists))
-    return _program(num_rom_bits, [_and_run(vars_, method) for vars_ in var_lists])
+    return _program(num_rom_bits, monomial_runs([(anf.var_lists(), _ROOT)], shape))

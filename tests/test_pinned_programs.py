@@ -109,10 +109,11 @@ def test_three_bit_calls_are_predicted_before_building():
         assert branching_length(circuit) == rom_call_count(circuit_to_three_bit(circuit, 4))
     # Five and six variables, counted by building each once outside the
     # suite: all fit the budget.  Three products of about 1,024 ROM bits each
-    # do not.
+    # do not, and anf_to_circuit refuses them from their widths.
     for table, calls in (("6b3a91e4", 116), ("d2f07c15", 87), ("6b3a91e4d2f07c15", 379)):
         assert branching_length(anf_to_circuit(anf_of(parse_table(table)))) == calls
-    assert branching_length(anf_to_circuit(three_wide_products())) == 3_142_656
+    with pytest.raises(ValueError, match="3142656 ROM calls"):
+        anf_to_circuit(three_wide_products())
     assert 379 <= MAX_ROM_CALLS < 3_142_656
 
 
@@ -130,27 +131,28 @@ TWO_REGISTER_TABLES = {
 # compile_pair(f1, f2), "fast" and "naive" are compile_function(f1), and
 # "sequence" is and_sequence(j, j).  A "naive" monomial of degree 4 or more
 # runs the X half-rotations below its root in the order "fast" uses,
-# (+1/2, -1/2).
+# (+1/2, -1/2).  Every monomial runs at the root X^-1, the constant and
+# one-variable ones too, and "fast" is an unpadded balanced tree.
 TWO_REGISTER = {
     ("pair", 2): ("c20506e8f2c702a171f92e3be8e5e73d6ad25bfcb6b8a501b5bb986a9da50754", 6, 8),
-    ("fast", 2): ("c6b2fd7f41a90ec074b6fb77dbf593b9557bf59badf8dcbc39c44972c449f28c", 4, 5),
-    ("naive", 2): ("c6b2fd7f41a90ec074b6fb77dbf593b9557bf59badf8dcbc39c44972c449f28c", 4, 5),
+    ("fast", 2): ("504f30aa40270a3834dce3b2225254f107949f2437901c93c90a09af2773cf94", 4, 5),
+    ("naive", 2): ("504f30aa40270a3834dce3b2225254f107949f2437901c93c90a09af2773cf94", 4, 5),
     ("sequence", 2): ("8eba9bb88851474f7be7ecddd656f26ab6c3a128cd1b0889c35fd80ad24acab3", 4, 4),
     ("pair", 3): ("d8839800e5bdb34ab18f5e2cb75c35a7e013cd883a79df18f6c1ab7456166cbe", 9, 10),
-    ("fast", 3): ("e8d9b304e559205ffc0c8cd1725b16f54719c05b9a482a5918f369d7708676fc", 4, 5),
-    ("naive", 3): ("e8d9b304e559205ffc0c8cd1725b16f54719c05b9a482a5918f369d7708676fc", 4, 5),
+    ("fast", 3): ("7f3b95619362c0f4045d667b13b0432b0a2ebca17106bdf55c1056031a8e7039", 4, 5),
+    ("naive", 3): ("7f3b95619362c0f4045d667b13b0432b0a2ebca17106bdf55c1056031a8e7039", 4, 5),
     ("sequence", 3): ("338a97218b9b80657079d05e0bc12ba32be2f86a016408c8dd56f0c77d0de7b0", 10, 10),
     ("pair", 4): ("a9dc511aae4781007ea67b4d55dfe02bb85607c7a94cf827838e3b034b253d78", 93, 95),
-    ("fast", 4): ("f708231776e63eaf09f1e0c01f439bc13d322b13681c230826c3a3c428258d71", 64, 77),
-    ("naive", 4): ("146fa2cf48e18757154ad8820bd204ca1d6380a85229badc0b74797674dd53a5", 64, 65),
+    ("fast", 4): ("0e86dbde5d70ccc599c7a002a281ec8e9c42fa7b5279f1140acb32a2e7543b39", 58, 59),
+    ("naive", 4): ("86ea42391500213251715822cfee3d864076ba668aa86b54e4e8cab706176170", 64, 65),
     ("sequence", 4): ("09257d4bf89f4b719e9f37ed9cbb9c1aba4c1cd0a38faca3855c25288b33aead", 22, 22),
     ("pair", 5): ("c412a454291265119fe4a3f53da25952cea0d2d7d9262a84291d8350aa1faf1d", 258, 259),
-    ("fast", 5): ("5380538b4cb74edf1bb18aafdeefc3232f6e4b2b35ef3b8d1f36d710ad197780", 154, 195),
-    ("naive", 5): ("ec4718a961fd068b815fa50855f9a682f26aac2eeab118bfe145f5c0976c9d9c", 170, 171),
+    ("fast", 5): ("2801f5d820476146c351af1f6018c2300c5e1b4476fe30b2fd48f1a78e35dcb2", 134, 135),
+    ("naive", 5): ("dfb5961c64e121add0fa0688c4dc68d5d6310f5a014c5b7fa4aa72831af975ab", 170, 171),
     ("sequence", 5): ("e61ac110c6967d0c831743131590fa514d7d4dc5fc5e1f7abd7fe8d139d95ea4", 46, 46),
     ("pair", 6): ("bfde18ad458e058edc88589c11e36374d4cca5e2f52aae63dff2af8301755d1d", 862, 862),
-    ("fast", 6): ("337cbde4942737f1329e8bf75cb6cc251de60cc084a800cd346a3c90826510db", 394, 506),
-    ("naive", 6): ("01fea656426d91e00c1d2c8c1e640cf1f638264c75e75d8130ed427ce31c493c", 494, 494),
+    ("fast", 6): ("5dae0e9586509da4e8db234f2d00410ca384e6a25c780fbd79a3c7f866646dac", 338, 338),
+    ("naive", 6): ("991d81eb5995fdc376e8f82a53ca4c19dc84c87f186f9a51697fc6183814ffb5", 494, 494),
     ("sequence", 6): ("65cabd6a2823d31d0f282a4c99dc3e6091a28799af3ae6c8926fc0fdf903df66", 94, 94),
 }
 

@@ -16,12 +16,15 @@ from romcomp import (
     TruthTable,
     XorNode,
     and_barrington,
+    and_fast,
+    and_naive,
     anf_of,
     balanced_and_circuit,
     barrington,
     circuit_depth,
     circuit_to_three_bit,
     cnot_gate,
+    compile_function,
     compile_pair,
     eval_circuit,
     evaluate,
@@ -34,13 +37,16 @@ from romcomp import (
     and_sequence,
     truth_table_of,
 )
-from romcomp.program import MAX_ROM_CALLS, doubling_calls
+from romcomp.program import MAX_ROM_CALLS
 from romcomp.synth_classical import (
+    AND_SHAPES,
     MAX_CIRCUIT_DEPTH,
+    _balanced,
     _bracket,
     anf_to_circuit,
     branching_length,
     circuit_inputs,
+    doubling_calls,
 )
 
 
@@ -183,6 +189,42 @@ def test_doubling_calls_match_the_built_programs():
         doubling_calls(20_000_000_000)
 
 
+def test_and_shape_counts_are_their_built_rom_calls():
+    for shape, (build, calls) in AND_SHAPES.items():
+        assert calls(0) == 0
+        for width in range(1, 21):
+            circuit = build([InputNode(v) for v in range(1, width + 1)])
+            assert calls(width) == branching_length(circuit), (shape, width)
+    # three_wide_products' count, which the budget refuses, is exact too.
+    build, calls = AND_SHAPES["balanced"]
+    variable_lists = three_wide_products().var_lists()
+    products = [build([InputNode(v) for v in variables]) for variables in variable_lists]
+    assert branching_length(_balanced(products, XorNode)) == 3_142_656
+    assert sum(calls(len(variables)) for variables in variable_lists) == 3_142_656
+
+
+def test_rom_call_budget_refuses_before_any_node_is_built(monkeypatch):
+    def unbuildable(leaves):
+        raise AssertionError("an AND was built past the ROM-call budget")
+
+    for shape, (_, calls) in list(AND_SHAPES.items()):
+        monkeypatch.setitem(AND_SHAPES, shape, (unbuildable, calls))
+    twenty = (1 << 20) - 1
+    refused = [
+        (lambda: anf_to_circuit(three_wide_products()), "3142656 ROM calls"),
+        (lambda: compile_function(three_wide_products(), 1024), "3142656 ROM calls"),
+        (lambda: compile_function(twenty_products_of_twenty(), 21, "naive"), "31457240 ROM calls"),
+        (lambda: and_fast(list(range(1, 1367)), 1366), "2099200 ROM calls"),
+        (lambda: and_naive(list(range(1, 22)), 21), "21 ROM bits"),
+        # Each register's product of 20 fits alone; the program of both does not.
+        (lambda: compile_pair(Anf(21, frozenset({twenty})), Anf(21, frozenset({twenty << 1})), 21),
+         "3145724 ROM calls"),
+    ]
+    for compile_, message in refused:
+        with pytest.raises(ValueError, match=message):
+            compile_()
+
+
 def test_compile_pair_is_bounded_by_its_summed_rom_calls():
     wide = twenty_products_of_twenty()
     with pytest.raises(ValueError, match="31457240 ROM calls"):
@@ -196,9 +238,8 @@ def test_compile_pair_is_bounded_by_its_summed_rom_calls():
 
 
 def test_three_bit_compile_is_bounded_by_its_predicted_rom_calls():
-    circuit = anf_to_circuit(three_wide_products())
     with pytest.raises(ValueError, match="3142656 ROM calls"):
-        circuit_to_three_bit(circuit, 1024)
+        circuit_to_three_bit(anf_to_circuit(three_wide_products()), 1024)
 
 
 def one_monomial_pair(vars_, register, num_rom_bits):

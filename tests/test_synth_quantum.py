@@ -33,8 +33,9 @@ from romcomp import (
     truth_table_of,
     unitary_of,
 )
-from romcomp.synth_classical import anf_to_circuit, branching_length
-from romcomp.synth_quantum import _AND_CALLS, _split
+from romcomp.program import MAX_ROM_CALLS
+from romcomp.synth_classical import AND_SHAPES, anf_to_circuit, balanced_and_circuit, branching_length
+from romcomp.synth_quantum import _split
 
 from test_sim_quantum import I2, X_MAT, phase_free_distance, two_control_flip_program
 from test_synth_classical import check_one_fixup_per_step, random_circuit, twenty_products_of_twenty
@@ -114,15 +115,16 @@ def test_fast_eight_controls():
     assert extract_boolean(prog) == and_table(list(range(1, 9)), 8)
 
 
-@pytest.mark.parametrize("m", [3, 5, 6, 7])
-def test_fast_dummy_padding(m):
-    # Padded slots become uncontrolled gates: of the 4^k gate positions each
-    # leaf slot owns 2^k, so real calls are 4^k - (2^k - m) * 2^k.
+@pytest.mark.parametrize("m", range(1, 65))
+def test_fast_is_the_unpadded_balanced_tree(m):
+    # One controlled rotation per leaf and nothing uncontrolled: each step's
+    # fixup folds into the next, so gates == ROM calls == branching_length.
     prog = and_fast(list(range(1, m + 1)), m)
-    width = 1 << (m - 1).bit_length()
-    assert len(prog) == width * width
-    assert rom_call_count(prog) == width * width - (width - m) * width
-    assert extract_boolean(prog) == and_table(list(range(1, m + 1)), m)
+    calls = rom_call_count(prog)
+    assert len(prog) == calls == branching_length(balanced_and_circuit(m))
+    assert calls == AND_SHAPES["balanced"][1](m)
+    if m <= 9:
+        assert calls == [1, 4, 10, 16, 28, 40, 52, 64, 88][m - 1]
 
 
 def test_fast_on_scattered_controls():
@@ -209,24 +211,20 @@ def test_compile_arity_mismatch():
 def test_compile_function_is_bounded_by_its_summed_rom_calls():
     with pytest.raises(ValueError, match="31457240 ROM calls"):
         compile_function(twenty_products_of_twenty(), 21, "naive")
-    # and_fast pads 600 controls to 1024 leaves, 600 * 1024 calls each as the
-    # padding is free: three of them fit the budget, four are past it.
-    products = [sum(1 << v for v in range(start, start + 600)) for start in (0, 100, 200, 424)]
-    with pytest.raises(ValueError, match="2457600 ROM calls"):
+    # A balanced AND of 600 controls costs 512 * (1800 - 1024) = 397,312
+    # calls: five of them fit the budget, six are past it.
+    products = [sum(1 << v for v in range(start, start + 600)) for start in range(0, 424, 84)]
+    assert len(products) == 6
+    with pytest.raises(ValueError, match="2383872 ROM calls"):
         compile_function(Anf(1024, frozenset(products)), 1024)
 
 
 def test_fast_and_is_bounded_before_building():
-    # 1025 controls pad to 2048 leaves, 1025 * 2048 calls: the budget refuses
-    # them before the program is built.
+    # 1366 controls cost 1024 * (4098 - 2048) calls: the budget refuses them
+    # before the program is built.  1365 cost 1024 * (4095 - 2048) and fit.
     with pytest.raises(ValueError, match="2099200 ROM calls"):
-        and_fast(list(range(1, 1026)), 1025)
-
-
-def test_fast_and_budget_is_its_built_rom_calls():
-    # Each real leaf of the padded tree costs 2^depth calls; padding is free.
-    for m in range(1, 65):
-        assert rom_call_count(and_fast(list(range(1, m + 1)), m)) == _AND_CALLS["fast"](m)
+        and_fast(list(range(1, 1367)), 1366)
+    assert AND_SHAPES["balanced"][1](1365) == 2_096_128 <= MAX_ROM_CALLS
 
 
 def scalar_times(unitary, pauli):
@@ -264,8 +262,10 @@ def test_and_blocks_are_clean_up_to_a_phase(m):
 
 
 def test_inactive_blocks_are_the_identity_only_up_to_a_phase():
+    # The AND of three controls is the identity on the nose where it is 0,
+    # the AND of eight only up to a phase of -1 at 15 assignments.
     phases = check_clean_block(and_fast([1, 2, 3], 3), lambda u: int(u == 7))
-    assert sum(abs(c + 1) < 1e-12 for c in phases) == 3
+    assert sum(abs(c - 1) < 1e-12 for c in phases) == 7
     phases = check_clean_block(and_fast(list(range(1, 9)), 8), lambda u: int(u == 255))
     assert sum(abs(c + 1) < 1e-12 for c in phases) == 15
     # With NOT the phase can be -i: (or x1 x2) at u = 0.

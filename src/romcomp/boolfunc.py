@@ -43,7 +43,9 @@ class TruthTable:
     @classmethod
     def from_int(cls, num_vars: int, packed: int) -> "TruthTable":
         """Unpack from an integer whose bit u is the entry at assignment u."""
-        return cls(num_vars, tuple((packed >> u) & 1 for u in range(1 << num_vars)))
+        length = 1 << num_vars
+        digits = format(packed & ((1 << length) - 1), f"0{length}b").encode()
+        return cls(num_vars, tuple(digits[::-1].translate(_FROM_DIGITS)))
 
     def to_bit_string(self) -> str:
         return "".join(str(b) for b in self.bits)
@@ -70,7 +72,7 @@ class TruthTable:
         numeral = int(text, 16)
         if numeral >= 1 << length:
             raise ParseError(f"hex value too large for {length} table bits", 0)
-        return cls(num_vars, tuple((numeral >> (length - 1 - u)) & 1 for u in range(length)))
+        return cls(num_vars, tuple(format(numeral, f"0{length}b").encode().translate(_FROM_DIGITS)))
 
 
 @dataclass(frozen=True, slots=True)

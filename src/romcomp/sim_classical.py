@@ -45,12 +45,11 @@ def _gather(images: np.ndarray) -> Apply:
 def extract_function(program: RomProgram) -> VectorFunction:
     """The boolean function computed from the all-zero start state."""
     require_kind(program, CLASSICAL)
-    blocks = sweep(
+    states = sweep(
         program, np.zeros(1, dtype=np.uint8),
         lambda gate: np.array(gate.perm.images, dtype=np.uint8).take,
         np.arange(program.space.num_states, dtype=np.uint8), _gather,
-    )
-    states = np.concatenate([rows[:, 0] for _, rows in blocks])
+    )[:, 0]
     j = program.space.num_rom_bits
     return VectorFunction(j, tuple(
         TruthTable(j, tuple((states >> bit & 1).tolist()))

@@ -116,14 +116,14 @@ def extract_boolean(program: RomProgram) -> TruthTable:
     Raises NonClassicalOutput if any assignment ends away from the basis.
     """
     require_kind(program, QUANTUM)
-    bits = []
-    blocks = sweep(
+    amps = sweep(
         program, np.array([1, 0], dtype=complex), _rotate, np.eye(2, dtype=complex), _combine,
     )
-    for first, amps in blocks:
-        p1 = amps[:, 1].real ** 2 + amps[:, 1].imag ** 2
-        unsure = np.flatnonzero((p1 > OUTCOME_THRESHOLD) & (p1 < 1.0 - OUTCOME_THRESHOLD))
-        if unsure.size:
-            raise NonClassicalOutput(first + int(unsure[0]), tuple(amps[unsure[0]].tolist()))
-        bits += (p1 >= 1.0 - OUTCOME_THRESHOLD).astype(int).tolist()
+    p1 = amps[:, 1].real ** 2
+    p1 += amps[:, 1].imag ** 2
+    unsure = np.flatnonzero((p1 > OUTCOME_THRESHOLD) & (p1 < 1.0 - OUTCOME_THRESHOLD))
+    if unsure.size:
+        raise NonClassicalOutput(int(unsure[0]), tuple(amps[unsure[0]].tolist()))
+    del amps  # 32 MB at the sweep limit: freed before the table is built
+    bits = (p1 >= 1.0 - OUTCOME_THRESHOLD).astype(np.uint8).tolist()
     return TruthTable(program.space.num_rom_bits, tuple(bits))

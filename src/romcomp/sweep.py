@@ -1,9 +1,9 @@
 """Running a program under one ROM assignment, or under all of them at once.
 
-``sweep`` keeps one state row per assignment, in blocks of ``2**BLOCK_BITS``
-assignments sharing their high bits: a gate controlled by a bit inside a block
-acts on a strided half of its rows, one controlled by a bit above it on all or
-none of them.
+``sweep`` keeps one state row per assignment in one array, viewed as blocks
+of ``2**BLOCK_BITS`` assignments sharing their high bits: a gate controlled by
+a bit inside a block acts on a strided half of its rows, one controlled by a
+bit above it on all or none of them.
 
 Every gate is conditioned on one ROM bit, so a run of instructions that reads
 s distinct bits acts in only 2^s ways, however long it is.  The sweep cuts the
@@ -12,12 +12,15 @@ segment can be folded once, by running its gates over its 2^s sub-assignments
 from a basis, and then applied to each block with one gather, indexed by each
 row's sub-assignment.  That pays when the segment is long and its fold much
 smaller than the blocks, so each segment is folded or run gate by gate by a
-cost estimate.
+cost estimate.  The sweep makes one pass over the segments: each block runs
+the gates up to a fold and then the fold, in place, and the fold is dropped
+before the next is made, so memory is all rows plus one fold, however long
+the program.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,10 +32,6 @@ SWEEP_LIMIT = 20
 BLOCK_BITS = 12
 # Most distinct ROM bits one segment reads: its fold has 2^FUSE_BITS rows.
 FUSE_BITS = 8
-# Folds and their row indexes are kept for the whole sweep, up to this many
-# bytes: memory stays at one block plus FOLD_BYTES, whatever the width and
-# the length of the program.
-FOLD_BYTES = 1 << 24
 # The cost estimate, measured on the four AND constructions at 9-13 bits (2
 # vCPUs, numpy 2.4): a numpy call costs about as much as touching
 # CALL_ELEMENTS elements, and a gather about GATHER_PASSES gate passes.
@@ -95,8 +94,8 @@ def sweep(
     act_of: Callable[[Gate], Act],
     basis: np.ndarray,
     apply_of: Callable[[np.ndarray], Apply],
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (first assignment, final rows) per block, in assignment order.
+) -> np.ndarray:
+    """The final rows of every assignment, in assignment order.
 
     Rows start as ``start``; ``act_of(gate)`` maps rows to their images under
     the gate.  It is called once per distinct gate object, since compiled
@@ -113,41 +112,37 @@ def sweep(
     steps = [(inst.control or 0, acts[id(inst.gate)]) for inst in program.instructions]
     k = min(j, BLOCK_BITS)
     low = np.arange(1 << k)
+    rows = np.tile(start, (1 << j, 1))
+    blocks = list(enumerate(rows.reshape(1 << (j - k), 1 << k, -1)))
     blocks_pass = _pass_cost(start.size << k) * (1 << (j - k))
-    budget = FOLD_BYTES
-    # Steps to run gate by gate, each followed by a fold or None: its apply,
-    # the sub-assignment bits read inside the block (the same for every
-    # block) and the (sub bit, bit above the block) pairs that add the rest.
-    plan: list[tuple[list[tuple[int, Act]], tuple | None]] = []
     done = 0
     # Every segment but the last reads FUSE_BITS bits.  When a gate pass over
     # such a fold costs no less than one over the blocks, as in any sweep of
     # at most 2^FUSE_BITS rows, there is nothing to gain: skip the scan.
     wide = blocks_pass > _pass_cost(basis.size << FUSE_BITS)
     for first, stop, bits in segments([control for control, _ in steps]) if wide else []:
-        kept = (basis.nbytes << len(bits)) + low.size
         saved = blocks_pass - _pass_cost(basis.size << len(bits))
-        if (stop - first) * saved <= GATHER_PASSES * blocks_pass or kept > budget:
+        if (stop - first) * saved <= GATHER_PASSES * blocks_pass:
             continue
-        budget -= kept
         local = {bit: i + 1 for i, bit in enumerate(bits)}
         folded = np.repeat(basis[None], 1 << len(bits), axis=0)
         _play(folded, len(bits), 0, 0, [(local.get(c, 0), act) for c, act in steps[first:stop]])
+        apply = apply_of(folded)
+        # Each row's sub-assignment: the bits read inside the block are the
+        # same for every block, and those above it add a constant.
         index = sum(
             ((low >> (bit - 1) & 1) << i for i, bit in enumerate(bits) if bit <= k),
             np.zeros_like(low),
         ).astype(np.uint8)
         above = [(i, bit - 1 - k) for i, bit in enumerate(bits) if bit > k]
-        plan.append((steps[done:first], (apply_of(folded), index, above)))
-        done = stop
-    plan.append((steps[done:], None))
-    for high in range(1 << (j - k)):
-        rows = np.tile(start, (1 << k, 1))
-        for run, fold in plan:
+        run = steps[done:first]
+        for high, block in blocks:
             if run:
-                _play(rows, k, high, j - k, run)
-            if fold:
-                apply, index, above = fold
-                rest = sum((high >> b & 1) << i for i, b in above)
-                rows = apply(index + rest if rest else index, rows)
-        yield high << k, rows
+                _play(block, k, high, j - k, run)
+            rest = sum((high >> b & 1) << i for i, b in above)
+            block[...] = apply(index + rest if rest else index, block)
+        done = stop
+    run = steps[done:]
+    for high, block in blocks if run else []:
+        _play(block, k, high, j - k, run)
+    return rows

@@ -171,6 +171,22 @@ def test_monomials_take_ascii_digits_only(text, position):
     assert excinfo.value.position == position
 
 
+@pytest.mark.parametrize("j", [1, 2, 5, 16])
+def test_int_and_hex_tables_match_the_entry_loops(j):
+    # One and two variables take one hex digit.
+    rng = random.Random(j)
+    length = 1 << j
+    for packed in (rng.getrandbits(length) for _ in range(2)):
+        text = format(packed, f"0{max(1, length // 4)}x")
+        assert TruthTable.from_hex(text, j).bits == tuple(
+            packed >> (length - 1 - u) & 1 for u in range(length))
+        # Bits past the table, and a negative's two's complement, are read
+        # the same way.
+        for value in (packed, packed | 1 << (length + 3), -1 - packed):
+            assert TruthTable.from_int(j, value).bits == tuple(
+                value >> u & 1 for u in range(length))
+
+
 @given(st.integers(1, 4), st.data())
 def test_hex_round_trip(j, data):
     packed = data.draw(st.integers(0, (1 << (1 << j)) - 1))

@@ -38,8 +38,6 @@ FOLD_MODES = {
     "estimate": {},
     "never": {"GATHER_PASSES": float("inf")},
     "every": {"GATHER_PASSES": float("-inf")},
-    # Every segment is worth a fold, but only the first few fit.
-    "budget": {"GATHER_PASSES": float("-inf"), "FOLD_BYTES": 1 << 15},
 }
 
 
@@ -202,7 +200,7 @@ def test_sweep_builds_one_action_per_distinct_gate_object():
         made.append(gate)
         return np.array(gate.perm.images, dtype=np.uint8).take
 
-    (_, rows), = sweep(
+    rows = sweep(
         program, np.zeros(1, dtype=np.uint8), act_of,
         np.arange(program.space.num_states, dtype=np.uint8), _gather,
     )
@@ -248,11 +246,10 @@ def test_fused_sweep_builds_one_action_per_distinct_gate_object():
         return np.array(gate.perm.images, dtype=np.uint8).take
 
     folds, apply_of = counting(_gather)
-    blocks = sweep(
+    states = sweep(
         program, np.zeros(1, dtype=np.uint8), act_of,
         np.arange(program.space.num_states, dtype=np.uint8), apply_of,
-    )
-    states = np.concatenate([rows[:, 0] for _, rows in blocks])
+    )[:, 0]
     assert states.tolist() == [0] * ((1 << 13) - 1) + [1]
     assert len(folds) == len(cut(program.instructions)) > 1
     distinct = {id(inst.gate) for inst in program.instructions}
@@ -286,54 +283,29 @@ def test_fused_sweep_matches_evaluate(j, seed, fold_mode):
 def test_sweep_folds_long_segments_and_runs_short_ones_gate_by_gate(monkeypatch):
     import romcomp.sim_classical as sim_classical
 
-    # One block of 2^BLOCK_BITS rows; segments alternate between 40 gates on
-    # bits 1-8 and 8 gates on bits 9-12 then 5-8.  Only the long ones save
-    # more gate passes than their gather costs.
-    rng = random.Random(3)
-    j = BLOCK_BITS
-    long_bits = range(1, FUSE_BITS + 1)
-    short_bits = [*range(FUSE_BITS + 1, j + 1), *range(j - FUSE_BITS + 1, FUSE_BITS + 1)]
-    controls = []
-    for _ in range(3):
-        controls += [*long_bits, *rng.choices(long_bits, k=40 - FUSE_BITS), *short_bits]
-    prog = RomProgram(RomSpace(j, 3, CLASSICAL), tuple(
-        Instruction(random_gate(rng), c) for c in controls
-    ))
-    assert [len(run) for run in cut(prog.instructions)] == [40, 8] * 3
+    # Segments alternate between 40 gates on bits 1-8 and 8 gates, one on
+    # each bit from 9 up to j and then on bits below 9.  Only the long ones
+    # save more gate passes than their gather costs: in one block of
+    # 2^BLOCK_BITS rows by the estimate itself.  Over four blocks a fold pays
+    # sooner, so a dearer gather keeps the short ones gate by gate, and each
+    # block runs them, some on bits above the block, between two folds.
     folds, record = counting(sim_classical._gather)
     monkeypatch.setattr(sim_classical, "_gather", record)
-    vf = extract_function(prog)
-    assert len(folds) == 3
-    for u in [0, (1 << j) - 1] + rng.sample(range(1 << j), 300):
-        state = evaluate(prog, u, 0)
-        assert [table.bits[u] for table in vf.components] == [state >> b & 1 for b in range(3)]
-
-
-def test_kept_folds_stay_within_the_budget(monkeypatch):
-    import romcomp.sim_classical as sim_classical
-
-    # 20 ROM bits and about 40 segments on ever new tuples of bits, inside
-    # and above the block: each would keep its own fold and index.
-    rng = random.Random(5)
-    j = 20
-    controls = []
-    for _ in range(40):
-        bits = rng.sample(range(1, j + 1), FUSE_BITS)
-        controls += bits + rng.choices(bits, k=4)
-    prog = RomProgram(RomSpace(j, 3, CLASSICAL), tuple(
-        Instruction(random_gate(rng), c) for c in controls
-    ))
-    assert len(cut(prog.instructions)) > 30
-    unbounded = extract_function(prog)
-    # Each fold keeps 8 states per sub-assignment and a one-byte index per row.
-    kept = (8 << FUSE_BITS) + (1 << BLOCK_BITS)
-    monkeypatch.setattr(sweep_module, "FOLD_BYTES", 3 * kept)
-    folds, record = counting(sim_classical._gather)
-    monkeypatch.setattr(sim_classical, "_gather", record)
-    bounded = extract_function(prog)
-    assert len(folds) == 3
-    assert sum(fold.nbytes for fold in folds) + 3 * (1 << BLOCK_BITS) <= 3 * kept
-    assert bounded == unbounded
-    for u in [0, (1 << j) - 1] + rng.sample(range(1 << j), 100):
-        state = evaluate(prog, u, 0)
-        assert [table.bits[u] for table in bounded.components] == [state >> b & 1 for b in range(3)]
+    for j, gather_passes in [(BLOCK_BITS, sweep_module.GATHER_PASSES), (BLOCK_BITS + 2, 16)]:
+        monkeypatch.setattr(sweep_module, "GATHER_PASSES", gather_passes)
+        rng = random.Random(3)
+        long_bits = range(1, FUSE_BITS + 1)
+        short_bits = [*range(FUSE_BITS + 1, j + 1), *range(j - FUSE_BITS + 1, FUSE_BITS + 1)]
+        controls = []
+        for _ in range(3):
+            controls += [*long_bits, *rng.choices(long_bits, k=40 - FUSE_BITS), *short_bits]
+        prog = RomProgram(RomSpace(j, 3, CLASSICAL), tuple(
+            Instruction(random_gate(rng), c) for c in controls
+        ))
+        assert [len(run) for run in cut(prog.instructions)] == [40, 8] * 3
+        folds.clear()
+        vf = extract_function(prog)
+        assert len(folds) == 3
+        for u in [0, (1 << j) - 1] + rng.sample(range(1 << j), 300):
+            state = evaluate(prog, u, 0)
+            assert [table.bits[u] for table in vf.components] == [state >> b & 1 for b in range(3)]

@@ -20,9 +20,9 @@ from romcomp import (
 )
 from romcomp.program import MAX_SHARED_DYADIC_GATES, dyadic_gate
 from romcomp.sim_quantum import OUTCOME_THRESHOLD, Unitary2, _rotation_matrix
-from romcomp.sweep import BLOCK_BITS, FUSE_BITS
+from romcomp.sweep import BLOCK_BITS, FUSE_BITS, segments
 
-from test_sim_classical import counting, cut, fold_mode  # noqa: F401 (a fixture)
+from test_sim_classical import FOLD_MODES, counting, cut, fold_mode  # noqa: F401 (a fixture)
 
 HALF = DyadicExponent(1, 1)
 ONE = DyadicExponent(1)
@@ -275,9 +275,9 @@ def test_fused_sweep_matches_unitary_of(j, seed, fold_mode):
     rng = random.Random(seed)
     prog = random_classical_output_program(rng, j)
     assert (len(cut(prog.instructions)) > 1) == (j > FUSE_BITS)
-    amps = np.concatenate([rows for _, rows in sweep(
+    amps = sweep(
         prog, np.array([1, 0], dtype=complex), _rotate, np.eye(2, dtype=complex), _combine,
-    )])
+    )
     table = extract_boolean(prog)
     edges = [u for u in (0, 1 << FUSE_BITS, 1 << BLOCK_BITS, (1 << j) - 1) if u < 1 << j]
     for u in edges + rng.sample(range(1 << j), 200):
@@ -286,6 +286,41 @@ def test_fused_sweep_matches_unitary_of(j, seed, fold_mode):
         p1 = abs(want[1]) ** 2
         assert p1 < OUTCOME_THRESHOLD or p1 > 1 - OUTCOME_THRESHOLD
         assert table.bits[u] == int(p1 > 1 - OUTCOME_THRESHOLD)
+
+
+def test_sweep_folds_every_segment_of_a_long_program(monkeypatch):
+    import numpy as np
+
+    import romcomp.sim_quantum as sim_quantum
+    import romcomp.sweep as sweep_module
+
+    # About 1,000 segments on 8 of 13 ROM bits each, inside and above the
+    # block: with every segment worth a fold, each is folded and applied in
+    # turn, however many folds the whole program makes (16 KB each here).
+    for name, value in FOLD_MODES["every"].items():
+        monkeypatch.setattr(sweep_module, name, value)
+    rng = random.Random(24)
+    j = BLOCK_BITS + 1
+    gates = [DyadicGate(axis, DyadicExponent(num, 2)) for axis in "XZ" for num in (-1, 1, 3)]
+    controls = []
+    for _ in range(1200):
+        controls += rng.sample(range(1, j + 1), FUSE_BITS)
+    prog = RomProgram(RomSpace(j, 1, QUANTUM), tuple(
+        Instruction(rng.choice(gates), c) for c in controls
+    ))
+    runs = segments(controls)
+    assert len(runs) > 800
+    assert all(len(bits) == FUSE_BITS for _, _, bits in runs[:-1])
+    folds, record = counting(sim_quantum._combine)
+    amps = sweep_module.sweep(
+        prog, np.array([1, 0], dtype=complex), sim_quantum._rotate, np.eye(2, dtype=complex),
+        record,
+    )
+    assert len(folds) == len(runs)
+    edges = [0, (1 << BLOCK_BITS) - 1, 1 << BLOCK_BITS, (1 << j) - 1]
+    for u in edges + rng.sample(range(1 << j), 40):
+        want = unitary_of(prog, u).apply(1, 0)
+        assert abs(amps[u] - want).max() < 1e-9
 
 
 def test_fused_sweep_reports_first_superposition_of_a_later_segment_above_the_block(fold_mode):

@@ -38,8 +38,8 @@ from .synth_classical import (
     and_barrington,
     and_sequence,
     anf_to_circuit,
-    circuit_inputs,
     circuit_to_three_bit,
+    circuit_width,
     compile_pair,
     parse_circuit,
 )
@@ -146,7 +146,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
             raise CliError("--circuit is the whole function: no other function flag, no --naive")
         circuit = parse_circuit(args.circuit)
     parsed = [_parse_component(spec, args.num_vars) for spec in specs]
-    widths = [anf.num_vars for anf in parsed] if circuit is None else circuit_inputs(circuit)
+    widths = [anf.num_vars for anf in parsed] if circuit is None else [circuit_width(circuit)]
     j = max(widths) if args.num_rom_bits is None else args.num_rom_bits
     anfs = [Anf(j, anf.monomials) for anf in parsed]
     if args.backend == "quantum1":

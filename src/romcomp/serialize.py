@@ -173,23 +173,25 @@ def _loads_canonical(text: str) -> RomProgram | None:
     """The program if ``text`` is ``dumps`` of it plus trailing whitespace,
     else None.
 
-    The distinct instruction texts are parsed together and checked once each.
+    The text is split into one piece per instruction with no whole copy of it
+    first; the distinct pieces are parsed together and checked once each.
     The head and every piece must render back to the same bytes, which proves
     that the general path would read an equal program from ``text``."""
-    head, sep, rest = text.partition('"instructions": [')
+    pieces = text.split(_NEXT_ITEM)
+    head, sep, pieces[0] = pieces[0].partition('"instructions": [')
     # JSON whitespace may follow: the CLI prints the text with a newline.
-    rest = rest.rstrip(" \t\n\r")
-    if not sep or not rest.endswith("]}"):
+    last = pieces[-1].rstrip(" \t\n\r")
+    if not sep or not last.endswith("]}"):
         return None
-    head, body = head + sep, rest[:-2]
+    head, pieces[-1] = head + sep, last[:-2]
     space = program_from_dict(json.loads(head + "]}")).space
     if _head_text(space) != head:
         return None
-    if not body:
+    if pieces == [""]:
         return RomProgram(space)
-    if not body.startswith(_ITEM):
+    if not pieces[0].startswith(_ITEM):
         return None
-    pieces = body[len(_ITEM):].split(_NEXT_ITEM)
+    pieces[0] = pieces[0][len(_ITEM):]
     distinct = list(set(pieces))
     items = json.loads("[" + _ITEM + _NEXT_ITEM.join(distinct) + "]")
     if len(items) != len(distinct):

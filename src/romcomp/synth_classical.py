@@ -108,7 +108,6 @@ def OrNode(left: CircuitNode, right: CircuitNode) -> CircuitNode:  # noqa: N802 
 
 
 T, G = TypeVar("T"), TypeVar("G")
-Run = tuple[list[T], tuple[int | None, G, G]]  # see _commutator_run
 
 
 def _fold(circuit: CircuitNode, leaf: Callable[[int], T], negate: Callable[[T], T],
@@ -143,8 +142,9 @@ def circuit_depth(node: CircuitNode) -> int:
                  lambda left, right: 2 + max(left, right))
 
 
-def circuit_inputs(node: CircuitNode) -> set[int]:
-    return _fold(node, lambda index: {index}, lambda s: s, set.union, set.union)
+def circuit_width(node: CircuitNode) -> int:
+    """The largest input index: the ROM bits a circuit reads."""
+    return _fold(node, lambda index: index, lambda w: w, max, max)
 
 
 def eval_circuit(node: CircuitNode, assignment: int) -> int:
@@ -201,6 +201,17 @@ AND_SHAPES = {
 }
 
 
+def circuit_runs(circuit: CircuitNode, num_rom_bits: int, rho: G) -> list[tuple[CircuitNode, G]]:
+    """The one (circuit, rho) run of a circuit compile, ``monomial_runs``'
+    counterpart: refused if the circuit reads past ``num_rom_bits`` or its
+    ``branching_length`` is past the budget."""
+    width = circuit_width(circuit)
+    if width > num_rom_bits:
+        raise ValueError(f"circuit reads x{width} but space has {num_rom_bits} ROM bits")
+    check_rom_calls(branching_length(circuit))
+    return [(circuit, rho)]
+
+
 def monomial_runs(forms: list[tuple[list[list[int]], G]],
                   shape: str) -> list[tuple[CircuitNode | None, G]]:
     """A (circuit, rho) run per monomial of each (monomials, rho) of ``forms``:
@@ -217,8 +228,8 @@ def monomial_runs(forms: list[tuple[list[list[int]], G]],
 # AND and XOR, so three per OR.  The least recursion limits at which
 # ``python -m romcomp compile`` runs (binary search, one process per trial):
 # 200 nested XORs, 201 ROM calls, 220 on both backends; 200 nested ORs, which
-# the ROM-call budget refuses, 613; the deepest OR nest the budget admits, 19
-# ORs around NOTs to the cap, 251 (three bits) and 256 (qubit).  Python's
+# the ROM-call budget refuses, 614; the deepest OR nest the budget admits, 19
+# ORs around NOTs to the cap, 252 (three bits) and 256 (qubit).  Python's
 # default is 1000.
 MAX_CIRCUIT_DEPTH = 200
 
@@ -344,44 +355,41 @@ def _commutator_run(runs: list[tuple[CircuitNode | None, G]], split: Callable[[G
     None is always true.  XOR runs both children at the target, back to back
     (Ben-Or & Cleve), which applies rho^(a + b): rho^(a XOR b) where rho
     squares to the identity, as on the register machines, and on the qubit,
-    where only the parity of a run's exponent is read.  Within a run each
-    (gate node, target) is built once, keyed by the node's id, as a ``Run``
-    never mutated: the items of all steps but the last, which a NOT above may
-    fix up, and that last step.  The memo is emptied when each run ends.
-    ``emit`` is called per step: cache it."""
-    memo: dict[tuple[int, G], Run] = {}
-
-    def run(node: CircuitNode | None, target: G) -> Run:
-        if node is None or isinstance(node, InputNode):
-            return [], (node and node.index, identity, target)
-        key = (id(node), target)
-        found = memo.get(key)
-        if found is None:
-            if isinstance(node, NotNode):
-                body, (bit, if0, if1) = run(node.child, inverse(target))
-                found = body, (bit, then(if0, target), then(if1, target))
-            elif isinstance(node, XorNode):
-                left, left_last = run(node.left, target)
-                right, last = run(node.right, target)
-                found = [*left, *emit(*left_last), *right], last
-            else:
-                steps, last = [], None
-                for child, child_target in split(target):
-                    if last:
-                        steps += emit(*last)
-                    body, last = run(getattr(node, child), child_target)
-                    steps += body
-                found = steps, last
-            memo[key] = found
-        return found
-
+    where only the parity of a run's exponent is read.  All runs write one
+    list: a node's run appends the items of all its steps but the last and
+    returns that last step, which a NOT above may fix up.  Within a run, the
+    first visit to each (gate node, target), keyed by the node's id, records
+    its slice of the list and its last step; a later visit appends the slice
+    again.  ``emit`` is called per step: cache it."""
     items: list[T] = []
+    memo: dict[tuple[int, G], tuple[int, int, tuple]] = {}
+
+    def run(node: CircuitNode | None, target: G) -> tuple[int | None, G, G]:
+        if node is None or isinstance(node, InputNode):
+            return node and node.index, identity, target
+        key = (id(node), target)
+        if key in memo:
+            start, stop, last = memo[key]
+            items.extend(items[start:stop])
+            return last
+        start, last = len(items), None
+        if isinstance(node, NotNode):
+            bit, if0, if1 = run(node.child, inverse(target))
+            last = bit, then(if0, target), then(if1, target)
+        else:
+            both = (split(target) if isinstance(node, AndNode)
+                    else (("left", target), ("right", target)))
+            for child, child_target in both:
+                if last:
+                    items.extend(emit(*last))
+                last = run(getattr(node, child), child_target)
+        memo[key] = start, len(items), last
+        return last
+
     for circuit, rho in runs:
         identity = then(rho, inverse(rho))
-        body, last = run(circuit, rho)
-        memo.clear()  # before the copy below, so the run's subruns are freed first
-        items += body
-        items += emit(*last)
+        items.extend(emit(*run(circuit, rho)))
+        memo.clear()
     del run  # break the closure's cycle: free it now, not in a GC pass
     return items
 
@@ -441,13 +449,9 @@ def circuit_to_three_bit(circuit: CircuitNode, num_rom_bits: int) -> RomProgram:
     controlled difference if1 * if0^-1, which is never the identity, so the
     program costs exactly ``branching_length`` ROM calls.
     """
-    for index in circuit_inputs(circuit):
-        if index > num_rom_bits:
-            raise ValueError(f"circuit reads x{index} but space has {num_rom_bits} ROM bits")
-    check_rom_calls(branching_length(circuit))
-    runs = [(circuit, BIT_FLIP_PERMUTATION.images)]
-    return RomProgram(RomSpace(num_rom_bits, 3, CLASSICAL), tuple(
-        _commutator_run(runs, _AFFINE.__getitem__, _then, _inverse, _step_instructions)))
+    return RomProgram(RomSpace(num_rom_bits, 3, CLASSICAL), tuple(_commutator_run(
+        circuit_runs(circuit, num_rom_bits, BIT_FLIP_PERMUTATION.images),
+        _AFFINE.__getitem__, _then, _inverse, _step_instructions)))
 
 
 # Steps are keyed by their ROM bit, so unlike the gate caches this is bounded.

@@ -17,11 +17,9 @@ import functools
 
 from .boolfunc import Anf
 from .program import (
-    QUANTUM, AXIS_X, AXIS_Z, DyadicExponent, Instruction, RomProgram, RomSpace, check_rom_calls,
-    dyadic_gate,
+    QUANTUM, AXIS_X, AXIS_Z, DyadicExponent, Instruction, RomProgram, RomSpace, dyadic_gate,
 )
-from .synth_classical import (CircuitNode, _commutator_run, branching_length, circuit_inputs,
-                              monomial_runs)
+from .synth_classical import CircuitNode, _commutator_run, circuit_runs, monomial_runs
 
 Rotation = tuple[str, int, int]  # axis**(num / 2**log2den) as (axis, num, log2den)
 # The root, X^(-1), is a bit flip that makes a top AND's bracket X^(-1/2) ... X^(1/2) ....
@@ -93,11 +91,7 @@ def and_fast(controls: list[int], num_rom_bits: int) -> RomProgram:
 def circuit_to_qubit(circuit: CircuitNode, num_rom_bits: int) -> RomProgram:
     """One-qubit program XOR-ing a circuit's value into the qubit, at exactly
     ``branching_length(circuit)`` ROM calls."""
-    for index in circuit_inputs(circuit):
-        if index > num_rom_bits:
-            raise ValueError(f"circuit reads x{index} but space has {num_rom_bits} ROM bits")
-    check_rom_calls(branching_length(circuit))
-    return _program(num_rom_bits, [(circuit, _ROOT)])
+    return _program(num_rom_bits, circuit_runs(circuit, num_rom_bits, _ROOT))
 
 
 def compile_function(anf: Anf, num_rom_bits: int, method: str = "fast") -> RomProgram:

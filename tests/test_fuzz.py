@@ -136,6 +136,8 @@ def _layouts():
     yield "canonical", canonical
     yield "trailing-newline", canonical + "\n"
     yield "trailing-form-feed", canonical + "\f"
+    # One piece holds both the head and the closing "]}".
+    yield "one-instruction-trailing-space", json.dumps(dict(quantum, instructions=[first])) + " \n"
     yield "leading-space", " " + canonical
     yield "pretty", json.dumps(quantum, indent=2)
     yield "compact", json.dumps(classical, separators=(",", ":"))
@@ -155,6 +157,9 @@ def _layouts():
         quantum, instructions=[dict(first, note=', {"control": 1')] * 2))
     yield "separator-in-a-list", json.dumps(dict(
         quantum, instructions=[dict(first, note=[0, {"control": 1}])] * 2))
+    # The head's extra key puts the separator ahead of the instruction array.
+    yield "separator-in-the-head", json.dumps(dict(
+        head, note=[0, {"control": 1}], instructions=classical["instructions"]))
     yield "separator-in-the-kind", json.dumps(dict(head, kind='"instructions": [', instructions=[]))
     yield "duplicate-control-key", canonical.replace('{"control": 2,', '{"control": 2, "control": 1,')
     yield "empty", json.dumps(dict(head, instructions=[]))

@@ -37,15 +37,24 @@ from romcomp import (
     and_sequence,
     truth_table_of,
 )
+from romcomp import synth_quantum
 from romcomp.program import MAX_ROM_CALLS
 from romcomp.synth_classical import (
     AND_SHAPES,
     MAX_CIRCUIT_DEPTH,
+    _AFFINE,
+    _DOUBLING,
+    _affine,
     _balanced,
     _bracket,
+    _commutator_pair,
+    _commutator_run,
+    _inverse,
+    _step_instructions,
+    _then,
     anf_to_circuit,
     branching_length,
-    circuit_inputs,
+    circuit_width,
     doubling_calls,
 )
 
@@ -341,7 +350,7 @@ def test_xor_parses_and_folds():
         (u & 1 & u >> 1) ^ (1 - (u >> 2 & 1)) for u in range(8)]
     # XOR adds its operands' runs and counts as two AND levels.
     assert (branching_length(circuit), circuit_depth(circuit)) == (5, 3)
-    assert circuit_inputs(circuit) == {1, 2, 3}
+    assert circuit_width(circuit) == 3
 
 
 def test_circuit_ending_after_its_open_parenthesis():
@@ -403,14 +412,7 @@ def test_barrington_small_circuit_zoo():
         balanced_and_circuit(8),
     ]
     for circuit in circuits:
-        bits = max(node for node in _inputs(circuit))
-        check_theorem_contract(circuit, bits)
-
-
-def _inputs(circuit):
-    from romcomp.synth_classical import circuit_inputs
-
-    return circuit_inputs(circuit)
+        check_theorem_contract(circuit, circuit_width(circuit))
 
 
 def test_barrington_every_five_cycle_target():
@@ -457,7 +459,7 @@ def test_barrington_on_the_bit_flip_factors():
     for cycle in BIT_FLIP_FIVE_CYCLES:
         rho = Permutation.from_cycles(8, (cycle,))
         for circuit in circuits:
-            check_theorem_contract(circuit, max(_inputs(circuit)), rho)
+            check_theorem_contract(circuit, circuit_width(circuit), rho)
 
 
 def test_and_barrington_instructions_fix_inactive_states():
@@ -568,6 +570,89 @@ def test_anf_to_circuit():
 
 
 # ---------------------------------------------------------------------------
+# The commutator engine against a walk without its memo
+# ---------------------------------------------------------------------------
+
+
+def memo_free_run(runs, split, then, inverse, emit):
+    """``_commutator_run`` without its memo: every visit builds its node's
+    run afresh, as a list of items and its last step."""
+    def run(node, target):
+        if node is None or isinstance(node, InputNode):
+            return [], (node and node.index, identity, target)
+        if isinstance(node, NotNode):
+            items, (bit, if0, if1) = run(node.child, inverse(target))
+            return items, (bit, then(if0, target), then(if1, target))
+        both = split(target) if isinstance(node, AndNode) else (("left", target), ("right", target))
+        items, last = [], None
+        for child, child_target in both:
+            items += emit(*last) if last else ()
+            body, last = run(getattr(node, child), child_target)
+            items += body
+        return items, last
+
+    out = []
+    for circuit, rho in runs:
+        identity = then(rho, inverse(rho))
+        body, last = run(circuit, rho)
+        out += [*body, *emit(*last)]
+    return out
+
+
+def shared_circuit(rng, j, size, leaf_right=False):
+    """A seeded circuit over x1..xj whose AND, NOT and XOR nodes reuse
+    earlier nodes, so subtrees are shared; with ``leaf_right`` every AND's
+    right child is an input, as the doubling needs."""
+    pool = [InputNode(i) for i in range(1, j + 1)]
+    for _ in range(size):
+        kind, left, right = rng.randrange(3), rng.choice(pool), rng.choice(pool)
+        if leaf_right:
+            right = InputNode(rng.randrange(1, j + 1))
+        node = (NotNode(left), AndNode(left, right), XorNode(left, right))[kind]
+        if branching_length(node) <= 2000:
+            pool.append(node)
+    return pool[-1]
+
+
+def test_commutator_run_matches_the_memo_free_walk_on_every_group():
+    rng = random.Random(25)
+    five_cycle = (1, 2, 3, 4, 0)
+    groups = [  # (split, then, inverse, emit, targets, AND's right child a leaf)
+        (_DOUBLING.__getitem__, _then, _inverse, _step_instructions, list(_DOUBLING), True),
+        (_AFFINE.__getitem__, _then, _inverse, _step_instructions, [BIT_FLIP_PERMUTATION.images],
+         False),
+        (synth_quantum._split, synth_quantum._then, synth_quantum._inverse,
+         synth_quantum._step, [synth_quantum._ROOT], False),
+        (_commutator_pair, _then, _inverse, lambda *step: (step,),
+         [five_cycle, _inverse(five_cycle)], False),
+    ]
+    for split, then, inverse, emit, targets, leaf_right in groups:
+        for _ in range(40):
+            # Two runs share the first circuit, and None is always true.
+            circuit = shared_circuit(rng, rng.randrange(1, 5), rng.randrange(1, 16), leaf_right)
+            runs = [(circuit, rng.choice(targets)), (None, rng.choice(targets)),
+                    (circuit, rng.choice(targets))]
+            got = _commutator_run(runs, split, then, inverse, emit)
+            assert got == memo_free_run(runs, split, then, inverse, emit)
+
+
+def test_commutator_run_builds_each_node_and_target_once():
+    # A 16-bit left-deep chain on the doubling: each AND runs its left child
+    # twice at one target, so the memo-free walk makes 98,302 emit calls.
+    calls = []
+
+    def emit(*step):
+        calls.append(step)
+        return _step_instructions(*step)
+
+    chain = AND_SHAPES["left"][0]([InputNode(i) for i in range(1, 17)])
+    items = _commutator_run([(chain, _affine(1, None, 2))], _DOUBLING.__getitem__, _then,
+                            _inverse, emit)
+    assert sum(item.control is not None for item in items) == doubling_calls(16)
+    assert len(calls) <= 64
+
+
+# ---------------------------------------------------------------------------
 # One writable bit reaches only the affine functions
 # ---------------------------------------------------------------------------
 
@@ -629,7 +714,7 @@ def test_circuit_walks_value_each_shared_node_once():
     node = InputNode(1)
     for _ in range(60):
         node = AndNode(node, node)
-    assert circuit_inputs(node) == {1}
+    assert circuit_width(node) == 1
     assert circuit_depth(node) == 60
     assert branching_length(node) == 4 ** 60
     assert (eval_circuit(node, 0), eval_circuit(node, 1)) == (0, 1)

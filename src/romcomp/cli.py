@@ -35,15 +35,13 @@ from .sim_classical import extract_function
 from .sim_quantum import NonClassicalOutput, extract_boolean
 from .sweep import SWEEP_LIMIT
 from .synth_classical import (
-    and_barrington,
-    and_sequence,
     anf_to_circuit,
     circuit_to_three_bit,
     circuit_width,
     compile_pair,
     parse_circuit,
 )
-from .synth_quantum import and_fast, and_naive, circuit_to_qubit, compile_function
+from .synth_quantum import circuit_to_qubit, compile_function
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -132,7 +130,8 @@ _BACKENDS = {"quantum1": (1, {"naive", "circuit"}), "classical2": (2, set()),
              "classical3": (1, {"circuit"})}
 
 
-def _cmd_compile(args: argparse.Namespace) -> int:
+def _compile_program(args: argparse.Namespace) -> RomProgram:
+    """The program that ``compile`` emits for its parsed flags."""
     registers, reads = _BACKENDS[args.backend]
     for flag in ("naive", "circuit"):
         if flag not in reads and getattr(args, flag) not in (None, False):
@@ -150,16 +149,20 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     j = max(widths) if args.num_rom_bits is None else args.num_rom_bits
     anfs = [Anf(j, anf.monomials) for anf in parsed]
     if args.backend == "quantum1":
-        program = (compile_function(anfs[0], j, method="naive" if args.naive else "fast")
-                   if circuit is None else circuit_to_qubit(circuit, j))
-    elif args.backend == "classical2":
-        program = compile_pair(anfs[0], anfs[1], j)
-    else:
-        program = circuit_to_three_bit(anf_to_circuit(anfs[0]) if circuit is None else circuit, j)
+        return (compile_function(anfs[0], j, method="naive" if args.naive else "fast")
+                if circuit is None else circuit_to_qubit(circuit, j))
+    if args.backend == "classical2":
+        return compile_pair(anfs[0], anfs[1], j)
+    return circuit_to_three_bit(anf_to_circuit(anfs[0]) if circuit is None else circuit, j)
+
+
+def _cmd_compile(args: argparse.Namespace) -> int:
+    program = _compile_program(args)
     text = serialize.dumps(program)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+            handle.write(text)
+            handle.write("\n")
     else:
         print(text)
     print(f"rom_calls={rom_call_count(program)} gates={len(program)}", file=sys.stderr)
@@ -207,19 +210,22 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# counts column -> the compile backend flags that build its AND.
+_COUNT_COLUMNS = {"naive": "quantum1 --naive", "fast": "quantum1", "twobit": "classical2",
+                  "threebit": "classical3"}
+
+
 def _cmd_counts(args: argparse.Namespace) -> int:
     if not 1 <= args.j_max <= 16:
         raise CliError(f"--j-max must be in 1..16, got {args.j_max}")
-    header = f"{'j':>3} {'naive':>8} {'fast':>8} {'twobit':>8} {'threebit':>8} {'conjectured':>11}"
-    print(header)
+    print(f"{'j':>3}", *(f"{name:>8}" for name in _COUNT_COLUMNS), f"{'conjectured':>11}")
+    parser = build_parser()
     for j in range(1, args.j_max + 1):
-        controls = list(range(1, j + 1))
-        naive = rom_call_count(and_naive(controls, j))
-        fast = rom_call_count(and_fast(controls, j))
-        sseq = rom_call_count(and_sequence(j, j)[0])
-        three = rom_call_count(and_barrington(j))
-        rec = conjectured_minimal_calls(j)
-        print(f"{j:>3} {naive:>8} {fast:>8} {sseq:>8} {three:>8} {rec:>11}")
+        counts = []
+        for backend in _COUNT_COLUMNS.values():
+            compile_args = parser.parse_args(f"compile --and-of {j} --backend {backend}".split())
+            counts.append(f"{rom_call_count(_compile_program(compile_args)):>8}")
+        print(f"{j:>3}", *counts, f"{conjectured_minimal_calls(j):>11}")
     return EXIT_OK
 
 

@@ -101,7 +101,11 @@ def dumps(program: RomProgram) -> str:
         if text is None:
             text = texts[key] = _instruction_text(inst, gate_texts)
         parts.append(text)
-    return _head_text(program.space) + ", ".join(parts) + "]}"
+    # The head and the closing ]} ride on the end parts (on the head alone
+    # when there are none), so one join writes the text and it is held once.
+    parts[:1] = [_head_text(program.space) + "".join(parts[:1])]
+    parts[-1] += "]}"
+    return ", ".join(parts)
 
 
 def _require(condition: bool, message: str) -> None:

@@ -70,14 +70,18 @@ def segments(controls: Sequence[int]) -> list[tuple[int, int, list[int]]]:
     return [(a, b, [c for c in range(1, seen.bit_length()) if seen >> c & 1]) for a, b, seen in runs]
 
 
-def _play(rows: np.ndarray, k: int, high: int, above: int, steps: list[tuple[int, Act]]) -> None:
-    """Run ``steps`` in place on the rows of ``2**k`` assignments whose bits
-    k + 1 .. k + ``above`` are those of ``high``.  A step's control is 0 for
-    every row, or the ROM bit whose rows it acts on."""
-    # views[c] holds the rows where u_c = 1, and views[0] every row.
+def _views(rows: np.ndarray, k: int, high: int, above: int) -> list[np.ndarray]:
+    """Views of the rows of ``2**k`` assignments whose bits k + 1 ..
+    k + ``above`` are those of ``high``: views[c] holds the rows where
+    u_c = 1, and views[0] every row."""
     views = [rows]
     views += [rows.reshape(1 << (k - c), 2, 1 << (c - 1), -1)[:, 1] for c in range(1, k + 1)]
     views += [rows if high >> b & 1 else rows[:0] for b in range(above)]
+    return views
+
+
+def _play(views: list[np.ndarray], steps: list[tuple[int, Act]]) -> None:
+    """Run ``steps`` in place; a step acts on ``views[control]``."""
     for control, act in steps:
         view = views[control]
         view[...] = act(view)
@@ -113,20 +117,18 @@ def sweep(
     k = min(j, BLOCK_BITS)
     low = np.arange(1 << k)
     rows = np.tile(start, (1 << j, 1))
-    blocks = list(enumerate(rows.reshape(1 << (j - k), 1 << k, -1)))
+    split = rows.reshape(1 << (j - k), 1 << k, -1)
+    blocks = [(high, _views(block, k, high, j - k)) for high, block in enumerate(split)]
     blocks_pass = _pass_cost(start.size << k) * (1 << (j - k))
     done = 0
-    # Every segment but the last reads FUSE_BITS bits.  When a gate pass over
-    # such a fold costs no less than one over the blocks, as in any sweep of
-    # at most 2^FUSE_BITS rows, there is nothing to gain: skip the scan.
-    wide = blocks_pass > _pass_cost(basis.size << FUSE_BITS)
-    for first, stop, bits in segments([control for control, _ in steps]) if wide else []:
+    for first, stop, bits in segments([control for control, _ in steps]):
         saved = blocks_pass - _pass_cost(basis.size << len(bits))
         if (stop - first) * saved <= GATHER_PASSES * blocks_pass:
             continue
         local = {bit: i + 1 for i, bit in enumerate(bits)}
         folded = np.repeat(basis[None], 1 << len(bits), axis=0)
-        _play(folded, len(bits), 0, 0, [(local.get(c, 0), act) for c, act in steps[first:stop]])
+        fold_steps = [(local.get(c, 0), act) for c, act in steps[first:stop]]
+        _play(_views(folded, len(bits), 0, 0), fold_steps)
         apply = apply_of(folded)
         # Each row's sub-assignment: the bits read inside the block are the
         # same for every block, and those above it add a constant.
@@ -135,14 +137,11 @@ def sweep(
             np.zeros_like(low),
         ).astype(np.uint8)
         above = [(i, bit - 1 - k) for i, bit in enumerate(bits) if bit > k]
-        run = steps[done:first]
-        for high, block in blocks:
-            if run:
-                _play(block, k, high, j - k, run)
+        for high, views in blocks:
+            _play(views, steps[done:first])
             rest = sum((high >> b & 1) << i for i, b in above)
-            block[...] = apply(index + rest if rest else index, block)
+            views[0][...] = apply(index + rest if rest else index, views[0])
         done = stop
-    run = steps[done:]
-    for high, block in blocks if run else []:
-        _play(block, k, high, j - k, run)
+    for _, views in blocks:
+        _play(views, steps[done:])
     return rows

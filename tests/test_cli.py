@@ -386,6 +386,20 @@ def test_counts_up_to_the_cli_cap(capsys):
     assert rows[-1] == [16, 98302, 256, 98302, 256, 765]
 
 
+def test_counts_columns_are_the_programs_that_compile_emits(capsys):
+    code, out, _ = run(capsys, "counts", "--j-max", "8")
+    assert code == 0
+    header, *rows = [line.split() for line in out.splitlines()]
+    backends = {"naive": ["quantum1", "--naive"], "fast": ["quantum1"],
+                "twobit": ["classical2"], "threebit": ["classical3"]}
+    assert header[1:5] == list(backends)
+    assert [row[0] for row in rows] == [str(j) for j in range(1, 9)]
+    for row in rows:
+        for calls, backend in zip(row[1:5], backends.values()):
+            code, _, err = run(capsys, "compile", "--backend", *backend, "--and-of", row[0])
+            assert code == 0 and err.split()[0] == f"rom_calls={calls}"
+
+
 def test_doubling_constructions_past_the_bound_are_refused(capsys):
     for backend in (["classical2"], ["quantum1", "--naive"]):
         code, out, err = run(capsys, "compile", "--backend", *backend, "--and-of", "21")

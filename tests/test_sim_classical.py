@@ -231,6 +231,15 @@ def counting(apply_of):
     return folds, record
 
 
+def assert_fold_mode_kept(fold_mode, folds, program):
+    """The "every" mode folds each segment, however few rows the sweep has,
+    and the "never" mode none."""
+    if fold_mode == "every":
+        assert len(folds) == len(cut(program.instructions))
+    elif fold_mode == "never":
+        assert not folds
+
+
 def test_fused_sweep_builds_one_action_per_distinct_gate_object():
     import numpy as np
 
@@ -262,7 +271,9 @@ def random_gate(rng):
 
 @pytest.mark.parametrize("j", [FUSE_BITS, FUSE_BITS + 1, BLOCK_BITS, BLOCK_BITS + 2])
 @pytest.mark.parametrize("seed", range(2))
-def test_fused_sweep_matches_evaluate(j, seed, fold_mode):
+def test_fused_sweep_matches_evaluate(j, seed, fold_mode, monkeypatch):
+    import romcomp.sim_classical as sim_classical
+
     # Three random 3-bit gates on every bit in shuffled order, so segments end
     # mid-run, and an uncontrolled gate at every segment boundary.
     rng = random.Random(seed)
@@ -273,7 +284,10 @@ def test_fused_sweep_matches_evaluate(j, seed, fold_mode):
         instructions += [Instruction(random_gate(rng), None), *run]
     prog = RomProgram(RomSpace(j, 3, CLASSICAL), tuple(instructions))
     assert (len(cut(prog.instructions)) > 1) == (j > FUSE_BITS)
+    folds, record = counting(sim_classical._gather)
+    monkeypatch.setattr(sim_classical, "_gather", record)
     vf = extract_function(prog)
+    assert_fold_mode_kept(fold_mode, folds, prog)
     edges = [u for u in (0, 1 << FUSE_BITS, 1 << BLOCK_BITS, (1 << j) - 1) if u < 1 << j]
     for u in edges + rng.sample(range(1 << j), 200):
         state = evaluate(prog, u, 0)

@@ -22,7 +22,9 @@ from romcomp.program import MAX_SHARED_DYADIC_GATES, dyadic_gate
 from romcomp.sim_quantum import OUTCOME_THRESHOLD, Unitary2, _rotation_matrix
 from romcomp.sweep import BLOCK_BITS, FUSE_BITS, segments
 
-from test_sim_classical import FOLD_MODES, counting, cut, fold_mode  # noqa: F401 (a fixture)
+from test_sim_classical import (  # noqa: F401 (a fixture)
+    FOLD_MODES, assert_fold_mode_kept, counting, cut, fold_mode,
+)
 
 HALF = DyadicExponent(1, 1)
 ONE = DyadicExponent(1)
@@ -275,9 +277,11 @@ def test_fused_sweep_matches_unitary_of(j, seed, fold_mode):
     rng = random.Random(seed)
     prog = random_classical_output_program(rng, j)
     assert (len(cut(prog.instructions)) > 1) == (j > FUSE_BITS)
+    folds, record = counting(_combine)
     amps = sweep(
-        prog, np.array([1, 0], dtype=complex), _rotate, np.eye(2, dtype=complex), _combine,
+        prog, np.array([1, 0], dtype=complex), _rotate, np.eye(2, dtype=complex), record,
     )
+    assert_fold_mode_kept(fold_mode, folds, prog)
     table = extract_boolean(prog)
     edges = [u for u in (0, 1 << FUSE_BITS, 1 << BLOCK_BITS, (1 << j) - 1) if u < 1 << j]
     for u in edges + rng.sample(range(1 << j), 200):

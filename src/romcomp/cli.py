@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from typing import TextIO
 
 import numpy as np
 
@@ -51,6 +52,7 @@ EXIT_NONCLASSICAL = 3
 # Widest ROM that compile accepts: 1024 bits, the square root of MAX_ROM_CALLS,
 # below the widest AND within it (1,365 bits by and_fast, 2,096,128 calls).
 COMPILE_WIDTH_LIMIT = 1 << (MAX_ROM_CALLS.bit_length() - 1) // 2
+_WRITE_SLICE = 1 << 20  # characters of compiled JSON per write
 
 
 class CliError(Exception):
@@ -156,15 +158,21 @@ def _compile_program(args: argparse.Namespace) -> RomProgram:
     return circuit_to_three_bit(anf_to_circuit(anfs[0]) if circuit is None else circuit, j)
 
 
+def _write_line(handle: TextIO, text: str) -> None:
+    """Write text and a newline in slices, so the text is never encoded whole."""
+    for at in range(0, len(text), _WRITE_SLICE):
+        handle.write(text[at:at + _WRITE_SLICE])
+    handle.write("\n")
+
+
 def _cmd_compile(args: argparse.Namespace) -> int:
     program = _compile_program(args)
     text = serialize.dumps(program)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.write("\n")
+            _write_line(handle, text)
     else:
-        print(text)
+        _write_line(sys.stdout, text)
     print(f"rom_calls={rom_call_count(program)} gates={len(program)}", file=sys.stderr)
     return EXIT_OK
 

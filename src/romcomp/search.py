@@ -175,20 +175,6 @@ def _relabel_table(width: int) -> np.ndarray:
     return _half_tables(perms << (2 * np.arange(width, dtype=np.uint32))[:, None, None])
 
 
-@functools.cache
-def _move_tables(num_rom_bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Low and high halves of every move: its permutation where its ROM bit
-    is set, the identity elsewhere."""
-    moves = _moves(num_rom_bits)
-    index = np.array([i for i, _ in moves])
-    perms = np.array([p for _, p in moves], dtype=np.uint32)
-    positions = np.arange(1 << num_rom_bits)[:, None]
-    active = (positions >> (index - 1) & 1)[:, :, None]
-    cols = np.where(active, perms, np.arange(_STATES, dtype=np.uint32))
-    cols <<= (2 * (positions % _HALF_WIDTH)).astype(np.uint32)[:, :, None]
-    return _half_tables(cols[:_HALF_WIDTH]), _half_tables(cols[_HALF_WIDTH:])
-
-
 def _gather_half_tables(relabelings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Low and high halves of every position permutation: each source half's
     contribution to the permuted packed value."""
@@ -200,12 +186,12 @@ class _TablePipeline:
     """Precomputed lookup tables for bulk work on packed signatures.
 
     A signature vector packs into (2 * L)-bit integers, split into a low and
-    a high half of at most 8 positions each.  Position permutations and
-    controlled moves act independently on the halves, so each becomes two
-    table lookups; the first-occurrence relabeling is a scan, so the halves
-    compose through a tiny automaton over appearance orders (sequences of
-    distinct states, 65 of them).  Only the gather tables depend on
-    ``use_symmetry``; the others are built once per width or per j and shared.
+    a high half of at most 8 positions each.  Position permutations and state
+    relabelings act independently on the halves, so each becomes two table
+    lookups, and a move is a relabeling kept by one mask per ROM bit; the
+    first-occurrence relabeling is a scan, so the halves compose through an
+    automaton over the 65 appearance orders.  No table is per move: only the
+    gathers depend on ``use_symmetry``, the rest are per half width and shared.
     """
 
     def __init__(self, num_rom_bits: int, use_symmetry: bool) -> None:
@@ -221,7 +207,9 @@ class _TablePipeline:
         self.scan_high = _scan_table(self.high_width)
         self.relabel_low = _relabel_table(self.low_width)
         self.relabel_high = _relabel_table(self.high_width)
-        self.move_low, self.move_high = _move_tables(num_rom_bits)
+        # bit_masks[i - 1] holds both bits of every position where u_i = 1.
+        self.bit_masks = _frozen(np.array([sum(3 << 2 * u for u in range(length) if u >> i & 1)
+                                           for i in range(num_rom_bits)], dtype=np.uint32))
         self.gather_low, self.gather_high = _gather_half_tables(
             _relabelings(num_rom_bits, use_symmetry))
 
@@ -231,7 +219,9 @@ class _TablePipeline:
     def moved(self, encs: np.ndarray) -> np.ndarray:
         """Raw encodings of every move applied to ``encs``: shape (moves,) + encs.shape."""
         low, high = self.split(encs)
-        return self.move_low[:, low] | (self.move_high[:, high] << self.low_bits)
+        relabeled = self.relabel_low[1:, low] | (self.relabel_high[1:, high] << self.low_bits)
+        masks = self.bit_masks.reshape((-1, 1) + (1,) * np.ndim(encs))
+        return (relabeled & masks | encs & ~masks).reshape((-1,) + np.shape(encs))
 
     def expand(self, encs: np.ndarray) -> np.ndarray:
         """Sorted distinct classes one move away from any of ``encs``."""
@@ -273,7 +263,7 @@ def _pipeline_for(num_rom_bits: int, use_symmetry: bool) -> _TablePipeline:
 
 
 def _moves(num_rom_bits: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(ROM index, permutation images) in lexicographic order."""
+    """(ROM index, permutation images) in lexicographic order, as in relabel rows 1..23."""
     perms = [p for p in itertools.permutations(range(_STATES)) if p != (0, 1, 2, 3)]
     return [(i, p) for i in range(1, num_rom_bits + 1) for p in perms]
 

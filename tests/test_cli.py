@@ -17,6 +17,7 @@ from romcomp import (
     loads,
     rom_call_count,
 )
+from romcomp import cli
 from romcomp.cli import main
 from romcomp.synth_classical import MAX_CIRCUIT_DEPTH
 
@@ -206,6 +207,18 @@ def test_compile_output_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert loads(path.read_text()) == two_control_flip_program()
+
+
+def test_compile_writes_the_text_in_slices(capsys, tmp_path, monkeypatch):
+    argv = ["compile", "--backend", "classical3", "--and-of", "3"]
+    whole = run(capsys, *argv)
+    # Slices of 7 characters cut the text inside tokens, many times over.
+    monkeypatch.setattr(cli, "_WRITE_SLICE", 7)
+    assert run(capsys, *argv) == whole
+    path = tmp_path / "out.json"
+    assert run(capsys, *argv, "-o", str(path)) == (0, "", whole[2])
+    assert path.read_text() == whole[1]
+    assert len(whole[1]) > 50 * 7 and whole[1].endswith("}\n")
 
 
 def test_verify_worked_example(capsys, tmp_path):

@@ -382,14 +382,6 @@ def reference_value_map(luts):
     return acc
 
 
-def reference_move(move, base, width):
-    """One half of a controlled move: its permutation where the ROM bit is set."""
-    index, perm = move
-    return reference_value_map(
-        [perm if (base + pos) >> (index - 1) & 1 else (0, 1, 2, 3) for pos in range(width)]
-    )
-
-
 def reference_gather(gather, base, width):
     """One source half's contribution to the position-permuted packed value."""
     src = np.arange(1 << (2 * width), dtype=np.uint32)
@@ -418,13 +410,23 @@ def test_lookup_tables_match_scalar_loops(j):
     for (_, width), scan, relabel in zip(halves, scans, relabels):
         assert_same(scan, reference_scan(width))
         assert_same(relabel, np.stack([reference_value_map([perm] * width) for perm in PERMS]))
+    # Moves have no tables: moved() relabels through the relabel tables and
+    # keeps the result where the move's ROM bit is set.  Checked per position
+    # on every move up to j = 3 and a seeded sample of the 92 at j = 4, over
+    # a batch of encodings and over one 0-d encoding, as the witness walk
+    # passes it.
     moves = _moves(j)
-    # Every move up to j = 3; a seeded sample of the 92 at j = 4.
     sample = range(len(moves)) if j < 4 else random.Random(4).sample(range(len(moves)), 12)
-    for (base, width), table in zip(halves, (pipeline.move_low, pipeline.move_high)):
-        assert table.dtype == np.uint32 and table.shape == (len(moves), 1 << (2 * width))
-        for k in sample:
-            assert np.array_equal(table[k], reference_move(moves[k], base, width))
+    rng = random.Random(j)
+    vectors = [tuple(rng.randrange(4) for _ in range(1 << j)) for _ in range(21)]
+    encs = np.array([_encode(v) for v in vectors], dtype=np.uint32)
+    batch, single = pipeline.moved(encs[1:]), pipeline.moved(encs[0])
+    assert batch.dtype == single.dtype == np.uint32
+    assert batch.shape == (len(moves), len(vectors) - 1) and single.shape == (len(moves),)
+    for k in sample:
+        assert int(single[k]) == _encode(_apply_move(vectors[0], moves[k]))
+        expected = [_encode(_apply_move(v, moves[k])) for v in vectors[1:]]
+        assert [int(e) for e in batch[k]] == expected
     symmetric = _pipeline_for(j, True)
     gathers = _gather_tables(j, True)
     for (base, width), tables in zip(halves, (symmetric.gather_low, symmetric.gather_high)):
@@ -452,8 +454,7 @@ def test_relabelings_invert_the_scalar_gathers(j, symmetric):
 
 
 def test_pipelines_share_their_tables():
-    names = ["compose", "order_perm", "scan_low", "scan_high", "relabel_low", "relabel_high",
-             "move_low", "move_high"]
+    names = ["compose", "order_perm", "scan_low", "scan_high", "relabel_low", "relabel_high"]
     for j in range(1, 5):
         symmetric, plain = _pipeline_for(j, True), _pipeline_for(j, False)
         for name in names:
@@ -463,6 +464,16 @@ def test_pipelines_share_their_tables():
     three, four = _pipeline_for(3, True), _pipeline_for(4, True)
     assert three.scan_low is four.scan_low is four.scan_high
     assert three.relabel_low is four.relabel_low is four.relabel_high
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_pipeline_tables_stay_small(j, symmetric):
+    # Tables scale with the half width and the relabeling group, not with
+    # the moves: a table per move held 48 MiB at j = 4.
+    pipeline = _pipeline_for(j, symmetric)
+    held = {id(v): v for v in vars(pipeline).values() if isinstance(v, np.ndarray)}
+    assert sum(v.nbytes for v in held.values()) < 32 << 20
 
 
 def test_target_validation():

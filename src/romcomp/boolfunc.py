@@ -164,13 +164,14 @@ def parse_monomials(text: str, num_vars: int | None = None) -> Anf:
         pos = 0
         for chunk in text.split(","):
             token = chunk.strip()
+            start = pos + len(chunk) - len(chunk.lstrip())  # the monomial, after its spaces
             if token == "0":
                 mask = 0
             elif not token:
-                raise ParseError("empty monomial", pos)
+                raise ParseError("empty monomial", start)
             else:
                 mask = 0
-                sub = pos
+                sub = start
                 for part in token.split("."):
                     if not (part.isascii() and part.isdigit()) or int(part) < 1:
                         raise ParseError(f"expected a variable index, got {part!r}", sub)
@@ -183,7 +184,7 @@ def parse_monomials(text: str, num_vars: int | None = None) -> Anf:
                     max_var = max(max_var, var)
                     sub += len(part) + 1
             if mask in masks:
-                raise ParseError(f"duplicate monomial {token!r}", pos)
+                raise ParseError(f"duplicate monomial {token!r}", start)
             masks.add(mask)
             pos += len(chunk) + 1
     if num_vars is None:

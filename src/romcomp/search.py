@@ -45,6 +45,9 @@ from .program import (
 )
 
 _STATES = 4
+# Every state relabeling, identity first: the relabel rows, the moves (rows
+# 1..23 for each ROM bit) and ``ranking``'s entries all index it.
+_PERMS = tuple(itertools.permutations(range(_STATES)))
 # Raw encodings canonized per bulk call while expanding a level.
 _EXPAND_CHUNK = 1 << 20
 # Positions per packed half-signature.
@@ -127,10 +130,10 @@ def _relabelings(num_rom_bits: int, enable: bool) -> np.ndarray:
 
 
 @functools.cache
-def _order_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Over the 65 appearance orders: ``compose[a, b]`` (a, then b's new
-    states), ``order_perm[a]`` (the index of the relabeling that ranks states
-    by a, unseen ones last) and the id of each one-state order."""
+def _order_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Over the 65 appearance orders, state v alone being order v + 1:
+    ``compose[a, b]`` (a, then b's new states) and ``ranking[a, b]``, the
+    ``_PERMS`` index of the relabeling that ranks states by that order, unseen last."""
     orders = [()]
     for size in range(1, _STATES + 1):
         orders.extend(itertools.permutations(range(_STATES), size))
@@ -139,23 +142,22 @@ def _order_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         [[order_id[a + tuple(v for v in b if v not in a)] for b in orders] for a in orders],
         dtype=np.uint8,
     )
-    perm_id = {p: idx for idx, p in enumerate(itertools.permutations(range(_STATES)))}
+    perm_id = {p: idx for idx, p in enumerate(_PERMS)}
     ranked = [a + tuple(v for v in range(_STATES) if v not in a) for a in orders]
     order_perm = np.array(
         [perm_id[tuple(full.index(v) for v in range(_STATES))] for full in ranked], dtype=np.uint8
     )
-    single = np.array([order_id[(v,)] for v in range(_STATES)], dtype=np.uint8)
-    return _frozen(compose), _frozen(order_perm), _frozen(single)
+    return _frozen(compose), _frozen(order_perm[compose])
 
 
 @functools.cache
 def _scan_table(width: int) -> np.ndarray:
     """Appearance-order id of every packed half, scanned low position first."""
-    compose, _, single = _order_tables()
+    compose, _ = _order_tables()
     half = np.arange(1 << (2 * width), dtype=np.uint32)
     ids = np.zeros(half.shape, dtype=np.uint8)
     for pos in range(width):
-        ids = compose[ids, single[half >> 2 * pos & 3]]
+        ids = compose[ids, 1 + (half >> 2 * pos & 3)]
     return _frozen(ids)
 
 
@@ -170,8 +172,8 @@ def _half_tables(cols: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _relabel_table(width: int) -> np.ndarray:
-    """relabel[perm_id, half] = half with every value mapped by that permutation."""
-    perms = np.array(list(itertools.permutations(range(_STATES))), dtype=np.uint32)
+    """relabel[perm_id, half] = half with every value mapped by ``_PERMS[perm_id]``."""
+    perms = np.array(_PERMS, dtype=np.uint32)
     return _half_tables(perms << (2 * np.arange(width, dtype=np.uint32))[:, None, None])
 
 
@@ -202,7 +204,7 @@ class _TablePipeline:
         self.low_mask = np.uint32((1 << (2 * self.low_width)) - 1)
         self.low_bits = np.uint32(2 * self.low_width)
 
-        self.compose, self.order_perm, _ = _order_tables()
+        _, self.ranking = _order_tables()
         self.scan_low = _scan_table(self.low_width)
         self.scan_high = _scan_table(self.high_width)
         self.relabel_low = _relabel_table(self.low_width)
@@ -235,11 +237,8 @@ class _TablePipeline:
         low, high = self.split(encs)
         best = np.full(low.shape, 0xFFFFFFFF, dtype=np.uint32)
         for g_low, g_high in zip(self.gather_low, self.gather_high):
-            gathered = g_low[low] | g_high[high]
-            glow = gathered & self.low_mask
-            ghigh = gathered >> self.low_bits
-            order = self.compose[self.scan_low[glow], self.scan_high[ghigh]]
-            perm_id = self.order_perm[order]
+            glow, ghigh = self.split(g_low[low] | g_high[high])
+            perm_id = self.ranking[self.scan_low[glow], self.scan_high[ghigh]]
             candidate = self.relabel_low[perm_id, glow] | (
                 self.relabel_high[perm_id, ghigh] << self.low_bits
             )
@@ -263,9 +262,8 @@ def _pipeline_for(num_rom_bits: int, use_symmetry: bool) -> _TablePipeline:
 
 
 def _moves(num_rom_bits: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(ROM index, permutation images) in lexicographic order, as in relabel rows 1..23."""
-    perms = [p for p in itertools.permutations(range(_STATES)) if p != (0, 1, 2, 3)]
-    return [(i, p) for i in range(1, num_rom_bits + 1) for p in perms]
+    """(ROM index, permutation images) for each ROM bit and each of ``_PERMS[1:]``."""
+    return [(i, p) for i in range(1, num_rom_bits + 1) for p in _PERMS[1:]]
 
 
 # ---------------------------------------------------------------------------

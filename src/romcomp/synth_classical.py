@@ -322,25 +322,22 @@ def _inverse(images: Images) -> Images:
     return tuple(images.index(s) for s in range(len(images)))
 
 
-@cache
-def _five_cycles(size: int, first: int, *rest: int) -> list[Images]:
-    """The 24 5-cycles on the states {first, *rest}, sorted."""
-    return sorted(Permutation.from_cycles(size, ((first, *order),)).images
-                  for order in itertools.permutations(rest))
+# In time order sigma, tau, sigma^-1, tau^-1 is the 5-cycle 0 -> 1 -> 2 -> 3 -> 4 -> 0.
+_SIGMA, _TAU = (2, 0, 4, 1, 3), (1, 4, 3, 0, 2)
 
 
 @cache
 def _commutator_pair(target: Images) -> tuple[tuple[str, Images], ...]:
     """Barrington's four (child, target) runs in time order for the 5-cycle
-    ``target``: left at s, right at t, left at s', right at t', for the
-    lexicographically first 5-cycles on its five states with t' s' t s = target."""
-    five_cycles = _five_cycles(len(target), *(s for s, image in enumerate(target) if image != s))
-    for sigma in five_cycles:
-        for tau in five_cycles:
-            if _then(_then(_then(sigma, tau), _inverse(sigma)), _inverse(tau)) == target:
-                return (("left", sigma), ("right", tau),
-                        ("left", _inverse(sigma)), ("right", _inverse(tau)))
-    raise ValueError(f"no 5-cycle commutator decomposition for {target}")
+    ``target``: left at s, right at t, left at s', right at t', with t' s' t s
+    = target.  s and t are ``_SIGMA`` and ``_TAU`` relabeled onto target's
+    cycle c: each sends state c[i] to c[_SIGMA[i]] or c[_TAU[i]]."""
+    (cycle,) = Permutation(target).cycles()
+    sigma, tau = list(target), list(target)  # states off the cycle stay fixed
+    for i, state in enumerate(cycle):
+        sigma[state], tau[state] = cycle[_SIGMA[i]], cycle[_TAU[i]]
+    sigma, tau = tuple(sigma), tuple(tau)
+    return (("left", sigma), ("right", tau), ("left", _inverse(sigma)), ("right", _inverse(tau)))
 
 
 def _commutator_run(runs: list[tuple[CircuitNode | None, G]], split: Callable[[G], tuple],

@@ -121,6 +121,13 @@ def test_parse_monomials_errors():
     except ParseError as exc:
         err = exc
     assert err is not None and err.position == 4
+    # Positions count from the monomial after its spaces; an empty monomial
+    # points at the comma or end that closes it.
+    for text, position in [("1, x", 3), ("1,  2.y", 6), ("1.2, 1.2", 5), ("1, x ,2", 3),
+                           (" ,1", 1), ("1,,2", 2), ("1, ", 3)]:
+        with pytest.raises(ParseError) as info:
+            parse_monomials(text)
+        assert info.value.position == position, text
 
 
 def test_format_round_trip():

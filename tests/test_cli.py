@@ -85,6 +85,7 @@ def test_anf_parse_error_has_position(capsys):
     (("compile", "--backend", "quantum1", "--monomials", "١.2"), 0),
     (("compile", "--backend", "quantum1", "--f1", "t:1_00"), 1),
     (("compile", "--backend", "classical3", "--circuit", "(not x²)"), 5),
+    (("compile", "--backend", "quantum1", "--monomials", "1, x"), 3),
 ])
 def test_text_inputs_take_ascii_digits_only(capsys, argv, position):
     code, out, err = run(capsys, *argv)

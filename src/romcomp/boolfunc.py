@@ -89,6 +89,8 @@ class Anf:
         if self.num_vars < 1:
             raise ValueError("need at least one variable")
         for mask in self.monomials:
+            if type(mask) is not int:
+                raise ValueError(f"monomial mask {mask!r} is not an int")
             if mask < 0:
                 raise ValueError(f"monomial mask {mask} is negative")
             if mask.bit_length() > self.num_vars:

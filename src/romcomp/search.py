@@ -74,8 +74,8 @@ class SearchTarget:
             raise ValueError(f"num_rom_bits must be an integer >= 1, got {self.num_rom_bits!r}")
         if len(self.targets) != 1 << self.num_rom_bits:
             raise ValueError("need one target state per ROM assignment")
-        if any(not 0 <= t < _STATES for t in self.targets):
-            raise ValueError("target states must be in 0..3")
+        if any(type(t) is not int or not 0 <= t < _STATES for t in self.targets):
+            raise ValueError("target states must be ints in 0..3")
 
     @classmethod
     def all_bits_and(cls, num_rom_bits: int) -> "SearchTarget":

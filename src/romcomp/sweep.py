@@ -1,21 +1,22 @@
 """Running a program under one ROM assignment, or under all of them at once.
 
-``sweep`` keeps one state row per assignment in one array, viewed as blocks
-of ``2**BLOCK_BITS`` assignments sharing their high bits: a gate controlled by
-a bit inside a block acts on a strided half of its rows, one controlled by a
-bit above it on all or none of them.
+``sweep`` keeps one state row per assignment in one array, with one view per
+ROM bit of the rows where that bit is 1, so each gate is one numpy call over
+the rows it acts on: a strided half of all rows, or all of them if the gate is
+uncontrolled.
 
 Every gate is conditioned on one ROM bit, so a run of instructions that reads
 s distinct bits acts in only 2^s ways, however long it is.  The sweep cuts the
 program greedily into such runs (segments) of at most ``FUSE_BITS`` bits.  A
 segment can be folded once, by running its gates over its 2^s sub-assignments
-from a basis, and then applied to each block with one gather, indexed by each
-row's sub-assignment.  That pays when the segment is long and its fold much
-smaller than the blocks, so each segment is folded or run gate by gate by a
-cost estimate.  The sweep makes one pass over the segments: each block runs
-the gates up to a fold and then the fold, in place, and the fold is dropped
-before the next is made, so memory is all rows plus one fold, however long
-the program.
+from a basis, and then applied to all rows with one gather, indexed by each
+row's sub-assignment.  The gather is tiled into blocks of ``2**BLOCK_BITS``
+rows sharing their high bits, so one index serves every block.  Folding pays
+when the segment is long and its fold much smaller than the rows, so each
+segment is folded or run gate by gate by a cost estimate.  The sweep makes one
+pass over the segments in place, and drops each fold before the next is made,
+so memory is all rows, plus one fold, plus one gate's temporaries over the
+rows it acts on, however long the program.
 """
 
 from __future__ import annotations
@@ -70,14 +71,10 @@ def segments(controls: Sequence[int]) -> list[tuple[int, int, list[int]]]:
     return [(a, b, [c for c in range(1, seen.bit_length()) if seen >> c & 1]) for a, b, seen in runs]
 
 
-def _views(rows: np.ndarray, k: int, high: int, above: int) -> list[np.ndarray]:
-    """Views of the rows of ``2**k`` assignments whose bits k + 1 ..
-    k + ``above`` are those of ``high``: views[c] holds the rows where
-    u_c = 1, and views[0] every row."""
-    views = [rows]
-    views += [rows.reshape(1 << (k - c), 2, 1 << (c - 1), -1)[:, 1] for c in range(1, k + 1)]
-    views += [rows if high >> b & 1 else rows[:0] for b in range(above)]
-    return views
+def _views(rows: np.ndarray, k: int) -> list[np.ndarray]:
+    """Views of the rows of ``2**k`` assignments: views[c] holds the rows
+    where u_c = 1, and views[0] every row."""
+    return [rows] + [rows.reshape(1 << (k - c), 2, 1 << (c - 1), -1)[:, 1] for c in range(1, k + 1)]
 
 
 def _play(views: list[np.ndarray], steps: list[tuple[int, Act]]) -> None:
@@ -117,31 +114,27 @@ def sweep(
     k = min(j, BLOCK_BITS)
     low = np.arange(1 << k)
     rows = np.tile(start, (1 << j, 1))
-    split = rows.reshape(1 << (j - k), 1 << k, -1)
-    blocks = [(high, _views(block, k, high, j - k)) for high, block in enumerate(split)]
-    blocks_pass = _pass_cost(start.size << k) * (1 << (j - k))
-    done = 0
+    views = _views(rows, j)
+    blocks = rows.reshape(1 << (j - k), 1 << k, -1)
+    # A gate is one pass over all rows, a gather GATHER_PASSES over every block.
+    gate_pass = _pass_cost(start.size << j)
+    gather = GATHER_PASSES * _pass_cost(start.size << k) * len(blocks)
     for first, stop, bits in segments([control for control, _ in steps]):
-        saved = blocks_pass - _pass_cost(basis.size << len(bits))
-        if (stop - first) * saved <= GATHER_PASSES * blocks_pass:
+        if (stop - first) * (gate_pass - _pass_cost(basis.size << len(bits))) <= gather:
+            _play(views, steps[first:stop])
             continue
         local = {bit: i + 1 for i, bit in enumerate(bits)}
         folded = np.repeat(basis[None], 1 << len(bits), axis=0)
-        fold_steps = [(local.get(c, 0), act) for c, act in steps[first:stop]]
-        _play(_views(folded, len(bits), 0, 0), fold_steps)
+        _play(_views(folded, len(bits)), [(local.get(c, 0), act) for c, act in steps[first:stop]])
         apply = apply_of(folded)
-        # Each row's sub-assignment: the bits read inside the block are the
+        # Each row's sub-assignment: the bits read inside a block are the
         # same for every block, and those above it add a constant.
         index = sum(
             ((low >> (bit - 1) & 1) << i for i, bit in enumerate(bits) if bit <= k),
             np.zeros_like(low),
         ).astype(np.uint8)
         above = [(i, bit - 1 - k) for i, bit in enumerate(bits) if bit > k]
-        for high, views in blocks:
-            _play(views, steps[done:first])
+        for high, block in enumerate(blocks):
             rest = sum((high >> b & 1) << i for i, b in above)
-            views[0][...] = apply(index + rest if rest else index, views[0])
-        done = stop
-    for _, views in blocks:
-        _play(views, steps[done:])
+            block[...] = apply(index + rest if rest else index, block)
     return rows

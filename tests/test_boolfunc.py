@@ -25,6 +25,10 @@ def test_worked_two_var_example():
     table = TruthTable(2, (0, 1, 0, 0))
     assert anf_of(table).monomials == {0b01, 0b11}
     assert truth_table_of(Anf(2, frozenset({0b01, 0b11}))) == table
+    # A mask must be an int: a float used to fail on ``bit_length``.
+    for mask in (1.0, True):
+        with pytest.raises(ValueError, match="is not an int"):
+            Anf(2, frozenset({mask}))
 
 
 def test_xor_of_two_vars():

@@ -481,6 +481,11 @@ def test_target_validation():
         SearchTarget(2, (0, 0, 0))
     with pytest.raises(ValueError):
         SearchTarget(1, (0, 4))
+    # A state must be an int: a float used to fail in ``packed`` and True to
+    # be searched as state 1.
+    for state in (1.5, True, 1.0):
+        with pytest.raises(ValueError, match="must be ints in 0..3"):
+            SearchTarget(1, (0, state))
     # j > 4 is refused outright.
     with pytest.raises(ValueError):
         minimal_program(SearchTarget(5, (0,) * 32), max_depth=3)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -269,6 +270,43 @@ def random_gate(rng):
     return PermutationGate(Permutation(tuple(rng.sample(range(8), 8))))
 
 
+def test_unfolded_sweep_runs_each_gate_once_over_all_rows(monkeypatch):
+    import numpy as np
+
+    from romcomp.sim_classical import _gather
+    from romcomp.sweep import sweep
+
+    # Four blocks of rows and no folds: each instruction is one call of its
+    # gate's act over all rows, whether its bit is inside a block or above.
+    monkeypatch.setattr(sweep_module, "GATHER_PASSES", float("inf"))
+    rng = random.Random(5)
+    j = BLOCK_BITS + 2
+    gates = [random_gate(rng) for _ in range(3)]
+    controls = [None, *range(1, j + 1), None, j, 1]
+    prog = RomProgram(RomSpace(j, 3, CLASSICAL), tuple(
+        Instruction(gates[at % 3], c) for at, c in enumerate(controls)
+    ))
+    runs = Counter()
+
+    def act_of(gate):
+        images = np.array(gate.perm.images, dtype=np.uint8)
+
+        def act(rows):
+            runs[id(gate)] += 1
+            return images.take(rows)
+
+        return act
+
+    folds, apply_of = counting(_gather)
+    states = sweep(
+        prog, np.zeros(1, dtype=np.uint8), act_of, np.arange(8, dtype=np.uint8), apply_of,
+    )[:, 0]
+    assert not folds
+    assert runs == Counter(id(inst.gate) for inst in prog.instructions)
+    for u in [0, 1 << BLOCK_BITS, (1 << j) - 1] + rng.sample(range(1 << j), 100):
+        assert states[u] == evaluate(prog, u, 0)
+
+
 @pytest.mark.parametrize("j", [FUSE_BITS, FUSE_BITS + 1, BLOCK_BITS, BLOCK_BITS + 2])
 @pytest.mark.parametrize("seed", range(2))
 def test_fused_sweep_matches_evaluate(j, seed, fold_mode, monkeypatch):
@@ -300,9 +338,9 @@ def test_sweep_folds_long_segments_and_runs_short_ones_gate_by_gate(monkeypatch)
     # Segments alternate between 40 gates on bits 1-8 and 8 gates, one on
     # each bit from 9 up to j and then on bits below 9.  Only the long ones
     # save more gate passes than their gather costs: in one block of
-    # 2^BLOCK_BITS rows by the estimate itself.  Over four blocks a fold pays
-    # sooner, so a dearer gather keeps the short ones gate by gate, and each
-    # block runs them, some on bits above the block, between two folds.
+    # 2^BLOCK_BITS rows by the estimate itself.  Over four times the rows a
+    # fold pays sooner, so a dearer gather keeps the short ones gate by gate,
+    # run over all rows, some on bits above the first block, between two folds.
     folds, record = counting(sim_classical._gather)
     monkeypatch.setattr(sim_classical, "_gather", record)
     for j, gather_passes in [(BLOCK_BITS, sweep_module.GATHER_PASSES), (BLOCK_BITS + 2, 16)]:

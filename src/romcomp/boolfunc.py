@@ -32,9 +32,12 @@ class TruthTable:
                 f"table for {self.num_vars} vars needs {1 << self.num_vars} entries, "
                 f"got {len(self.bits)}"
             )
-        # Two C-level counts: a generator over 2^16 entries cost more than the sweep.
-        if self.bits.count(0) + self.bits.count(1) != len(self.bits):
-            raise ValueError("table entries must be 0 or 1")
+        # One C-level pass that refuses floats; a generator cost more than the sweep.
+        try:
+            if bytes(self.bits).translate(None, b"\0\1"):
+                raise ValueError
+        except (TypeError, ValueError):
+            raise ValueError("table entries must be 0 or 1") from None
 
     @classmethod
     def constant(cls, num_vars: int, value: int) -> "TruthTable":

@@ -89,8 +89,21 @@ def unitary_of(program: RomProgram, assignment: int) -> Unitary2:
 
 
 def _rotate(gate: Gate) -> Act:
-    """Maps amplitude rows to ``rows @ mat^T``, mat the gate's matrix."""
+    """Maps amplitude rows (amplitudes last) to ``rows @ mat^T``, mat the gate's
+    matrix: in place for diag(1, z) and for p*I + m*swap, as new rows else."""
     mat = matrix_of_gate(gate)
+    if mat.a == 1 and mat.b == mat.c == 0:
+        def phase(rows: np.ndarray) -> np.ndarray:
+            rows[..., 1] *= mat.d
+            return rows
+        return phase
+    if mat.a == mat.d and mat.b == mat.c:
+        def rotate(rows: np.ndarray) -> np.ndarray:
+            swapped = rows[..., ::-1] * mat.b
+            rows *= mat.a
+            rows += swapped
+            return rows
+        return rotate
     mat_t = np.array([[mat.a, mat.c], [mat.b, mat.d]])
     return lambda rows: (rows.reshape(-1, 2) @ mat_t).reshape(rows.shape)
 

@@ -13,10 +13,11 @@ from a basis, and then applied to all rows with one gather, indexed by each
 row's sub-assignment.  The gather is tiled into blocks of ``2**BLOCK_BITS``
 rows sharing their high bits, so one index serves every block.  Folding pays
 when the segment is long and its fold much smaller than the rows, so each
-segment is folded or run gate by gate by a cost estimate.  The sweep makes one
-pass over the segments in place, and drops each fold before the next is made,
-so memory is all rows, plus one fold, plus one gate's temporaries over the
-rows it acts on, however long the program.
+segment is folded or run gate by gate by a cost estimate.  Segments with the
+same steps share one fold, and at most j folds are kept for reuse: past that,
+the one used farthest ahead is dropped.  The sweep makes one pass over the
+segments in place, so memory is all rows, plus j + 1 folds, plus one gate's
+temporaries over the rows it acts on.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def segments(controls: Sequence[int]) -> list[tuple[int, int, list[int]]]:
 def _views(rows: np.ndarray, k: int) -> list[np.ndarray]:
     """Views of the rows of ``2**k`` assignments: views[c] holds the rows
     where u_c = 1, and views[0] every row."""
-    return [rows] + [rows.reshape(1 << (k - c), 2, 1 << (c - 1), -1)[:, 1] for c in range(1, k + 1)]
+    return [rows] + [rows.reshape(-1, 2, 1 << (c - 1), *rows.shape[1:])[:, 1] for c in range(1, k + 1)]
 
 
 def _play(views: list[np.ndarray], steps: list[tuple[int, Act]]) -> None:
@@ -99,10 +100,10 @@ def sweep(
     """The final rows of every assignment, in assignment order.
 
     Rows start as ``start``; ``act_of(gate)`` maps rows to their images under
-    the gate.  It is called once per distinct gate object, since compiled
-    programs repeat a few dozen gates many times.  A segment folds to one
-    ``basis`` row per sub-assignment, and ``apply_of(folded)(sub, rows)``
-    maps each row to its image under the segment at sub-assignment ``sub``.
+    the gate, in place or as new rows; it is called once per distinct gate
+    object, since programs repeat a few dozen gates many times.  A segment
+    folds to one ``basis`` row per sub-assignment, and ``apply_of(folded)(sub,
+    rows)`` maps each row to its image under the segment at sub-assignment ``sub``.
     """
     j = program.space.num_rom_bits
     if j > SWEEP_LIMIT:
@@ -119,22 +120,34 @@ def sweep(
     # A gate is one pass over all rows, a gather GATHER_PASSES over every block.
     gate_pass = _pass_cost(start.size << j)
     gather = GATHER_PASSES * _pass_cost(start.size << k) * len(blocks)
-    for first, stop, bits in segments([control for control, _ in steps]):
-        if (stop - first) * (gate_pass - _pass_cost(basis.size << len(bits))) <= gather:
+    runs = segments([control for control, _ in steps])
+    # The segments to fold, each mapped to the next one with the same steps,
+    # which reuses its fold, or to None; ``kept`` holds folds by that next one.
+    folded, last, kept = {}, {}, {}
+    for at, (first, stop, bits) in reversed(list(enumerate(runs))):
+        if (stop - first) * (gate_pass - _pass_cost(basis.size << len(bits))) > gather:
+            key = tuple(steps[first:stop])
+            folded[at], last[key] = last.get(key), at
+    for at, (first, stop, bits) in enumerate(runs):
+        if at not in folded:
             _play(views, steps[first:stop])
             continue
-        local = {bit: i + 1 for i, bit in enumerate(bits)}
-        folded = np.repeat(basis[None], 1 << len(bits), axis=0)
-        _play(_views(folded, len(bits)), [(local.get(c, 0), act) for c, act in steps[first:stop]])
-        apply = apply_of(folded)
-        # Each row's sub-assignment: the bits read inside a block are the
-        # same for every block, and those above it add a constant.
-        index = sum(
-            ((low >> (bit - 1) & 1) << i for i, bit in enumerate(bits) if bit <= k),
-            np.zeros_like(low),
-        ).astype(np.uint8)
-        above = [(i, bit - 1 - k) for i, bit in enumerate(bits) if bit > k]
+        if (fold := kept.pop(at, None)) is None:
+            local = {bit: i + 1 for i, bit in enumerate(bits)}
+            table = np.repeat(basis[None], 1 << len(bits), axis=0)
+            _play(_views(table, len(bits)), [(local.get(c, 0), act) for c, act in steps[first:stop]])
+            # Each row's sub-assignment: the bits read inside a block are the
+            # same for every block, and those above it add a constant.
+            inside = [(low >> (bit - 1) & 1) << i for i, bit in enumerate(bits) if bit <= k]
+            above = [(i, bit - 1 - k) for i, bit in enumerate(bits) if bit > k]
+            fold = apply_of(table), sum(inside, np.zeros_like(low)).astype(np.uint8), above
+        if folded[at] is not None:
+            kept[folded[at]] = fold
+            if len(kept) > j:
+                del kept[max(kept)]  # the one used farthest ahead
+        apply, index, above = fold
         for high, block in enumerate(blocks):
             rest = sum((high >> b & 1) << i for i, b in above)
             block[...] = apply(index + rest if rest else index, block)
+        del fold, apply  # so that at most j + 1 folds are alive
     return rows

@@ -31,6 +31,14 @@ def test_worked_two_var_example():
             Anf(2, frozenset({mask}))
 
 
+def test_truth_table_entries_are_ints_zero_or_one():
+    assert TruthTable(1, (False, True)).bits == (0, 1)
+    # 1.0 == 1, but a float is not an int entry, as for Anf masks.
+    for bad in (1.0, 0.0, 2, -1, 256, "1", None):
+        with pytest.raises(ValueError, match="table entries must be 0 or 1"):
+            TruthTable(1, (0, bad))
+
+
 def test_xor_of_two_vars():
     table = truth_table_of(Anf(3, frozenset({0b001, 0b100})))
     assert table.bits == tuple((u & 1) ^ (u >> 2 & 1) for u in range(8))

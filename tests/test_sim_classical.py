@@ -1,4 +1,5 @@
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -361,3 +362,93 @@ def test_sweep_folds_long_segments_and_runs_short_ones_gate_by_gate(monkeypatch)
         for u in [0, (1 << j) - 1] + rng.sample(range(1 << j), 300):
             state = evaluate(prog, u, 0)
             assert [table.bits[u] for table in vf.components] == [state >> b & 1 for b in range(3)]
+
+
+def tracking(apply_of):
+    """``apply_of`` that records each fold it is given, and the most of the
+    gathers it made that were alive at one time."""
+    folds, alive, most = [], weakref.WeakSet(), [0]
+
+    def record(folded):
+        folds.append(folded)
+        apply = apply_of(folded)
+
+        def tracked(sub, rows):
+            return apply(sub, rows)
+
+        alive.add(tracked)
+        most[0] = max(most[0], len(alive))
+        return tracked
+
+    return folds, most, record
+
+
+def segment_program(kind, order):
+    """A program at j = 2 * FUSE_BITS whose segments are the gate lists in
+    ``order``: the lists at even positions read bits 1..FUSE_BITS in turn,
+    and those at odd positions the bits above, so each list is one segment."""
+    instructions = [
+        Instruction(gate, FUSE_BITS * (at % 2) + bit)
+        for at, gates in enumerate(order) for bit, gate in enumerate(gates, start=1)
+    ]
+    assert len(cut(instructions)) == len(order)
+    space = RomSpace(2 * FUSE_BITS, 1 if kind == "quantum" else 3, kind)
+    return RomProgram(space, tuple(instructions))
+
+
+def random_segment(rng):
+    return [random_gate(rng) for _ in range(FUSE_BITS)]
+
+
+def sweep_states(program, apply_of):
+    import numpy as np
+
+    from romcomp.sweep import sweep
+
+    return sweep(
+        program, np.zeros(1, dtype=np.uint8),
+        lambda gate: np.array(gate.perm.images, dtype=np.uint8).take,
+        np.arange(8, dtype=np.uint8), apply_of,
+    )[:, 0]
+
+
+def test_fold_is_shared_only_by_segments_of_the_same_gate_objects(monkeypatch):
+    from romcomp.sim_classical import _gather
+
+    for name, value in FOLD_MODES["every"].items():
+        monkeypatch.setattr(sweep_module, name, value)
+    rng = random.Random(30)
+    low, high, other = random_segment(rng), random_segment(rng), random_segment(rng)
+    # Equal gates and controls, but new objects: a second fold.
+    copies = [PermutationGate(Permutation(gate.perm.images)) for gate in low]
+    assert copies == low and all(a is not b for a, b in zip(copies, low))
+    prog = segment_program(CLASSICAL, [low, high, other, high, copies, high, low, high])
+    folds, apply_of = counting(_gather)
+    states = sweep_states(prog, apply_of)
+    # Eight segments, four distinct lists of gate objects: low, high, other, copies.
+    assert len(folds) == 4
+    j = 2 * FUSE_BITS
+    for u in [0, (1 << j) - 1] + rng.sample(range(1 << j), 200):
+        assert states[u] == evaluate(prog, u, 0)
+
+
+def test_sweep_keeps_at_most_j_folds_and_drops_the_one_used_farthest_ahead(monkeypatch):
+    from romcomp.sim_classical import _gather
+
+    for name, value in FOLD_MODES["every"].items():
+        monkeypatch.setattr(sweep_module, name, value)
+    rng = random.Random(31)
+    j = 2 * FUSE_BITS
+    # j + 2 distinct segments, played three times in the same order: each is
+    # used again only after all the others.
+    distinct = [random_segment(rng) for _ in range(j + 2)]
+    prog = segment_program(CLASSICAL, distinct * 3)
+    folds, most, apply_of = tracking(_gather)
+    states = sweep_states(prog, apply_of)
+    # At most j kept besides the one just built.  The fold used farthest
+    # ahead is dropped, so the first j are built once and the last two once
+    # per pass; dropping the one used soonest, or the oldest, builds more.
+    assert most[0] <= j + 1
+    assert len(folds) == len(distinct) + 4
+    for u in [0, (1 << j) - 1] + rng.sample(range(1 << j), 200):
+        assert states[u] == evaluate(prog, u, 0)

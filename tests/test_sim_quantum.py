@@ -20,10 +20,11 @@ from romcomp import (
 )
 from romcomp.program import MAX_SHARED_DYADIC_GATES, dyadic_gate
 from romcomp.sim_quantum import OUTCOME_THRESHOLD, Unitary2, _rotation_matrix
+import romcomp.sweep as sweep_module
 from romcomp.sweep import BLOCK_BITS, FUSE_BITS, segments
 
 from test_sim_classical import (  # noqa: F401 (a fixture)
-    FOLD_MODES, assert_fold_mode_kept, counting, cut, fold_mode,
+    FOLD_MODES, assert_fold_mode_kept, counting, cut, fold_mode, segment_program, tracking,
 )
 
 HALF = DyadicExponent(1, 1)
@@ -370,3 +371,123 @@ def test_raw_matrix_program_times_its_inverse_is_the_identity():
     for u in range(4):
         assert unitary_of(program, u).max_entry_distance(Unitary2.identity()) > 0.1
         assert unitary_of(round_trip, u).max_entry_distance(Unitary2.identity()) < 1e-12
+
+
+# Dyadic X and Z at exponents +-1, +-1/2 and +-1/32, then raw gates: the
+# diagonal S, a diagonal with a phase on |0>, an X rotation with imaginary
+# off-diagonal entries, H, and a real rotation, which is not symmetric.
+R = 2 ** -0.5
+KERNEL_GATES = [
+    *(DyadicGate(axis, DyadicExponent(sign, k))
+      for axis in "XZ" for sign in (1, -1) for k in (0, 1, 5)),
+    UnitaryGate((1 + 0j, 0j, 0j, 1j)),
+    UnitaryGate((1j, 0j, 0j, 1 + 0j)),
+    UnitaryGate((0.6 + 0j, -0.8j, -0.8j, 0.6 + 0j)),
+    UnitaryGate((R + 0j, R + 0j, R + 0j, -R + 0j)),
+    UnitaryGate((R + 0j, -R + 0j, R + 0j, R + 0j)),
+]
+
+
+@pytest.mark.parametrize("gate", KERNEL_GATES, ids=range(len(KERNEL_GATES)))
+@pytest.mark.parametrize("trailing", [(2,), (2, 2)], ids=["rows", "fold"])
+def test_rotate_maps_each_bit_view_to_its_matrix_product(gate, trailing):
+    import numpy as np
+
+    from romcomp.sim_quantum import _rotate, matrix_of_gate
+    from romcomp.sweep import _play, _views
+
+    # The sweep's rows, or a fold's rows of 2x2 tables, with random
+    # amplitudes; the gate acts as _play runs it, on the rows where u_c = 1.
+    j = 5
+    rng = np.random.default_rng(30)
+    rows = rng.normal(size=(1 << j, *trailing)) + 1j * rng.normal(size=(1 << j, *trailing))
+    m = matrix_of_gate(gate)
+    mat_t = np.array([[m.a, m.c], [m.b, m.d]])
+    act = _rotate(gate)
+    for control in range(j + 1):
+        before = rows.copy()
+        _play(_views(rows, j), [(control, act)])
+        on = (np.arange(1 << j) >> (control - 1) & 1 == 1) if control else np.ones(1 << j, bool)
+        assert abs(rows[on] - before[on] @ mat_t).max() < 1e-12
+        assert (rows[~on] == before[~on]).all()
+
+
+def test_and_naive_folds_each_repeated_segment_once(monkeypatch):
+    import romcomp.sim_quantum as sim_quantum
+    from romcomp import and_naive
+
+    # 15 segments are folded, of 7 distinct runs of steps.
+    program = and_naive(list(range(1, 12)), 11)
+    folds, record = counting(sim_quantum._combine)
+    monkeypatch.setattr(sim_quantum, "_combine", record)
+    table = extract_boolean(program)
+    assert len(folds) == 7
+    assert table.bits == (0,) * ((1 << 11) - 1) + (1,)
+    for name, value in FOLD_MODES["never"].items():
+        monkeypatch.setattr(sweep_module, name, value)
+    assert extract_boolean(program) == table
+    assert len(folds) == 7
+    rng = random.Random(30)
+    for u in [0, (1 << 10) - 1, (1 << 11) - 1] + rng.sample(range(1 << 11), 20):
+        p1 = abs(unitary_of(program, u).apply(1, 0)[1]) ** 2
+        assert table.bits[u] == int(p1 > 1 - OUTCOME_THRESHOLD)
+
+
+def random_rotation(rng):
+    return DyadicGate(rng.choice("XZ"), DyadicExponent(rng.choice([-1, 1]), rng.randrange(4)))
+
+
+def sweep_amplitudes(program, apply_of):
+    import numpy as np
+
+    from romcomp.sim_quantum import _rotate
+
+    return sweep_module.sweep(
+        program, np.array([1, 0], dtype=complex), _rotate, np.eye(2, dtype=complex), apply_of,
+    )
+
+
+def assert_amplitudes_match_unitary_of(prog, amps, rng):
+    j = prog.space.num_rom_bits
+    for u in [0, (1 << j) - 1] + rng.sample(range(1 << j), 40):
+        want = unitary_of(prog, u).apply(1, 0)
+        assert abs(amps[u] - want).max() < 1e-9
+
+
+def test_qubit_fold_is_shared_only_by_segments_of_the_same_gate_objects(monkeypatch):
+    from romcomp.sim_quantum import _combine
+
+    for name, value in FOLD_MODES["every"].items():
+        monkeypatch.setattr(sweep_module, name, value)
+    rng = random.Random(32)
+    low, high, other = ([random_rotation(rng) for _ in range(FUSE_BITS)] for _ in range(3))
+    # Equal gates and controls, but new objects: a second fold.
+    copies = [DyadicGate(gate.axis, gate.exponent) for gate in low]
+    assert copies == low and all(a is not b for a, b in zip(copies, low))
+    prog = segment_program(QUANTUM, [low, high, other, high, copies, high, low, high])
+    folds, apply_of = counting(_combine)
+    amps = sweep_amplitudes(prog, apply_of)
+    # Eight segments, four distinct lists of gate objects: low, high, other, copies.
+    assert len(folds) == 4
+    assert_amplitudes_match_unitary_of(prog, amps, rng)
+
+
+def test_qubit_sweep_keeps_at_most_j_folds(monkeypatch):
+    from romcomp.sim_quantum import _combine
+
+    for name, value in FOLD_MODES["every"].items():
+        monkeypatch.setattr(sweep_module, name, value)
+    rng = random.Random(33)
+    j = 2 * FUSE_BITS
+    # j + 2 distinct segments, played three times in the same order: each is
+    # used again only after all the others.
+    distinct = [[random_rotation(rng) for _ in range(FUSE_BITS)] for _ in range(j + 2)]
+    prog = segment_program(QUANTUM, distinct * 3)
+    folds, most, apply_of = tracking(_combine)
+    amps = sweep_amplitudes(prog, apply_of)
+    # At most j kept besides the one just built.  The fold used farthest
+    # ahead is dropped, so the first j are built once and the last two once
+    # per pass; dropping the one used soonest, or the oldest, builds more.
+    assert most[0] <= j + 1
+    assert len(folds) == len(distinct) + 4
+    assert_amplitudes_match_unitary_of(prog, amps, rng)

@@ -45,12 +45,12 @@ from .search import (
     minimal_program,
 )
 from .serialize import ProgramFormatError, dumps, loads, program_from_dict, program_to_dict
-from .sim_classical import evaluate, extract_function, permutation_of
+from .sim_classical import extract_function, permutation_of
 from .sim_quantum import (
     NonClassicalOutput,
     Unitary2,
     extract_boolean,
-    gate_matrix,
+    matrix_of_gate,
     unitary_of,
 )
 from .synth_classical import (

@@ -25,8 +25,8 @@ class TruthTable:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.num_vars < 1:
-            raise ValueError("need at least one variable")
+        if type(self.num_vars) is not int or self.num_vars < 1:
+            raise ValueError(f"num_vars must be an integer >= 1, got {self.num_vars!r}")
         if len(self.bits) != 1 << self.num_vars:
             raise ValueError(
                 f"table for {self.num_vars} vars needs {1 << self.num_vars} entries, "
@@ -89,8 +89,8 @@ class Anf:
     monomials: frozenset[int]
 
     def __post_init__(self) -> None:
-        if self.num_vars < 1:
-            raise ValueError("need at least one variable")
+        if type(self.num_vars) is not int or self.num_vars < 1:
+            raise ValueError(f"num_vars must be an integer >= 1, got {self.num_vars!r}")
         for mask in self.monomials:
             if type(mask) is not int:
                 raise ValueError(f"monomial mask {mask!r} is not an int")

@@ -24,17 +24,6 @@ def permutation_of(program: RomProgram, assignment: int) -> Permutation:
     return Permutation(tuple(images))
 
 
-def evaluate(program: RomProgram, assignment: int, start: int) -> int:
-    """Final writable state reached from ``start`` under one assignment."""
-    require_kind(program, CLASSICAL)
-    if not 0 <= start < program.space.num_states:
-        raise ValueError(f"start state {start} out of range")
-    state = start
-    for gate in active_gates(program, assignment):
-        state = gate.perm.images[state]
-    return state
-
-
 def _gather(images: np.ndarray) -> Apply:
     """Maps state rows to ``images[sub, state]``: one image table per
     sub-assignment, read with one flat gather."""

@@ -19,7 +19,6 @@ import numpy as np
 from .boolfunc import TruthTable
 from .program import (
     QUANTUM,
-    DyadicExponent,
     DyadicGate,
     Gate,
     KindMismatchError,
@@ -48,27 +47,21 @@ class NonClassicalOutput(Exception):
         self.amplitudes = amplitudes
 
 
-def gate_matrix(axis: str, exponent: DyadicExponent) -> Unitary2:
-    """Matrix of X**t or Z**t for dyadic t."""
-    return _rotation_matrix(axis, exponent.num, exponent.log2den)
-
-
 @functools.lru_cache(maxsize=MAX_SHARED_DYADIC_GATES)
 def _rotation_matrix(axis: str, num: int, log2den: int) -> Unitary2:
-    """``gate_matrix`` memoised on plain ints, which hash in C, and bounded
-    like ``dyadic_gate``'s cache, since loaded exponents come from outside."""
+    """axis**(num / 2**log2den), memoised on plain ints, which hash in C, and
+    bounded like ``dyadic_gate``'s cache: loaded exponents come from outside."""
     phase = cmath.exp(1j * cmath.pi * (num / (1 << log2den)))
     if axis == "Z":
         return Unitary2(1.0, 0.0, 0.0, phase)
-    if axis == "X":
-        # H diag(1, phase) H, written out.
-        p = (1 + phase) / 2
-        m = (1 - phase) / 2
-        return Unitary2(p, m, m, p)
-    raise ValueError(f"axis must be X or Z, got {axis!r}")
+    # X, the only other axis a DyadicGate takes: H diag(1, phase) H, written out.
+    p = (1 + phase) / 2
+    m = (1 - phase) / 2
+    return Unitary2(p, m, m, p)
 
 
 def matrix_of_gate(gate: Gate) -> Unitary2:
+    """The matrix of a rotation or a raw unitary gate."""
     if isinstance(gate, DyadicGate):
         return _rotation_matrix(gate.axis, gate.exponent.num, gate.exponent.log2den)
     if isinstance(gate, UnitaryGate):

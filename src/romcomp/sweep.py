@@ -8,16 +8,18 @@ uncontrolled.
 Every gate is conditioned on one ROM bit, so a run of instructions that reads
 s distinct bits acts in only 2^s ways, however long it is.  The sweep cuts the
 program greedily into such runs (segments) of at most ``FUSE_BITS`` bits.  A
-segment can be folded once, by running its gates over its 2^s sub-assignments
-from a basis, and then applied to all rows with one gather, indexed by each
-row's sub-assignment.  The gather is tiled into blocks of ``2**BLOCK_BITS``
-rows sharing their high bits, so one index serves every block.  Folding pays
-when the segment is long and its fold much smaller than the rows, so each
-segment is folded or run gate by gate by a cost estimate.  Segments with the
-same steps share one fold, and at most j folds are kept for reuse: past that,
-the one used farthest ahead is dropped.  The sweep makes one pass over the
-segments in place, so memory is all rows, plus j + 1 folds, plus one gate's
-temporaries over the rows it acts on.
+segment can be folded once, by the sweep of its own gates over its 2^s
+sub-assignments from a basis, and then applied to all rows with one gather,
+indexed by each row's sub-assignment.  The gather is tiled into blocks of
+``2**BLOCK_BITS`` rows sharing their high bits, so one index serves every
+block.  Folding pays when the segment is long and its fold much smaller than
+the rows, so each segment is folded or run gate by gate by a cost estimate.
+A segment that reads every bit of its sweep is never folded: its fold would
+be that sweep again, so a fold's own sweep runs gate by gate.  Segments
+with the same steps share one fold, and at most j folds are kept for reuse:
+past that, the one used farthest ahead is dropped.  The sweep makes one pass
+over the segments in place, so memory is all rows, plus j + 1 folds, plus
+one gate's temporaries over the rows it acts on.
 """
 
 from __future__ import annotations
@@ -112,20 +114,27 @@ def sweep(
     gates = {id(inst.gate): inst.gate for inst in program.instructions}
     acts = {key: act_of(gate) for key, gate in gates.items()}
     steps = [(inst.control or 0, acts[id(inst.gate)]) for inst in program.instructions]
+    return _sweep_steps(steps, j, start, basis, apply_of)
+
+
+def _sweep_steps(steps: list[tuple[int, Act]], j: int, start: np.ndarray, basis: np.ndarray,
+                 apply_of: Callable[[np.ndarray], Apply]) -> np.ndarray:
+    """``sweep`` of ``steps``, each a (control, act) pair, over j ROM bits."""
     k = min(j, BLOCK_BITS)
     low = np.arange(1 << k)
-    rows = np.tile(start, (1 << j, 1))
+    rows = np.repeat(start[None], 1 << j, axis=0)
     views = _views(rows, j)
-    blocks = rows.reshape(1 << (j - k), 1 << k, -1)
+    blocks = rows.reshape(1 << (j - k), 1 << k, *start.shape)
     # A gate is one pass over all rows, a gather GATHER_PASSES over every block.
     gate_pass = _pass_cost(start.size << j)
     gather = GATHER_PASSES * _pass_cost(start.size << k) * len(blocks)
     runs = segments([control for control, _ in steps])
     # The segments to fold, each mapped to the next one with the same steps,
     # which reuses its fold, or to None; ``kept`` holds folds by that next one.
+    # A segment that reads every bit is not folded: its fold is this sweep.
     folded, last, kept = {}, {}, {}
     for at, (first, stop, bits) in reversed(list(enumerate(runs))):
-        if (stop - first) * (gate_pass - _pass_cost(basis.size << len(bits))) > gather:
+        if len(bits) < j and (stop - first) * (gate_pass - _pass_cost(basis.size << len(bits))) > gather:
             key = tuple(steps[first:stop])
             folded[at], last[key] = last.get(key), at
     for at, (first, stop, bits) in enumerate(runs):
@@ -134,8 +143,8 @@ def sweep(
             continue
         if (fold := kept.pop(at, None)) is None:
             local = {bit: i + 1 for i, bit in enumerate(bits)}
-            table = np.repeat(basis[None], 1 << len(bits), axis=0)
-            _play(_views(table, len(bits)), [(local.get(c, 0), act) for c, act in steps[first:stop]])
+            table = _sweep_steps([(local.get(c, 0), act) for c, act in steps[first:stop]],
+                                 len(bits), basis, basis, apply_of)
             # Each row's sub-assignment: the bits read inside a block are the
             # same for every block, and those above it add a constant.
             inside = [(low >> (bit - 1) & 1) << i for i, bit in enumerate(bits) if bit <= k]

@@ -10,6 +10,7 @@ import time
 from romcomp import (
     Anf,
     DyadicExponent,
+    DyadicGate,
     Permutation,
     SearchTarget,
     TruthTable,
@@ -25,12 +26,12 @@ from romcomp import (
     conjectured_minimal_calls,
     dumps,
     eval_circuit,
-    evaluate,
     extract_boolean,
     extract_function,
-    gate_matrix,
+    matrix_of_gate,
     minimal_program,
     one_bit_reachable,
+    permutation_of,
     rom_call_count,
     and_sequence,
     truth_table_of,
@@ -65,9 +66,10 @@ def and_table(num_bits):
 def test_criterion_01_gate_identities():
     watch = Stopwatch(1.0)
     half = DyadicExponent(1, 1)
-    x_half, x_negh = gate_matrix("X", half), gate_matrix("X", -half)
-    z_half, z_negh = gate_matrix("Z", half), gate_matrix("Z", -half)
-    x_full, z_full = gate_matrix("X", DyadicExponent(1)), gate_matrix("Z", DyadicExponent(1))
+    x_half, x_negh = matrix_of_gate(DyadicGate("X", half)), matrix_of_gate(DyadicGate("X", -half))
+    z_half, z_negh = matrix_of_gate(DyadicGate("Z", half)), matrix_of_gate(DyadicGate("Z", -half))
+    x_full = matrix_of_gate(DyadicGate("X", DyadicExponent(1)))
+    z_full = matrix_of_gate(DyadicGate("Z", DyadicExponent(1)))
     ix = Unitary2(0, 1j, 1j, 0)
     iz = Unitary2(1j, 0, 0, -1j)
     bit_flip = x_negh @ z_full @ x_half @ z_full
@@ -125,8 +127,9 @@ def test_criterion_05_two_bit_universality():
         product_mask = (1 << m) - 1
         for u in range(1 << m):
             product = 1 if u == product_mask else 0
+            images = permutation_of(prog, u).images
             for start in range(4):
-                end = evaluate(prog, u, start)
+                end = images[start]
                 want = start ^ (product << (register - 1))
                 assert end == want
     for p1 in range(16):

@@ -29,6 +29,10 @@ def test_worked_two_var_example():
     for mask in (1.0, True):
         with pytest.raises(ValueError, match="is not an int"):
             Anf(2, frozenset({mask}))
+    # So must the width: 2.0 and True used to be taken for 2 and 1.
+    for num_vars, monomials in ((2.0, frozenset()), (True, frozenset({1}))):
+        with pytest.raises(ValueError, match="num_vars must be an integer >= 1"):
+            Anf(num_vars, monomials)
 
 
 def test_truth_table_entries_are_ints_zero_or_one():
@@ -37,6 +41,10 @@ def test_truth_table_entries_are_ints_zero_or_one():
     for bad in (1.0, 0.0, 2, -1, 256, "1", None):
         with pytest.raises(ValueError, match="table entries must be 0 or 1"):
             TruthTable(1, (0, bad))
+    # A float width used to escape as a TypeError from ``1 << 2.0``.
+    for num_vars, bits in ((2.0, (0,) * 4), (True, (0, 1))):
+        with pytest.raises(ValueError, match="num_vars must be an integer >= 1"):
+            TruthTable(num_vars, bits)
 
 
 def test_xor_of_two_vars():

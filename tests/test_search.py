@@ -11,9 +11,9 @@ from romcomp import (
     SearchTarget,
     conjectured_minimal_calls,
     dumps,
-    evaluate,
     extract_function,
     minimal_program,
+    permutation_of,
     rom_call_count,
 )
 from romcomp.search import _moves, _pipeline_for, _relabelings
@@ -111,7 +111,7 @@ def _apply_move(
 def check_witness(result, target):
     assert rom_call_count(result.witness) == result.minimal_rom_calls
     got = tuple(
-        evaluate(result.witness, u, 0) for u in range(1 << target.num_rom_bits)
+        permutation_of(result.witness, u).images[0] for u in range(1 << target.num_rom_bits)
     )
     assert got == target.targets
 
@@ -142,7 +142,7 @@ AND4_WITNESS = pinned(
 # signature, each step takes the first move (in ``_moves`` order) into the
 # previous level, and the walk inverted is the program, after one free gate
 # when the walk ends on a nonzero constant.  Each witness was checked with
-# ``evaluate`` on every assignment before it was pinned.  ``nodes`` counts
+# ``permutation_of`` on every assignment before it was pinned.  ``nodes`` counts
 # the classes the bidirectional search expanded, in both directions.
 PINNED_SEARCHES = [
     (SearchTarget.all_bits_and(3), True, 5, 11, AND3_WITNESS),

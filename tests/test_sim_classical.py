@@ -14,7 +14,6 @@ from romcomp import (
     RomProgram,
     RomSpace,
     concat,
-    evaluate,
     extract_function,
     inverse,
     permutation_of,
@@ -87,9 +86,9 @@ def test_single_controlled_not():
 
 def test_s1_evaluation():
     prog = s1_program()
-    assert evaluate(prog, 0b11, 0) == 2  # |0>|1>
-    assert evaluate(prog, 0b01, 0) == 0
-    assert evaluate(prog, 0b10, 0) == 0
+    assert permutation_of(prog, 0b11).images[0] == 2  # |0>|1>
+    assert permutation_of(prog, 0b01).images[0] == 0
+    assert permutation_of(prog, 0b10).images[0] == 0
     assert rom_call_count(prog) == 4
 
 
@@ -104,7 +103,7 @@ def test_worked_example_pointwise():
     prog = worked_example_program()
     for u in range(8):
         u1, u2, u3 = u & 1, u >> 1 & 1, u >> 2 & 1
-        state = evaluate(prog, u, 0)
+        state = permutation_of(prog, u).images[0]
         assert state & 1 == u1 ^ u3
         assert state >> 1 == u1 ^ (u1 & u2)
 
@@ -112,9 +111,7 @@ def test_worked_example_pointwise():
 def test_evaluate_validates():
     prog = s1_program()
     with pytest.raises(ValueError):
-        evaluate(prog, 0, 4)
-    with pytest.raises(ValueError):
-        evaluate(prog, 4, 0)
+        permutation_of(prog, 4)
     quantum = RomProgram(RomSpace(1, 1, "quantum"))
     with pytest.raises(KindMismatchError):
         permutation_of(quantum, 0)
@@ -184,7 +181,7 @@ def test_block_sweep_matches_evaluate(seed):
     vf = extract_function(prog)
     edges = [0, 1 << BLOCK_BITS, 1 << (BLOCK_BITS + 1), (1 << j) - 1]
     for u in edges + rng.sample(range(1 << j), 200):
-        state = evaluate(prog, u, 0)
+        state = permutation_of(prog, u).images[0]
         assert [table.bits[u] for table in vf.components] == [state >> b & 1 for b in range(3)]
 
 
@@ -234,10 +231,12 @@ def counting(apply_of):
 
 
 def assert_fold_mode_kept(fold_mode, folds, program):
-    """The "every" mode folds each segment, however few rows the sweep has,
-    and the "never" mode none."""
+    """The "every" mode folds each segment that reads fewer bits than the
+    program, however few rows the sweep has, and the "never" mode none."""
     if fold_mode == "every":
-        assert len(folds) == len(cut(program.instructions))
+        controls = [inst.control or 0 for inst in program.instructions]
+        j = program.space.num_rom_bits
+        assert len(folds) == sum(len(bits) < j for _, _, bits in segments(controls))
     elif fold_mode == "never":
         assert not folds
 
@@ -305,7 +304,7 @@ def test_unfolded_sweep_runs_each_gate_once_over_all_rows(monkeypatch):
     assert not folds
     assert runs == Counter(id(inst.gate) for inst in prog.instructions)
     for u in [0, 1 << BLOCK_BITS, (1 << j) - 1] + rng.sample(range(1 << j), 100):
-        assert states[u] == evaluate(prog, u, 0)
+        assert states[u] == permutation_of(prog, u).images[0]
 
 
 @pytest.mark.parametrize("j", [FUSE_BITS, FUSE_BITS + 1, BLOCK_BITS, BLOCK_BITS + 2])
@@ -329,7 +328,7 @@ def test_fused_sweep_matches_evaluate(j, seed, fold_mode, monkeypatch):
     assert_fold_mode_kept(fold_mode, folds, prog)
     edges = [u for u in (0, 1 << FUSE_BITS, 1 << BLOCK_BITS, (1 << j) - 1) if u < 1 << j]
     for u in edges + rng.sample(range(1 << j), 200):
-        state = evaluate(prog, u, 0)
+        state = permutation_of(prog, u).images[0]
         assert [table.bits[u] for table in vf.components] == [state >> b & 1 for b in range(3)]
 
 
@@ -360,7 +359,7 @@ def test_sweep_folds_long_segments_and_runs_short_ones_gate_by_gate(monkeypatch)
         vf = extract_function(prog)
         assert len(folds) == 3
         for u in [0, (1 << j) - 1] + rng.sample(range(1 << j), 300):
-            state = evaluate(prog, u, 0)
+            state = permutation_of(prog, u).images[0]
             assert [table.bits[u] for table in vf.components] == [state >> b & 1 for b in range(3)]
 
 
@@ -429,7 +428,7 @@ def test_fold_is_shared_only_by_segments_of_the_same_gate_objects(monkeypatch):
     assert len(folds) == 4
     j = 2 * FUSE_BITS
     for u in [0, (1 << j) - 1] + rng.sample(range(1 << j), 200):
-        assert states[u] == evaluate(prog, u, 0)
+        assert states[u] == permutation_of(prog, u).images[0]
 
 
 def test_sweep_keeps_at_most_j_folds_and_drops_the_one_used_farthest_ahead(monkeypatch):
@@ -451,4 +450,57 @@ def test_sweep_keeps_at_most_j_folds_and_drops_the_one_used_farthest_ahead(monke
     assert most[0] <= j + 1
     assert len(folds) == len(distinct) + 4
     for u in [0, (1 << j) - 1] + rng.sample(range(1 << j), 200):
-        assert states[u] == evaluate(prog, u, 0)
+        assert states[u] == permutation_of(prog, u).images[0]
+
+
+@pytest.mark.parametrize("j", [FUSE_BITS + 1, BLOCK_BITS + 2])
+def test_sweep_from_every_start_state_gives_each_whole_permutation(j, fold_mode):
+    import numpy as np
+
+    from romcomp.sim_classical import _gather
+    from romcomp.sweep import sweep
+
+    # Rows of all eight start states, so each fold gathers rows of eight.
+    rng = random.Random(j)
+    controls = [None, *range(1, j + 1), *range(1, j + 1), *range(1, j + 1)]
+    rng.shuffle(controls)
+    prog = RomProgram(RomSpace(j, 3, CLASSICAL), tuple(
+        Instruction(random_gate(rng), c) for c in controls
+    ))
+    states = np.arange(8, dtype=np.uint8)
+    folds, apply_of = counting(_gather)
+    rows = sweep(
+        prog, states, lambda gate: np.array(gate.perm.images, dtype=np.uint8).take,
+        states, apply_of,
+    )
+    assert_fold_mode_kept(fold_mode, folds, prog)
+    assert rows.shape == (1 << j, 8)
+    for u, images in enumerate(rows.tolist()):
+        assert tuple(images) == permutation_of(prog, u).images
+
+
+def test_every_mode_does_not_fold_a_segment_that_reads_every_bit(monkeypatch):
+    from romcomp.sim_classical import _gather
+
+    # At j = FUSE_BITS the one segment reads all the bits: its fold would be
+    # the sweep itself, so it is played gate by gate.  Without bit 1, it folds.
+    rng = random.Random(8)
+    j = FUSE_BITS
+    controls = [None, *range(1, j + 1), *range(1, j + 1)]
+    rng.shuffle(controls)
+    every_bit = RomProgram(RomSpace(j, 3, CLASSICAL), tuple(
+        Instruction(random_gate(rng), c) for c in controls
+    ))
+    no_bit_1 = RomProgram(every_bit.space, tuple(
+        inst for inst in every_bit.instructions if inst.control != 1
+    ))
+    folds, apply_of = counting(_gather)
+    for name, value in FOLD_MODES["never"].items():
+        monkeypatch.setattr(sweep_module, name, value)
+    never = [sweep_states(prog, apply_of).tolist() for prog in (every_bit, no_bit_1)]
+    for name, value in FOLD_MODES["every"].items():
+        monkeypatch.setattr(sweep_module, name, value)
+    assert sweep_states(every_bit, apply_of).tolist() == never[0]
+    assert not folds
+    assert sweep_states(no_bit_1, apply_of).tolist() == never[1]
+    assert len(folds) == 1

@@ -14,8 +14,8 @@ from romcomp import (
     UnitaryGate,
     concat,
     extract_boolean,
-    gate_matrix,
     inverse,
+    matrix_of_gate,
     unitary_of,
 )
 from romcomp.program import MAX_SHARED_DYADIC_GATES, dyadic_gate
@@ -75,13 +75,14 @@ def phase_free_distance(u, v):
 
 
 def test_gate_matrix_pauli_and_roots():
-    assert gate_matrix("Z", ONE).max_entry_distance(Z_MAT) < 1e-15
-    assert gate_matrix("X", ONE).max_entry_distance(X_MAT) < 1e-15
+    assert matrix_of_gate(DyadicGate("Z", ONE)).max_entry_distance(Z_MAT) < 1e-15
+    assert matrix_of_gate(DyadicGate("X", ONE)).max_entry_distance(X_MAT) < 1e-15
     x_half = Unitary2(0.5 + 0.5j, 0.5 - 0.5j, 0.5 - 0.5j, 0.5 + 0.5j)
-    assert gate_matrix("X", HALF).max_entry_distance(x_half) < 1e-15
-    assert gate_matrix("X", -HALF).max_entry_distance(x_half.adjoint()) < 1e-15
-    assert gate_matrix("Z", HALF).max_entry_distance(Unitary2(1, 0, 0, 1j)) < 1e-15
-    assert gate_matrix("Z", -HALF).max_entry_distance(Unitary2(1, 0, 0, -1j)) < 1e-15
+    assert matrix_of_gate(DyadicGate("X", HALF)).max_entry_distance(x_half) < 1e-15
+    assert matrix_of_gate(DyadicGate("X", -HALF)).max_entry_distance(x_half.adjoint()) < 1e-15
+    assert matrix_of_gate(DyadicGate("Z", HALF)).max_entry_distance(Unitary2(1, 0, 0, 1j)) < 1e-15
+    z_neg_half = matrix_of_gate(DyadicGate("Z", -HALF))
+    assert z_neg_half.max_entry_distance(Unitary2(1, 0, 0, -1j)) < 1e-15
 
 
 def test_gate_matrix_inverse_pairs():
@@ -89,7 +90,7 @@ def test_gate_matrix_inverse_pairs():
     for _ in range(50):
         t = DyadicExponent(rng.randrange(-8, 9), 2)
         for axis in "XZ":
-            prod = gate_matrix(axis, t) @ gate_matrix(axis, -t)
+            prod = matrix_of_gate(DyadicGate(axis, t)) @ matrix_of_gate(DyadicGate(axis, -t))
             assert prod.max_entry_distance(I2) < 1e-12
 
 
@@ -99,8 +100,8 @@ def test_gate_matrix_exponent_additivity():
         t1 = DyadicExponent(rng.randrange(-4, 5), 2)
         t2 = DyadicExponent(rng.randrange(-4, 5), 2)
         for axis in "XZ":
-            lhs = gate_matrix(axis, t1) @ gate_matrix(axis, t2)
-            assert lhs.max_entry_distance(gate_matrix(axis, t1 + t2)) < 1e-12
+            lhs = matrix_of_gate(DyadicGate(axis, t1)) @ matrix_of_gate(DyadicGate(axis, t2))
+            assert lhs.max_entry_distance(matrix_of_gate(DyadicGate(axis, t1 + t2))) < 1e-12
 
 
 def test_two_control_flip_unitaries():
@@ -182,7 +183,7 @@ def test_long_product_stays_unitary():
     for _ in range(100_000):
         axis = rng.choice("XZ")
         t = DyadicExponent(rng.randrange(-8, 9), 3)
-        u = gate_matrix(axis, t) @ u
+        u = matrix_of_gate(DyadicGate(axis, t)) @ u
     assert u.unitarity_residual() < 1e-9
 
 

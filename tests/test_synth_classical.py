@@ -27,7 +27,6 @@ from romcomp import (
     compile_function,
     compile_pair,
     eval_circuit,
-    evaluate,
     extract_function,
     not_gate,
     one_bit_reachable,
@@ -126,7 +125,7 @@ def test_and_sequence_two_vars():
         for alpha in range(2):
             for beta in range(2):
                 start = alpha | beta << 1
-                end = evaluate(prog, u, start)
+                end = permutation_of(prog, u).images[start]
                 assert end & 1 == alpha
                 assert end >> 1 == beta ^ (and_bits(u, 2))
 
@@ -136,7 +135,7 @@ def test_and_sequence_three_vars_lands_in_register_one():
     assert register == 1
     for u in range(8):
         for start in range(4):
-            end = evaluate(prog, u, start)
+            end = permutation_of(prog, u).images[start]
             assert end & 1 == (start & 1) ^ and_bits(u, 3)
             assert end >> 1 == start >> 1
 
@@ -150,8 +149,9 @@ def test_and_sequence_counts_and_involution(m):
 
     doubled = concat(prog, prog)
     for u in range(1 << m):
+        images = permutation_of(doubled, u).images
         for start in range(4):
-            assert evaluate(doubled, u, start) == start
+            assert images[start] == start
 
 
 def test_and_sequence_range_errors():
@@ -266,7 +266,7 @@ def test_one_monomial_steering():
             for u in range(8):
                 product = 1 if u & mask == mask else 0
                 for start in range(4):
-                    end = evaluate(prog, u, start)
+                    end = permutation_of(prog, u).images[start]
                     got_target = (end >> (target - 1)) & 1
                     want_target = ((start >> (target - 1)) & 1) ^ product
                     other = 2 - target
@@ -280,7 +280,7 @@ def test_monomial_constant_one():
         assert rom_call_count(prog) == 0
         for u in range(4):
             for start in range(4):
-                assert evaluate(prog, u, start) == start ^ target
+                assert permutation_of(prog, u).images[start] == start ^ target
 
 
 def test_compile_pair_refuses_components_of_another_width():

@@ -27,7 +27,7 @@ from romcomp import (
     compile_pair,
     eval_circuit,
     extract_boolean,
-    gate_matrix,
+    matrix_of_gate,
     parse_circuit,
     rom_call_count,
     truth_table_of,
@@ -288,9 +288,10 @@ def test_qubit_split_multiplies_to_its_target_up_to_a_phase(target):
     # give the target on X and its inverse on Z (the same at exponent +-1).
     product = I2
     for _, (axis, num, log2den) in _split(target):
-        product = gate_matrix(axis, DyadicExponent(num, log2den)) @ product
+        product = matrix_of_gate(DyadicGate(axis, DyadicExponent(num, log2den))) @ product
     axis, num, log2den = target
-    want = gate_matrix(axis, DyadicExponent(num if axis == AXIS_X else -num, log2den))
+    want_num = num if axis == AXIS_X else -num
+    want = matrix_of_gate(DyadicGate(axis, DyadicExponent(want_num, log2den)))
     distance, phase_error = phase_free_distance(product, want)
     assert distance < 1e-12 and phase_error < 1e-12
     assert [child for child, _ in _split(target)] == ["right", "left", "right", "left"]

@@ -102,15 +102,18 @@ def _rotate(gate: Gate) -> Act:
 
 
 def _combine(columns: np.ndarray) -> Apply:
-    """Maps amplitude rows to ``mat[sub] @ row``, where ``columns[sub]`` holds
-    the columns of ``mat[sub]``; 1-D gathers beat fancy indexing here."""
+    """Maps amplitude rows (amplitudes last) to ``mat[sub] @ row``, where
+    ``columns[sub]`` holds the columns of ``mat[sub]``; 1-D gathers beat fancy
+    indexing here, and broadcast over any shape between rows and amplitudes."""
     m00, m10, m01, m11 = columns.reshape(-1, 4).T.copy()
 
     def combine(sub: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        a0, a1 = rows[:, 0], rows[:, 1]
+        if rows.ndim > 2:
+            sub = sub.reshape(-1, *[1] * (rows.ndim - 2))
+        a0, a1 = rows[..., 0], rows[..., 1]
         out = np.empty_like(rows)
-        out[:, 0] = m00.take(sub) * a0 + m01.take(sub) * a1
-        out[:, 1] = m10.take(sub) * a0 + m11.take(sub) * a1
+        out[..., 0] = m00.take(sub) * a0 + m01.take(sub) * a1
+        out[..., 1] = m10.take(sub) * a0 + m11.take(sub) * a1
         return out
 
     return combine

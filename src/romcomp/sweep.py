@@ -6,8 +6,9 @@ the rows it acts on: a strided half of all rows, or all of them if the gate is
 uncontrolled.
 
 Every gate is conditioned on one ROM bit, so a run of instructions that reads
-s distinct bits acts in only 2^s ways, however long it is.  The sweep cuts the
-program greedily into such runs (segments) of at most ``FUSE_BITS`` bits.  A
+s distinct bits acts in only 2^s ways, however long it is.  A sweep of at
+most ``FUSE_BITS`` bits is one such run (segment); a wider sweep of j bits
+cuts the program greedily into segments of at most ceil(j/2) bits.  A
 segment can be folded once, by the sweep of its own gates over its 2^s
 sub-assignments from a basis, and then applied to all rows with one gather,
 indexed by each row's sub-assignment.  The gather is tiled into blocks of
@@ -15,11 +16,12 @@ indexed by each row's sub-assignment.  The gather is tiled into blocks of
 block.  Folding pays when the segment is long and its fold much smaller than
 the rows, so each segment is folded or run gate by gate by a cost estimate.
 A segment that reads every bit of its sweep is never folded: its fold would
-be that sweep again, so a fold's own sweep runs gate by gate.  Segments
-with the same steps share one fold, and at most j folds are kept for reuse:
-past that, the one used farthest ahead is dropped.  The sweep makes one pass
-over the segments in place, so memory is all rows, plus j + 1 folds, plus
-one gate's temporaries over the rows it acts on.
+be that sweep again.  So a fold's own sweep runs gate by gate up to
+``FUSE_BITS`` bits, and folds in turn past 16 bits, where segments read 9 or
+10 bits.  Segments with the same steps share one fold, and at most j folds
+are kept for reuse: past that, the one used farthest ahead is dropped.  The
+sweep makes one pass over the segments in place, so memory is all rows, plus
+j + 1 folds, plus one gate's temporaries over the rows it acts on.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .program import Gate, RomProgram
 SWEEP_LIMIT = 20
 # log2 of the rows in a block.
 BLOCK_BITS = 12
-# Most distinct ROM bits one segment reads: its fold has 2^FUSE_BITS rows.
+# Widest sweep that is one segment; a wider one cuts segments of half its bits.
 FUSE_BITS = 8
 # The cost estimate, measured on the four AND constructions at 9-13 bits (2
 # vCPUs, numpy 2.4): a numpy call costs about as much as touching
@@ -57,16 +59,18 @@ def active_gates(program: RomProgram, assignment: int) -> list[Gate]:
     ]
 
 
-def segments(controls: Sequence[int]) -> list[tuple[int, int, list[int]]]:
-    """Cut a program, given by its instructions' controls (0 when
-    uncontrolled), greedily into runs that read at most ``FUSE_BITS``
-    distinct ROM bits: (first, stop, the bits read) per run."""
+def segments(controls: Sequence[int], j: int) -> list[tuple[int, int, list[int]]]:
+    """Cut a program over j ROM bits, given by its instructions' controls (0
+    when uncontrolled), greedily into runs that read at most ceil(j/2)
+    distinct ROM bits, or all j if j <= ``FUSE_BITS``: (first, stop, the
+    bits read) per run."""
+    width = j if j <= FUSE_BITS else (j + 1) // 2
     runs = []
     # ``seen`` has bit c set for each control c read so far, and bit 0.
     first, seen = 0, 1
     for at, control in enumerate(controls):
         if not seen >> control & 1:
-            if seen.bit_count() > FUSE_BITS:
+            if seen.bit_count() > width:
                 runs.append((first, at, seen))
                 first, seen = at, 1
             seen |= 1 << control
@@ -128,7 +132,7 @@ def _sweep_steps(steps: list[tuple[int, Act]], j: int, start: np.ndarray, basis:
     # A gate is one pass over all rows, a gather GATHER_PASSES over every block.
     gate_pass = _pass_cost(start.size << j)
     gather = GATHER_PASSES * _pass_cost(start.size << k) * len(blocks)
-    runs = segments([control for control, _ in steps])
+    runs = segments([control for control, _ in steps], j)
     # The segments to fold, each mapped to the next one with the same steps,
     # which reuses its fold, or to None; ``kept`` holds folds by that next one.
     # A segment that reads every bit is not folded: its fold is this sweep.
@@ -149,7 +153,8 @@ def _sweep_steps(steps: list[tuple[int, Act]], j: int, start: np.ndarray, basis:
             # same for every block, and those above it add a constant.
             inside = [(low >> (bit - 1) & 1) << i for i, bit in enumerate(bits) if bit <= k]
             above = [(i, bit - 1 - k) for i, bit in enumerate(bits) if bit > k]
-            fold = apply_of(table), sum(inside, np.zeros_like(low)).astype(np.uint8), above
+            index = sum(inside, np.zeros_like(low)).astype(np.min_scalar_type(len(table) - 1))
+            fold = apply_of(table), index, above
         if folded[at] is not None:
             kept[folded[at]] = fold
             if len(kept) > j:

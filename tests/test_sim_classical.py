@@ -27,11 +27,12 @@ from romcomp.synth_classical import cnot_gate, compile_pair, not_gate
 from test_program import random_classical_program
 
 
-def cut(instructions):
-    """``instructions`` split into the runs that ``segments`` cuts."""
+def cut(instructions, j):
+    """``instructions`` split into the runs that ``segments`` cuts in a sweep
+    of j ROM bits."""
     instructions = list(instructions)
     controls = [inst.control or 0 for inst in instructions]
-    return [instructions[first:stop] for first, stop, _ in segments(controls)]
+    return [instructions[first:stop] for first, stop, _ in segments(controls, j)]
 
 
 # Settings of the sweep's choice of segments to fold.
@@ -211,12 +212,26 @@ def test_sweep_builds_one_action_per_distinct_gate_object():
 def test_segments_cut_greedily_at_the_first_bit_past_the_limit():
     first = [0, *range(1, FUSE_BITS + 1), 1, 0]
     second = [FUSE_BITS + 1, 2, 0, FUSE_BITS + 1]
-    assert segments(first + second) == [
+    assert segments(first + second, 2 * FUSE_BITS) == [
         (0, len(first), list(range(1, FUSE_BITS + 1))),
         (len(first), len(first) + len(second), [2, FUSE_BITS + 1]),
     ]
-    assert segments([]) == [(0, 0, [])]
-    assert segments([0, 0]) == [(0, 2, [])]
+    assert segments([], 1) == [(0, 0, [])]
+    assert segments([0, 0], 1) == [(0, 2, [])]
+
+
+@pytest.mark.parametrize("j", range(1, 21))
+def test_segments_are_half_a_sweep_wider_than_fuse_bits(j):
+    # Every bit in turn, three times: a sweep of at most FUSE_BITS bits is
+    # one run, and a wider one is cut into runs of ceil(j / 2) bits.
+    runs = segments([*range(1, j + 1)] * 3, j)
+    if j <= FUSE_BITS:
+        assert runs == [(0, 3 * j, list(range(1, j + 1)))]
+    else:
+        width = -(-j // 2)
+        assert [stop - first for first, stop, _ in runs] == [width] * (3 * j // width) + (
+            [3 * j % width] if 3 * j % width else [])
+        assert all(len(bits) == stop - first for first, stop, bits in runs)
 
 
 def counting(apply_of):
@@ -230,13 +245,24 @@ def counting(apply_of):
     return folds, record
 
 
+def every_mode_folds(controls, j):
+    """The folds that the "every" mode builds in a sweep of j bits over
+    ``controls`` with no repeated segment: one per segment that reads fewer
+    than j bits, and those its own sweep builds, over its bits renumbered."""
+    count = 0
+    for first, stop, bits in segments(controls, j):
+        if len(bits) < j:
+            local = {bit: i + 1 for i, bit in enumerate(bits)}
+            count += 1 + every_mode_folds([local.get(c, 0) for c in controls[first:stop]], len(bits))
+    return count
+
+
 def assert_fold_mode_kept(fold_mode, folds, program):
     """The "every" mode folds each segment that reads fewer bits than the
-    program, however few rows the sweep has, and the "never" mode none."""
+    program's sweep, however few rows the sweep has, and the "never" mode none."""
     if fold_mode == "every":
         controls = [inst.control or 0 for inst in program.instructions]
-        j = program.space.num_rom_bits
-        assert len(folds) == sum(len(bits) < j for _, _, bits in segments(controls))
+        assert len(folds) == every_mode_folds(controls, program.space.num_rom_bits)
     elif fold_mode == "never":
         assert not folds
 
@@ -261,7 +287,7 @@ def test_fused_sweep_builds_one_action_per_distinct_gate_object():
         np.arange(program.space.num_states, dtype=np.uint8), apply_of,
     )[:, 0]
     assert states.tolist() == [0] * ((1 << 13) - 1) + [1]
-    assert len(folds) == len(cut(program.instructions)) > 1
+    assert len(folds) == len(cut(program.instructions, 13)) > 1
     distinct = {id(inst.gate) for inst in program.instructions}
     assert len(made) == len({id(gate) for gate in made}) == len(distinct) < len(program)
 
@@ -318,10 +344,10 @@ def test_fused_sweep_matches_evaluate(j, seed, fold_mode, monkeypatch):
     controls = [*range(1, j + 1)] * 3
     rng.shuffle(controls)
     instructions = []
-    for run in cut(Instruction(random_gate(rng), c) for c in controls):
+    for run in cut((Instruction(random_gate(rng), c) for c in controls), j):
         instructions += [Instruction(random_gate(rng), None), *run]
     prog = RomProgram(RomSpace(j, 3, CLASSICAL), tuple(instructions))
-    assert (len(cut(prog.instructions)) > 1) == (j > FUSE_BITS)
+    assert (len(cut(prog.instructions, j)) > 1) == (j > FUSE_BITS)
     folds, record = counting(sim_classical._gather)
     monkeypatch.setattr(sim_classical, "_gather", record)
     vf = extract_function(prog)
@@ -335,26 +361,29 @@ def test_fused_sweep_matches_evaluate(j, seed, fold_mode, monkeypatch):
 def test_sweep_folds_long_segments_and_runs_short_ones_gate_by_gate(monkeypatch):
     import romcomp.sim_classical as sim_classical
 
-    # Segments alternate between 40 gates on bits 1-8 and 8 gates, one on
-    # each bit from 9 up to j and then on bits below 9.  Only the long ones
-    # save more gate passes than their gather costs: in one block of
-    # 2^BLOCK_BITS rows by the estimate itself.  Over four times the rows a
-    # fold pays sooner, so a dearer gather keeps the short ones gate by gate,
-    # run over all rows, some on bits above the first block, between two folds.
+    # Segments of w = ceil(j / 2) bits alternate between 40 gates on bits
+    # 1..w and w gates, one on each bit from w + 1 up to j and then on bits
+    # up to w.  Only the long ones save more gate passes than their gather
+    # costs: in the one block of 2^(BLOCK_BITS - 1) rows by the estimate
+    # itself (at 2^BLOCK_BITS rows a 6-gate segment pays).  Over eight times
+    # the rows a fold pays sooner, so a dearer gather keeps the short ones
+    # gate by gate, run over all rows, some on bits above the first block,
+    # between two folds.
     folds, record = counting(sim_classical._gather)
     monkeypatch.setattr(sim_classical, "_gather", record)
-    for j, gather_passes in [(BLOCK_BITS, sweep_module.GATHER_PASSES), (BLOCK_BITS + 2, 16)]:
+    for j, gather_passes in [(BLOCK_BITS - 1, sweep_module.GATHER_PASSES), (BLOCK_BITS + 2, 16)]:
         monkeypatch.setattr(sweep_module, "GATHER_PASSES", gather_passes)
         rng = random.Random(3)
-        long_bits = range(1, FUSE_BITS + 1)
-        short_bits = [*range(FUSE_BITS + 1, j + 1), *range(j - FUSE_BITS + 1, FUSE_BITS + 1)]
+        width = (j + 1) // 2
+        long_bits = range(1, width + 1)
+        short_bits = [*range(width + 1, j + 1), *range(j - width + 1, width + 1)]
         controls = []
         for _ in range(3):
-            controls += [*long_bits, *rng.choices(long_bits, k=40 - FUSE_BITS), *short_bits]
+            controls += [*long_bits, *rng.choices(long_bits, k=40 - width), *short_bits]
         prog = RomProgram(RomSpace(j, 3, CLASSICAL), tuple(
             Instruction(random_gate(rng), c) for c in controls
         ))
-        assert [len(run) for run in cut(prog.instructions)] == [40, 8] * 3
+        assert [len(run) for run in cut(prog.instructions, j)] == [40, width] * 3
         folds.clear()
         vf = extract_function(prog)
         assert len(folds) == 3
@@ -390,7 +419,7 @@ def segment_program(kind, order):
         Instruction(gate, FUSE_BITS * (at % 2) + bit)
         for at, gates in enumerate(order) for bit, gate in enumerate(gates, start=1)
     ]
-    assert len(cut(instructions)) == len(order)
+    assert len(cut(instructions, 2 * FUSE_BITS)) == len(order)
     space = RomSpace(2 * FUSE_BITS, 1 if kind == "quantum" else 3, kind)
     return RomProgram(space, tuple(instructions))
 

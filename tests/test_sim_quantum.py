@@ -3,6 +3,7 @@ import random
 import pytest
 
 from romcomp import (
+    CLASSICAL,
     QUANTUM,
     DyadicExponent,
     DyadicGate,
@@ -14,6 +15,7 @@ from romcomp import (
     UnitaryGate,
     concat,
     extract_boolean,
+    extract_function,
     inverse,
     matrix_of_gate,
     unitary_of,
@@ -238,18 +240,23 @@ def test_fused_sweep_builds_one_action_per_shared_gate(monkeypatch):
     monkeypatch.setattr(sim_quantum, "_combine", record)
     program = and_fast(list(range(1, 14)), 13)
     assert extract_boolean(program).bits == (0,) * ((1 << 13) - 1) + (1,)
-    assert len(folds) == len(cut(program.instructions)) > 1
+    # Four segments, each worth a fold; the fourth has the second's steps.
+    assert len(cut(program.instructions, 13)) == 4
+    assert len(folds) == 3
     distinct = {id(inst.gate) for inst in program.instructions}
     assert len(rotated) == len({id(gate) for gate in rotated}) == len(distinct) < len(program)
 
 
-def random_classical_output_program(rng, j):
-    """Shuffled controls, every bit three times, over gates that keep |0> on a
-    basis state: phases Z^t, X, and X^(+-1/2) . P . X^(-+1/2) where P is a run
-    of Paulis, so superpositions open and close across segments.  An
-    uncontrolled X^(1/2) . X^(-1/2) pair sits at every segment boundary."""
-    controls = [*range(1, j + 1)] * 3
-    rng.shuffle(controls)
+def random_classical_output_program(rng, j, controls=None):
+    """``controls``, by default every bit three times, shuffled, popped from
+    the end over gates that keep |0> on a basis state: phases Z^t, X, and
+    X^(+-1/2) . P . X^(-+1/2) where P is a run of Paulis, so superpositions
+    open and close across segments.  An uncontrolled X^(1/2) . X^(-1/2) pair
+    sits at every segment boundary."""
+    if controls is None:
+        controls = [*range(1, j + 1)] * 3
+        rng.shuffle(controls)
+    controls = list(controls)
     body = []
     while controls:
         if rng.random() < 0.3:
@@ -263,7 +270,7 @@ def random_classical_output_program(rng, j):
             t = DyadicExponent(rng.choice([-1, 1]), rng.randrange(4))
             body.append(rot("Z", t, controls.pop()))
     instructions = []
-    for run in cut(body):
+    for run in cut(body, j):
         instructions += [*run, rot("X", HALF), rot("X", -HALF)]
     return RomProgram(RomSpace(j, 1, QUANTUM), tuple(instructions))
 
@@ -278,7 +285,7 @@ def test_fused_sweep_matches_unitary_of(j, seed, fold_mode):
 
     rng = random.Random(seed)
     prog = random_classical_output_program(rng, j)
-    assert (len(cut(prog.instructions)) > 1) == (j > FUSE_BITS)
+    assert (len(cut(prog.instructions, j)) > 1) == (j > FUSE_BITS)
     folds, record = counting(_combine)
     amps = sweep(
         prog, np.array([1, 0], dtype=complex), _rotate, np.eye(2, dtype=complex), record,
@@ -300,23 +307,24 @@ def test_sweep_folds_every_segment_of_a_long_program(monkeypatch):
     import romcomp.sim_quantum as sim_quantum
     import romcomp.sweep as sweep_module
 
-    # About 1,000 segments on 8 of 13 ROM bits each, inside and above the
+    # About 1,000 segments on 7 of 13 ROM bits each, inside and above the
     # block: with every segment worth a fold, each is folded and applied in
-    # turn, however many folds the whole program makes (16 KB each here).
+    # turn, however many folds the whole program makes (8 KB each here).
     for name, value in FOLD_MODES["every"].items():
         monkeypatch.setattr(sweep_module, name, value)
     rng = random.Random(24)
     j = BLOCK_BITS + 1
     gates = [DyadicGate(axis, DyadicExponent(num, 2)) for axis in "XZ" for num in (-1, 1, 3)]
+    width = (j + 1) // 2
     controls = []
     for _ in range(1200):
-        controls += rng.sample(range(1, j + 1), FUSE_BITS)
+        controls += rng.sample(range(1, j + 1), width)
     prog = RomProgram(RomSpace(j, 1, QUANTUM), tuple(
         Instruction(rng.choice(gates), c) for c in controls
     ))
-    runs = segments(controls)
+    runs = segments(controls, j)
     assert len(runs) > 800
-    assert all(len(bits) == FUSE_BITS for _, _, bits in runs[:-1])
+    assert all(len(bits) == width for _, _, bits in runs[:-1])
     folds, record = counting(sim_quantum._combine)
     amps = sweep_module.sweep(
         prog, np.array([1, 0], dtype=complex), sim_quantum._rotate, np.eye(2, dtype=complex),
@@ -339,7 +347,7 @@ def test_fused_sweep_reports_first_superposition_of_a_later_segment_above_the_bl
         rot("X", HALF, j), rot("Z", s_gate, 1), rot("X", -HALF, j),
         *(rot("Z", s_gate, c) for c in range(2, j)),
     ))
-    runs = cut(prog.instructions)
+    runs = cut(prog.instructions, j)
     assert len(runs) > 1 and prog.instructions[j - 1] not in runs[0]
     with pytest.raises(NonClassicalOutput) as info:
         extract_boolean(prog)
@@ -417,17 +425,17 @@ def test_and_naive_folds_each_repeated_segment_once(monkeypatch):
     import romcomp.sim_quantum as sim_quantum
     from romcomp import and_naive
 
-    # 15 segments are folded, of 7 distinct runs of steps.
+    # 63 segments are folded, of 11 distinct runs of steps.
     program = and_naive(list(range(1, 12)), 11)
     folds, record = counting(sim_quantum._combine)
     monkeypatch.setattr(sim_quantum, "_combine", record)
     table = extract_boolean(program)
-    assert len(folds) == 7
+    assert len(folds) == 11
     assert table.bits == (0,) * ((1 << 11) - 1) + (1,)
     for name, value in FOLD_MODES["never"].items():
         monkeypatch.setattr(sweep_module, name, value)
     assert extract_boolean(program) == table
-    assert len(folds) == 7
+    assert len(folds) == 11
     rng = random.Random(30)
     for u in [0, (1 << 10) - 1, (1 << 11) - 1] + rng.sample(range(1 << 11), 20):
         p1 = abs(unitary_of(program, u).apply(1, 0)[1]) ** 2
@@ -492,3 +500,92 @@ def test_qubit_sweep_keeps_at_most_j_folds(monkeypatch):
     assert most[0] <= j + 1
     assert len(folds) == len(distinct) + 4
     assert_amplitudes_match_unitary_of(prog, amps, rng)
+
+
+@pytest.mark.parametrize("j", [FUSE_BITS + 2, BLOCK_BITS + 2])
+def test_qubit_sweep_from_the_identity_gives_each_whole_unitary(j, fold_mode):
+    import numpy as np
+
+    from romcomp.sim_quantum import _combine, _rotate
+
+    # Rows of both basis states, so each fold gathers 2x2 rows: row u holds
+    # the columns of assignment u's unitary.
+    rng = random.Random(j)
+    controls = [None, *range(1, j + 1), *range(1, j + 1), *range(1, j + 1)]
+    rng.shuffle(controls)
+    prog = RomProgram(RomSpace(j, 1, QUANTUM), tuple(
+        Instruction(random_rotation(rng), c) for c in controls
+    ))
+    identity = np.eye(2, dtype=complex)
+    folds, apply_of = counting(_combine)
+    rows = sweep_module.sweep(prog, identity, _rotate, identity, apply_of)
+    assert_fold_mode_kept(fold_mode, folds, prog)
+    assert rows.shape == (1 << j, 2, 2)
+    want = np.array([
+        [[m.a, m.c], [m.b, m.d]] for m in (unitary_of(prog, u) for u in range(1 << j))
+    ])
+    assert abs(rows - want).max() < 1e-12
+
+
+def windowed_controls(rng, j, count):
+    """``count`` controls in runs of 30, each run drawn from a window of 9 to
+    12 consecutive bits of j."""
+    controls = []
+    while len(controls) < count:
+        size = rng.randint(9, 12)
+        low = rng.randint(1, j - size + 1)
+        controls += rng.choices(range(low, low + size), k=30)
+    return controls[:count]
+
+
+@pytest.mark.parametrize("kind", [QUANTUM, CLASSICAL])
+def test_folds_fold_inside_their_own_sweeps_past_16_bits(kind, monkeypatch):
+    import numpy as np
+
+    from romcomp.sim_classical import _gather
+    from romcomp.sim_quantum import _combine
+    from test_sim_classical import every_mode_folds, random_gate, sweep_states
+
+    # At j = 18 segments read 9 bits, so each fold's own sweep of 9 bits cuts
+    # 5-bit segments, which the "every" mode folds in turn.
+    j = 18
+    rng = random.Random(18)
+    if kind == QUANTUM:
+        prog = random_classical_output_program(rng, j, windowed_controls(rng, j, 300))
+        sweep_rows, apply_of, extract = sweep_amplitudes, _combine, extract_boolean
+    else:
+        prog = RomProgram(RomSpace(j, 3, CLASSICAL), tuple(
+            Instruction(random_gate(rng), c) for c in windowed_controls(rng, j, 400)
+        ))
+        sweep_rows, apply_of, extract = sweep_states, _gather, extract_function
+    assert 350 <= len(prog) <= 450
+    rows, readouts, built, subs = {}, {}, [], []
+
+    def record(table):
+        built.append(len(table))
+        apply = apply_of(table)
+
+        def tracked(sub, block):
+            subs.append((len(table), int(sub.max())))
+            return apply(sub, block)
+
+        return tracked
+
+    controls = [inst.control or 0 for inst in prog.instructions]
+    for mode in ("never", "every"):
+        for name, value in FOLD_MODES[mode].items():
+            monkeypatch.setattr(sweep_module, name, value)
+        built.clear()
+        rows[mode] = sweep_rows(prog, record)
+        readouts[mode] = extract(prog)
+    # Each segment is folded, and so is each segment of a fold's own sweep:
+    # 9-bit folds and 5-bit folds inside them, and nothing deeper.
+    assert len(built) == every_mode_folds(controls, j) > len(segments(controls, j))
+    assert {1 << 9, 1 << 5} <= set(built) and max(built) == 1 << 9
+    # A 9-bit fold reads sub-assignments past a byte.
+    assert max(top for table, top in subs if table == 1 << 9) > 255
+    assert readouts["never"] == readouts["every"]
+    if kind == QUANTUM:
+        assert abs(rows["never"] - rows["every"]).max() < 1e-12
+    else:
+        assert np.array_equal(rows["never"], rows["every"])

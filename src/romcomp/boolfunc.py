@@ -19,25 +19,38 @@ class ParseError(ValueError):
         self.position = position
 
 
+def _check_table(num_vars: int, entries: bytes | tuple[int, ...]) -> None:
+    """Refuse a table unless ``num_vars`` is an int >= 1 and ``entries`` holds
+    2**num_vars entries, each 0 or 1."""
+    if type(num_vars) is not int or num_vars < 1:
+        raise ValueError(f"num_vars must be an integer >= 1, got {num_vars!r}")
+    if len(entries) != 1 << num_vars:
+        raise ValueError(f"table for {num_vars} vars needs {1 << num_vars} entries, "
+                         f"got {len(entries)}")
+    # One C-level pass that refuses floats; a generator cost more than the sweep.
+    try:
+        if bytes(entries).translate(None, b"\0\1"):
+            raise ValueError
+    except (TypeError, ValueError):
+        raise ValueError("table entries must be 0 or 1") from None
+
+
 @dataclass(frozen=True, slots=True)
 class TruthTable:
     num_vars: int
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if type(self.num_vars) is not int or self.num_vars < 1:
-            raise ValueError(f"num_vars must be an integer >= 1, got {self.num_vars!r}")
-        if len(self.bits) != 1 << self.num_vars:
-            raise ValueError(
-                f"table for {self.num_vars} vars needs {1 << self.num_vars} entries, "
-                f"got {len(self.bits)}"
-            )
-        # One C-level pass that refuses floats; a generator cost more than the sweep.
-        try:
-            if bytes(self.bits).translate(None, b"\0\1"):
-                raise ValueError
-        except (TypeError, ValueError):
-            raise ValueError("table entries must be 0 or 1") from None
+        _check_table(self.num_vars, self.bits)
+
+    @classmethod
+    def from_bytes(cls, num_vars: int, data: bytes) -> "TruthTable":
+        """The table of one 0/1 byte per entry, checked in one pass."""
+        _check_table(num_vars, data)
+        table = object.__new__(cls)
+        object.__setattr__(table, "num_vars", num_vars)
+        object.__setattr__(table, "bits", tuple(data))
+        return table
 
     @classmethod
     def constant(cls, num_vars: int, value: int) -> "TruthTable":
@@ -48,7 +61,7 @@ class TruthTable:
         """Unpack from an integer whose bit u is the entry at assignment u."""
         length = 1 << num_vars
         digits = format(packed & ((1 << length) - 1), f"0{length}b").encode()
-        return cls(num_vars, tuple(digits[::-1].translate(_FROM_DIGITS)))
+        return cls.from_bytes(num_vars, digits[::-1].translate(_FROM_DIGITS))
 
     def to_bit_string(self) -> str:
         return "".join(str(b) for b in self.bits)
@@ -75,7 +88,8 @@ class TruthTable:
         numeral = int(text, 16)
         if numeral >= 1 << length:
             raise ParseError(f"hex value too large for {length} table bits", 0)
-        return cls(num_vars, tuple(format(numeral, f"0{length}b").encode().translate(_FROM_DIGITS)))
+        digits = format(numeral, f"0{length}b").encode()
+        return cls.from_bytes(num_vars, digits.translate(_FROM_DIGITS))
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,7 +166,7 @@ def truth_table_of(anf: Anf) -> TruthTable:
     coeffs = bytearray(1 << anf.num_vars)
     for mask in anf.monomials:
         coeffs[mask] = 1
-    return TruthTable(anf.num_vars, tuple(_moebius(coeffs, anf.num_vars)))
+    return TruthTable.from_bytes(anf.num_vars, _moebius(coeffs, anf.num_vars))
 
 
 def parse_monomials(text: str, num_vars: int | None = None) -> Anf:
@@ -220,5 +234,5 @@ def parse_table(text: str, num_vars: int | None = None) -> TruthTable:
             width = length.bit_length() - 1
             if num_vars is not None and width != num_vars:
                 raise ParseError(f"bit string has {width} vars, expected {num_vars}", 0)
-            return TruthTable(width, tuple(map(int, text)))
+            return TruthTable.from_bytes(width, text.encode().translate(_FROM_DIGITS))
     return TruthTable.from_hex(text, num_vars)

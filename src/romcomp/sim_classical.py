@@ -25,10 +25,11 @@ def permutation_of(program: RomProgram, assignment: int) -> Permutation:
 
 
 def _gather(images: np.ndarray) -> Apply:
-    """Maps state rows to ``images[sub, state]``: one image table per
-    sub-assignment, read with one flat gather."""
-    flat, n = images.ravel(), images.shape[1]
-    return lambda sub, rows: flat.take(sub.astype(np.intp)[:, None] * n + rows)
+    """Maps state rows to ``part[..., state]``, where a part of ``images``
+    (one image table per sub-assignment), shaped to broadcast over the rows,
+    holds each row's table: one flat gather from each table's offset."""
+    return lambda part, rows: part.ravel().take(
+        np.arange(0, part.size, part.shape[-1]).reshape(*part.shape[:-1], 1) + rows)
 
 
 def extract_function(program: RomProgram) -> VectorFunction:
@@ -41,6 +42,6 @@ def extract_function(program: RomProgram) -> VectorFunction:
     )[:, 0]
     j = program.space.num_rom_bits
     return VectorFunction(j, tuple(
-        TruthTable(j, tuple((states >> bit & 1).tolist()))
+        TruthTable.from_bytes(j, (states >> bit & 1).tobytes())
         for bit in range(program.space.num_writable)
     ))

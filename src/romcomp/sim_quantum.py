@@ -102,18 +102,17 @@ def _rotate(gate: Gate) -> Act:
 
 
 def _combine(columns: np.ndarray) -> Apply:
-    """Maps amplitude rows (amplitudes last) to ``mat[sub] @ row``, where
-    ``columns[sub]`` holds the columns of ``mat[sub]``; 1-D gathers beat fancy
-    indexing here, and broadcast over any shape between rows and amplitudes."""
-    m00, m10, m01, m11 = columns.reshape(-1, 4).T.copy()
-
-    def combine(sub: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        if rows.ndim > 2:
-            sub = sub.reshape(-1, *[1] * (rows.ndim - 2))
+    """Maps amplitude rows (amplitudes last) to ``mat @ row``, where a part of
+    ``columns``, shaped to broadcast over the rows, holds each mat's columns."""
+    def combine(part: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # mat[0, 0], mat[1, 0], mat[0, 1], mat[1, 1] on the last axis; rows of
+        # several states (the identity's) broadcast over one more axis.
+        mat = part.reshape(*part.shape[:-2], *[1] * (rows.ndim + 1 - part.ndim), 4)
         a0, a1 = rows[..., 0], rows[..., 1]
         out = np.empty_like(rows)
-        out[..., 0] = m00.take(sub) * a0 + m01.take(sub) * a1
-        out[..., 1] = m10.take(sub) * a0 + m11.take(sub) * a1
+        for i, amp in enumerate((out[..., 0], out[..., 1])):
+            np.multiply(mat[..., i], a0, out=amp)
+            amp += mat[..., i + 2] * a1
         return out
 
     return combine
@@ -134,5 +133,5 @@ def extract_boolean(program: RomProgram) -> TruthTable:
     if unsure.size:
         raise NonClassicalOutput(int(unsure[0]), tuple(amps[unsure[0]].tolist()))
     del amps  # 32 MB at the sweep limit: freed before the table is built
-    bits = (p1 >= 1.0 - OUTCOME_THRESHOLD).astype(np.uint8).tolist()
-    return TruthTable(program.space.num_rom_bits, tuple(bits))
+    bits = (p1 >= 1.0 - OUTCOME_THRESHOLD).tobytes()
+    return TruthTable.from_bytes(program.space.num_rom_bits, bits)

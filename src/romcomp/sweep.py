@@ -10,22 +10,25 @@ s distinct bits acts in only 2^s ways, however long it is.  A sweep of at
 most ``FUSE_BITS`` bits is one such run (segment); a wider sweep of j bits
 cuts the program greedily into segments of at most ceil(j/2) bits.  A
 segment can be folded once, by the sweep of its own gates over its 2^s
-sub-assignments from a basis, and then applied to all rows with one gather,
-indexed by each row's sub-assignment.  The gather is tiled into blocks of
-``2**BLOCK_BITS`` rows sharing their high bits, so one index serves every
-block.  Folding pays when the segment is long and its fold much smaller than
-the rows, so each segment is folded or run gate by gate by a cost estimate.
-A segment that reads every bit of its sweep is never folded: its fold would
-be that sweep again.  So a fold's own sweep runs gate by gate up to
-``FUSE_BITS`` bits, and folds in turn past 16 bits, where segments read 9 or
-10 bits.  Segments with the same steps share one fold, and at most j folds
-are kept for reuse: past that, the one used farthest ahead is dropped.  The
-sweep makes one pass over the segments in place, so memory is all rows, plus
-j + 1 folds, plus one gate's temporaries over the rows it acts on.
+sub-assignments from a basis, into a table of one row per sub-assignment,
+and then applied block by block.  A block of ``2**BLOCK_BITS`` rows sharing
+their high bits is reshaped into runs of adjacent ROM bits, each read by the
+segment or not; the bits above the block pick the table's part for it, and
+the part broadcasts over the runs the segment does not read.  Folding pays
+when the segment is long and its fold much smaller than the rows, so each
+segment is folded or run gate by gate by a cost estimate.  A segment that
+reads every bit of its sweep is never folded: its fold would be that sweep
+again.  So a fold's own sweep runs gate by gate up to ``FUSE_BITS`` bits, and
+folds in turn past 16 bits, where segments read 9 or 10 bits.  Segments with
+the same steps share one fold, and at most j folds are kept for reuse: past
+that, the one used farthest ahead is dropped.  The sweep makes one pass over
+the segments in place, so memory is all rows, plus j + 1 folds, plus one
+gate's temporaries over the rows it acts on.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,12 +42,14 @@ BLOCK_BITS = 12
 # Widest sweep that is one segment; a wider one cuts segments of half its bits.
 FUSE_BITS = 8
 # The cost estimate, measured on the four AND constructions at 9-13 bits (2
-# vCPUs, numpy 2.4): a numpy call costs about as much as touching
-# CALL_ELEMENTS elements, and a gather about GATHER_PASSES gate passes.
+# vCPUs, numpy 2.4) while folds were applied by gathers: a numpy call costs
+# about as much as touching CALL_ELEMENTS elements, and a fold's apply to a
+# block about GATHER_PASSES gate passes over it.
 CALL_ELEMENTS = 500
 GATHER_PASSES = 4
 
 Act = Callable[[np.ndarray], np.ndarray]
+# (part, rows) -> images: a part of a fold's table, shaped to broadcast over rows.
 Apply = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -108,8 +113,9 @@ def sweep(
     Rows start as ``start``; ``act_of(gate)`` maps rows to their images under
     the gate, in place or as new rows; it is called once per distinct gate
     object, since programs repeat a few dozen gates many times.  A segment
-    folds to one ``basis`` row per sub-assignment, and ``apply_of(folded)(sub,
-    rows)`` maps each row to its image under the segment at sub-assignment ``sub``.
+    folds to one ``basis`` row per sub-assignment, and ``apply_of(folded)(part,
+    rows)`` maps rows to their images under the segment, where ``part`` holds the
+    rows of ``folded`` that they read, shaped to broadcast over them.
     """
     j = program.space.num_rom_bits
     if j > SWEEP_LIMIT:
@@ -125,13 +131,11 @@ def _sweep_steps(steps: list[tuple[int, Act]], j: int, start: np.ndarray, basis:
                  apply_of: Callable[[np.ndarray], Apply]) -> np.ndarray:
     """``sweep`` of ``steps``, each a (control, act) pair, over j ROM bits."""
     k = min(j, BLOCK_BITS)
-    low = np.arange(1 << k)
     rows = np.repeat(start[None], 1 << j, axis=0)
     views = _views(rows, j)
-    blocks = rows.reshape(1 << (j - k), 1 << k, *start.shape)
-    # A gate is one pass over all rows, a gather GATHER_PASSES over every block.
+    # A gate is one pass over all rows, a fold GATHER_PASSES over every block.
     gate_pass = _pass_cost(start.size << j)
-    gather = GATHER_PASSES * _pass_cost(start.size << k) * len(blocks)
+    gather = GATHER_PASSES * _pass_cost(start.size << k) * (1 << (j - k))
     runs = segments([control for control, _ in steps], j)
     # The segments to fold, each mapped to the next one with the same steps,
     # which reuses its fold, or to None; ``kept`` holds folds by that next one.
@@ -149,19 +153,20 @@ def _sweep_steps(steps: list[tuple[int, Act]], j: int, start: np.ndarray, basis:
             local = {bit: i + 1 for i, bit in enumerate(bits)}
             table = _sweep_steps([(local.get(c, 0), act) for c, act in steps[first:stop]],
                                  len(bits), basis, basis, apply_of)
-            # Each row's sub-assignment: the bits read inside a block are the
-            # same for every block, and those above it add a constant.
-            inside = [(low >> (bit - 1) & 1) << i for i, bit in enumerate(bits) if bit <= k]
-            above = [(i, bit - 1 - k) for i, bit in enumerate(bits) if bit > k]
-            index = sum(inside, np.zeros_like(low)).astype(np.min_scalar_type(len(table) - 1))
-            fold = apply_of(table), index, above
+            # A block's bits, outermost first, fall into runs that the segment
+            # reads or not; the table's part for a block broadcasts over the
+            # runs it does not read, and the bits above the block pick the part.
+            spans = [(read, 1 << len(list(span))) for read, span in
+                     groupby(bit in local for bit in range(k, 0, -1))]
+            parts = table.reshape(-1, *[size if read else 1 for read, size in spans], *basis.shape)
+            above = [bit - 1 - k for bit in bits if bit > k]
+            fold = apply_of(table), parts, [size for _, size in spans], above
         if folded[at] is not None:
             kept[folded[at]] = fold
             if len(kept) > j:
                 del kept[max(kept)]  # the one used farthest ahead
-        apply, index, above = fold
-        for high, block in enumerate(blocks):
-            rest = sum((high >> b & 1) << i for i, b in above)
-            block[...] = apply(index + rest if rest else index, block)
-        del fold, apply  # so that at most j + 1 folds are alive
+        apply, parts, shape, above = fold
+        for high, block in enumerate(rows.reshape(-1, *shape, *start.shape)):
+            block[...] = apply(parts[sum((high >> b & 1) << i for i, b in enumerate(above))], block)
+        del fold, apply, parts  # so that at most j + 1 folds are alive
     return rows

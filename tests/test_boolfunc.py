@@ -47,6 +47,49 @@ def test_truth_table_entries_are_ints_zero_or_one():
             TruthTable(num_vars, bits)
 
 
+def test_byte_and_tuple_constructors_refuse_the_same_tables():
+    # One check serves both constructors: the same refusals, the same messages.
+    cases = [
+        (2.0, (0,) * 4, "num_vars must be an integer >= 1, got 2.0"),
+        (True, (0, 1), "num_vars must be an integer >= 1, got True"),
+        (0, (0,), "num_vars must be an integer >= 1, got 0"),
+        (2, (0, 1, 0), "table for 2 vars needs 4 entries, got 3"),
+        (1, (0, 2), "table entries must be 0 or 1"),
+        (1, (255, 0), "table entries must be 0 or 1"),
+    ]
+    for num_vars, bits, message in cases:
+        for build, entries in ((TruthTable, bits), (TruthTable.from_bytes, bytes(bits))):
+            with pytest.raises(ValueError) as excinfo:
+                build(num_vars, entries)
+            assert str(excinfo.value) == message
+    # Entries with no byte form, floats among them, are refused by both.
+    for bad in (1.0, 0.0, -1, 256, "1", None):
+        for build in (TruthTable, TruthTable.from_bytes):
+            with pytest.raises(ValueError, match="table entries must be 0 or 1"):
+                build(1, (0, bad))
+    table = TruthTable.from_bytes(2, b"\0\1\1\0")
+    assert table == TruthTable(2, (0, 1, 1, 0)) and hash(table) == hash(TruthTable(2, (0, 1, 1, 0)))
+
+
+def test_tables_built_from_bytes_equal_tuple_built_ones():
+    from romcomp import and_fast, compile_pair, extract_boolean, extract_function
+
+    anf = parse_monomials("1.2,3", 3)
+    want = tuple((u & 1) & (u >> 1 & 1) ^ (u >> 2 & 1) for u in range(8))
+    tables = [
+        truth_table_of(anf), *extract_function(compile_pair(anf, anf, 3)).components,
+        TruthTable.from_int(3, int("".join(map(str, want[::-1])), 2)),
+        TruthTable.from_hex(format(int("".join(map(str, want)), 2), "02x"), 3),
+        parse_table("".join(map(str, want))),
+    ]
+    for table in tables:
+        assert table == TruthTable(3, want) and hash(table) == hash(TruthTable(3, want))
+        assert type(table.bits) is tuple and all(type(bit) is int for bit in table.bits)
+    qubit = extract_boolean(and_fast([1, 2], 3))
+    assert qubit == TruthTable(3, tuple(u & 1 & u >> 1 for u in range(8)))
+    assert all(type(bit) is int for bit in qubit.bits)
+
+
 def test_xor_of_two_vars():
     table = truth_table_of(Anf(3, frozenset({0b001, 0b100})))
     assert table.bits == tuple((u & 1) ^ (u >> 2 & 1) for u in range(8))

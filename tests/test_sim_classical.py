@@ -401,8 +401,8 @@ def tracking(apply_of):
         folds.append(folded)
         apply = apply_of(folded)
 
-        def tracked(sub, rows):
-            return apply(sub, rows)
+        def tracked(part, rows):
+            return apply(part, rows)
 
         alive.add(tracked)
         most[0] = max(most[0], len(alive))

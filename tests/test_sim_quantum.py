@@ -559,15 +559,19 @@ def test_folds_fold_inside_their_own_sweeps_past_16_bits(kind, monkeypatch):
         ))
         sweep_rows, apply_of, extract = sweep_states, _gather, extract_function
     assert 350 <= len(prog) <= 450
-    rows, readouts, built, subs = {}, {}, [], []
+    rows, readouts, built, reads = {}, {}, [], []
 
     def record(table):
         built.append(len(table))
         apply = apply_of(table)
 
-        def tracked(sub, block):
-            subs.append((len(table), int(sub.max())))
-            return apply(sub, block)
+        def tracked(part, block):
+            # The block's part is a view of the table, so its end is the last row read.
+            assert np.shares_memory(part, table)
+            end = part.__array_interface__["data"][0] + part.nbytes
+            end -= table.__array_interface__["data"][0]
+            reads.append((len(table), end // table[0].nbytes - 1))
+            return apply(part, block)
 
         return tracked
 
@@ -582,10 +586,77 @@ def test_folds_fold_inside_their_own_sweeps_past_16_bits(kind, monkeypatch):
     # 9-bit folds and 5-bit folds inside them, and nothing deeper.
     assert len(built) == every_mode_folds(controls, j) > len(segments(controls, j))
     assert {1 << 9, 1 << 5} <= set(built) and max(built) == 1 << 9
-    # A 9-bit fold reads sub-assignments past a byte.
-    assert max(top for table, top in subs if table == 1 << 9) > 255
+    # A 9-bit fold's table is read past row 255.
+    assert max(last for table, last in reads if table == 1 << 9) > 255
     assert readouts["never"] == readouts["every"]
     if kind == QUANTUM:
         assert abs(rows["never"] - rows["every"]).max() < 1e-12
     else:
         assert np.array_equal(rows["never"], rows["every"])
+
+
+# Exact qubit gates, entries 0, +-1 and +-i, so every fold's arithmetic is exact.
+EXACT_GATES = [
+    UnitaryGate(entries) for entries in [
+        (0j, 1 + 0j, 1 + 0j, 0j), (1 + 0j, 0j, 0j, -1 + 0j), (0j, -1j, 1j, 0j),
+        (1 + 0j, 0j, 0j, 1j), (0j, 1j, 1j, 0j),
+    ]
+]
+
+# At j = BLOCK_BITS + 2 segments read 7 bits.  Inside the 12-bit block the
+# sets alternate read and unread runs: the third is one run at the bottom, the
+# second ends in one at the top, and all but those two read bits above it.
+RUN_BITS = [
+    [1, 3, 4, 7, 9, 13, 14], [2, 5, 6, 8, 10, 11, 12], [1, 2, 3, 4, 5, 6, 7],
+    [6, 8, 10, 11, 12, 13, 14], [1, 3, 5, 7, 9, 11, 13], [2, 4, 6, 8, 10, 12, 14],
+]
+
+
+@pytest.mark.parametrize("kind", [QUANTUM, CLASSICAL])
+def test_folds_broadcast_over_runs_of_read_and_unread_bits(kind, fold_mode, monkeypatch):
+    import numpy as np
+
+    from romcomp.sim_classical import _gather
+    from romcomp.sim_quantum import _combine
+    from test_sim_classical import random_gate, sweep_states
+
+    j = BLOCK_BITS + 2
+    rng = random.Random(14)
+    controls = []
+    for before, bits in zip([[]] + RUN_BITS, RUN_BITS):
+        # Open with a bit the set before does not read, so the cut falls here.
+        first = sorted(bits, key=lambda bit: bit in before)
+        controls += first + rng.choices(bits, k=40 - len(bits))
+    assert [bits for _, _, bits in segments(controls, j)] == RUN_BITS
+    if kind == QUANTUM:
+        gates, apply_of, sweep_rows = EXACT_GATES, _combine, sweep_amplitudes
+    else:
+        gates = [random_gate(rng) for _ in range(5)]
+        apply_of, sweep_rows = _gather, sweep_states
+    prog = RomProgram(RomSpace(j, 1 if kind == QUANTUM else 3, kind), tuple(
+        Instruction(rng.choice(gates), c) for c in controls
+    ))
+    folds, blocks = [], []
+
+    def record(table):
+        folds.append(table)
+        apply = apply_of(table)
+
+        def tracked(part, block):
+            blocks.append(block)
+            return apply(part, block)
+
+        return tracked
+
+    rows = sweep_rows(prog, record)
+    # Each block's run view is a view of the rows: a copy would drop the write.
+    assert all(np.shares_memory(block, rows) for block in blocks)
+    assert len(blocks) == len(folds) << (j - BLOCK_BITS)
+    if fold_mode != "never":
+        assert len(folds) == len(RUN_BITS)
+    for name, value in FOLD_MODES["never"].items():
+        monkeypatch.setattr(sweep_module, name, value)
+    never = sweep_rows(prog, record)
+    # Exact: the qubit's amplitudes are 0, +-1 and +-i, and only the sign of a
+    # zero may differ between a fold's sums and the never mode's in-place phases.
+    assert rows.dtype == never.dtype and np.array_equal(rows, never)
